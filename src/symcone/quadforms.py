@@ -41,10 +41,6 @@ __all__ = [
     "min_eig",
 ]
 
-JACOBI_OFFDIAG_TOL = 1e-12
-_MAX_SWEEPS = 60
-
-
 @dataclass(frozen=True)
 class QuadForm:
     n: int
@@ -353,98 +349,14 @@ def testfn_terms(kappa, k: int, i: int, h, K: float) -> TestFnTerms:
     )
     # C_i and D_i are positive-weight sums of squares on Gamma_k.
     member = bool(np.all(batch_coeffs(arr[None, :])[0, 1 : k + 1] > 0.0))
-    if member and np.all(np.diff(arr) <= 0):
-        assert terms.Ci >= 0.0 and terms.Di >= 0.0, "C_i/D_i positivity violated on Gamma_k"
+    if member and np.all(np.diff(arr) <= 0) and not (terms.Ci >= 0.0 and terms.Di >= 0.0):
+        raise DomainError(f"C_i/D_i positivity violated on Gamma_k: C_i={terms.Ci}, D_i={terms.Di}")
     return terms
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: cyclic Jacobi, batched and scalar.
+# Eigenvalues.
 # ---------------------------------------------------------------------------
-
-
-def jacobi_min_eig_batch(A: np.ndarray) -> np.ndarray:
-    """Least eigenvalue per matrix of a (B, m, m) symmetric stack."""
-    A = np.array(A, dtype=float, copy=True)
-    B, m, _ = A.shape
-    if m == 1:
-        return A[:, 0, 0].copy()
-    fro = np.sqrt(np.sum(A * A, axis=(1, 2)))
-    tol = JACOBI_OFFDIAG_TOL * fro
-    offmask = ~np.eye(m, dtype=bool)
-    for _ in range(_MAX_SWEEPS):
-        off = np.abs(A[:, offmask]).max(axis=1)
-        if np.all(off <= tol):
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[:, p, q]
-                act = np.abs(apq) > 0.0
-                if not np.any(act):
-                    continue
-                app = A[:, p, p]
-                aqq = A[:, q, q]
-                denom = np.where(act, 2.0 * apq, 1.0)
-                with np.errstate(over="ignore"):
-                    # tau overflowing to +-inf gives t -> 0, the correct limit
-                    tau = np.where(act, (aqq - app) / denom, 0.0)
-                    sgn = np.where(tau >= 0.0, 1.0, -1.0)
-                    t = np.where(act, sgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rowp = c[:, None] * A[:, p, :] - s[:, None] * A[:, q, :]
-                rowq = s[:, None] * A[:, p, :] + c[:, None] * A[:, q, :]
-                A[:, p, :] = rowp
-                A[:, q, :] = rowq
-                colp = c[:, None] * A[:, :, p] - s[:, None] * A[:, :, q]
-                colq = s[:, None] * A[:, :, p] + c[:, None] * A[:, :, q]
-                A[:, :, p] = colp
-                A[:, :, q] = colq
-                A[:, p, q] = 0.0
-                A[:, q, p] = 0.0
-    idx = np.arange(m)
-    return A[:, idx, idx].min(axis=1)
-
-
-def jacobi_eig_single(M: np.ndarray):
-    """(eigenvalues ascending, eigenvector matrix) for one symmetric matrix."""
-    A = np.array(M, dtype=float, copy=True)
-    m = A.shape[0]
-    V = np.eye(m)
-    if m == 1:
-        return A[0, :].copy(), V
-    fro = math.sqrt(float(np.sum(A * A)))
-    tol = JACOBI_OFFDIAG_TOL * fro
-    offmask = ~np.eye(m, dtype=bool)
-    for _ in range(_MAX_SWEEPS):
-        if np.abs(A[offmask]).max() <= tol:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rowp = c * A[p, :] - s * A[q, :]
-                rowq = s * A[p, :] + c * A[q, :]
-                A[p, :] = rowp
-                A[q, :] = rowq
-                colp = c * A[:, p] - s * A[:, q]
-                colq = s * A[:, p] + c * A[:, q]
-                A[:, p] = colp
-                A[:, q] = colq
-                A[p, q] = A[q, p] = 0.0
-                vp = c * V[:, p] - s * V[:, q]
-                vq = s * V[:, p] + c * V[:, q]
-                V[:, p] = vp
-                V[:, q] = vq
-    eigs = np.diag(A).copy()
-    order = np.argsort(eigs)
-    return eigs[order], V[:, order]
 
 
 def min_eig(M) -> float:
@@ -456,4 +368,4 @@ def min_eig(M) -> float:
         raise InvalidInputError("min_eig supports n <= 64")
     if not np.all(np.isfinite(e)):
         raise InvalidInputError("matrix contains non-finite entries")
-    return float(jacobi_min_eig_batch(e[None, :, :])[0])
+    return float(np.linalg.eigvalsh(e)[0])

@@ -15,7 +15,10 @@ slack function.  The slack conventions are uniform across the catalog:
 
 PASS iff min slack >= -tol (identities/inequalities, default 1e-10) or
 min slack >= -psd_eps (matrix checks, default 1e-8).  A sampler that cannot
-realize its hypothesis reports ERROR with the rejection breakdown.
+realize its hypothesis reports ERROR with the rejection breakdown.  A
+fixed-kind check also reports ERROR when no row was evaluated or any slack
+is NaN; NaN rows are counted in `details["nonfinite_rows"]`, and in an
+asymptotic sweep a NaN fails its grid point.
 
 Rows whose sample falls outside a check's stated hypothesis (for example the
 derived constant c requires K kappa_i sigma_{k-1}(kappa|i) > 1) are excluded
@@ -34,14 +37,13 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .cones import make_rng, sample_batch
+from .cones import make_rng, sample_bar_batch, sample_batch
 from .errors import DomainError, InvalidInputError, SamplingExhaustedError
 from .quadforms import (
     _reduced_tables,
     abcd_batch,
     divdiff_exp_scaled,
     h_matrix_batch,
-    jacobi_min_eig_batch,
     key_matrix_batch,
     lemma41_gap_batch,
 )
@@ -132,7 +134,7 @@ def _iden(residual, *terms):
 
 def _relmin(M: np.ndarray) -> np.ndarray:
     fro = np.sqrt(np.sum(M * M, axis=(1, 2)))
-    return jacobi_min_eig_batch(M) / np.maximum(fro, _TINY)
+    return np.linalg.eigvalsh(M)[:, 0] / np.maximum(fro, _TINY)
 
 
 def _divdiff_ratio(d: np.ndarray) -> np.ndarray:
@@ -270,12 +272,7 @@ def _sampler_cone(P, rng, B):
 
 
 def _sampler_bar(P, rng, B):
-    n = P["n"]
-    X = np.exp(rng.uniform(-1.0, 3.0, (B, n)))
-    hit = rng.uniform(size=B) < 0.4
-    cols = rng.integers(0, n, size=B)
-    X[hit, cols[hit]] = 0.0
-    return -np.sort(-X, axis=1), {}
+    return sample_bar_batch(rng, B, P["n"]), {}
 
 
 def _sampler_bark(P, rng, B):
@@ -1214,30 +1211,38 @@ def witness_slack(witness: dict) -> float:
 
 
 def _min_update(best, wit, check, P, X, aux, slacks):
-    finite = np.isfinite(slacks)
-    if not np.any(finite):
-        return best, wit, 0
-    j = int(np.argmin(np.where(finite, slacks, np.inf)))
-    if slacks[j] < best:
-        best = float(slacks[j])
-        wit = _make_witness(check, P, X, aux, j, best)
-    return best, wit, int(finite.sum())
+    """Fold one block into the running minimum; returns (min, witness, used, nan).
+
+    A +inf slack marks a row outside the check's hypothesis and a NaN slack a
+    row that could not be evaluated; neither enters the minimum, and the NaN
+    rows are counted so the caller can refuse to pass on them.
+    """
+    nan = np.isnan(slacks)
+    used = ~nan & (slacks != np.inf)
+    if np.any(used):
+        j = int(np.argmin(np.where(used, slacks, np.inf)))
+        if slacks[j] < best:
+            best = float(slacks[j])
+            wit = _make_witness(check, P, X, aux, j, best)
+    return best, wit, int(used.sum()), int(nan.sum())
 
 
 def _eval_point(check, P, rng, samples):
-    """Evaluate `samples` rows at fixed parameters; returns (min, witness, used)."""
+    """Evaluate `samples` rows at fixed parameters; returns (min, witness, used, nan)."""
     best = math.inf
     wit = None
     used = 0
+    nonfinite = 0
     drawn = 0
     while drawn < samples:
         B = min(_BLOCK, samples - drawn)
         X, aux = _SAMPLERS[check.sampler](P, rng, B)
         slacks = check.rows(X, aux, P)
-        best, wit, cnt = _min_update(best, wit, check, P, X, aux, slacks)
+        best, wit, cnt, bad = _min_update(best, wit, check, P, X, aux, slacks)
         used += cnt
+        nonfinite += bad
         drawn += B
-    return best, wit, used
+    return best, wit, used, nonfinite
 
 
 def _run_fixed(check: LemmaCheck, ctx: RunContext) -> CheckResult:
@@ -1246,6 +1251,7 @@ def _run_fixed(check: LemmaCheck, ctx: RunContext) -> CheckResult:
     best = math.inf
     wit = None
     used = 0
+    nonfinite = 0
     try:
         for k in ks:
             if k is not None and not 1 <= k <= ctx.n:
@@ -1254,8 +1260,9 @@ def _run_fixed(check: LemmaCheck, ctx: RunContext) -> CheckResult:
             if check.default_kappa1 is not None and P["kappa1"] is None:
                 P["kappa1"] = check.default_kappa1
             rng = make_rng(_child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}"))
-            b, w, u = _eval_point(check, P, rng, per_k)
+            b, w, u, bad = _eval_point(check, P, rng, per_k)
             used += u
+            nonfinite += bad
             if b < best:
                 best, wit = b, w
     except SamplingExhaustedError as exc:
@@ -1265,11 +1272,19 @@ def _run_fixed(check: LemmaCheck, ctx: RunContext) -> CheckResult:
             details={"error": str(exc), "rejections": exc.rejection_counts},
         )
     tol = _tol_for(check, ctx)
-    verdict = "PASS" if best >= -tol else "FAIL"
+    details = {"k_values": [k for k in ks], "tol": tol, "nonfinite_rows": nonfinite}
+    if nonfinite:
+        verdict = "ERROR"
+        details["error"] = f"{nonfinite} rows gave a NaN slack"
+    elif not used:
+        verdict = "ERROR"
+        details["error"] = "no row was evaluated: every sample fell outside the hypothesis"
+    else:
+        verdict = "PASS" if best >= -tol else "FAIL"
     return CheckResult(
         id=check.id, kind=check.kind, n=ctx.n, k=ctx.k if ctx.k is not None else (ks[0] if len(ks) == 1 else None),
-        samples=used, min_slack=best, verdict=verdict, seed=ctx.seed, witness=wit,
-        details={"k_values": [k for k in ks], "tol": tol},
+        samples=used, min_slack=best if used else math.nan, verdict=verdict, seed=ctx.seed, witness=wit,
+        details=details,
     )
 
 
@@ -1283,9 +1298,11 @@ def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
     best = math.inf
     wit = None
     used_total = 0
+    nonfinite_total = 0
     for g in grid:
         pt_min = math.inf
         pt_used = 0
+        pt_nonfinite = 0
         exhausted = None
         for Kv in Ks:
             P = _base_params(check, ctx, k)
@@ -1293,22 +1310,25 @@ def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
             P["K"] = Kv
             rng = make_rng(_child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}|{g}|{Kv}"))
             try:
-                b, w, u = _eval_point(check, P, rng, ctx.samples)
+                b, w, u, bad = _eval_point(check, P, rng, ctx.samples)
             except SamplingExhaustedError as exc:
                 exhausted = str(exc)
                 continue
             pt_used += u
+            pt_nonfinite += bad
             if b < pt_min:
                 pt_min = b
             if b < best:
                 best, wit = b, w
         used_total += pt_used
-        passed = exhausted is None and pt_used > 0 and pt_min >= -tol
+        nonfinite_total += pt_nonfinite
+        passed = exhausted is None and pt_used > 0 and pt_nonfinite == 0 and pt_min >= -tol
         points.append(
             {
                 "kappa1": g,
                 "min_slack": None if not math.isfinite(pt_min) else pt_min,
                 "samples": pt_used,
+                "nonfinite_rows": pt_nonfinite,
                 "passed": bool(passed),
                 "exhausted": exhausted,
             }
@@ -1331,7 +1351,7 @@ def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
         id=check.id, kind=check.kind, n=ctx.n, k=k, samples=used_total,
         min_slack=best, verdict=verdict, seed=ctx.seed, witness=wit,
         kappa1_star=kappa1_star,
-        details={"points": points, "K_grid": [Kv for Kv in Ks], "tol": tol},
+        details={"points": points, "K_grid": [Kv for Kv in Ks], "tol": tol, "nonfinite_rows": nonfinite_total},
     )
 
 

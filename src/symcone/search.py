@@ -27,7 +27,7 @@ from scipy.optimize import minimize
 
 from .cones import SIGMA_RANGE_NOISE_FACTOR, make_rng, sample_batch
 from .errors import InvalidInputError, SamplingExhaustedError
-from .quadforms import jacobi_eig_single, key_matrix_batch
+from .quadforms import key_matrix_batch
 from .registry import run_check
 from .symfun import batch_coeffs, sigma_fsum
 
@@ -120,8 +120,7 @@ def _assemble(u: np.ndarray, cfg: SearchConfig, k: int, target: Optional[float])
 def _objective(kap: np.ndarray, cfg: SearchConfig, k: int) -> float:
     M = key_matrix_batch(kap[None, :], k, cfg.i - 1, cfg.K)[0]
     fro = math.sqrt(float(np.sum(M * M)))
-    eigs, _ = jacobi_eig_single(M)
-    return float(eigs[0]) / max(fro, 1e-300)
+    return float(np.linalg.eigvalsh(M)[0]) / max(fro, 1e-300)
 
 
 def _exact_value(kap: np.ndarray, cfg: SearchConfig, k: int) -> float:
@@ -147,8 +146,7 @@ def _exact_value(kap: np.ndarray, cfg: SearchConfig, k: int) -> float:
         if j != i0:
             M[j, j] += v[j] + (lst[i0] + lst[j]) * se(k - 2, (i0, j))
     fro = math.sqrt(float(np.sum(M * M)))
-    eigs, _ = jacobi_eig_single(M)
-    return float(eigs[0]) / max(fro, 1e-300)
+    return float(np.linalg.eigvalsh(M)[0]) / max(fro, 1e-300)
 
 
 def minimize_lambda(cfg: SearchConfig) -> SearchResult:
@@ -209,7 +207,7 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
             continue
         value = _objective(kap, cfg, k)
         M = key_matrix_batch(kap[None, :], k, cfg.i - 1, cfg.K)[0]
-        _, vecs = jacobi_eig_single(M)
+        _, vecs = np.linalg.eigh(M)
         wit = SearchWitness(
             kappa=[float(v) for v in kap],
             value=value,

@@ -40,13 +40,6 @@ __all__ = [
     "sigma_fsum",
 ]
 
-# Residual threshold for the downdating self-check (relative).
-_DOWNDATE_RESID_TOL = 1e-12
-# Below this fraction of max|kappa| the downdate divisor is considered
-# degenerate and we rebuild from scratch instead.
-_DOWNDATE_DIVISOR_FLOOR = 1e-8
-
-
 def _as_vector(kappa) -> np.ndarray:
     arr = np.asarray(kappa, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
@@ -108,40 +101,6 @@ def _validate_excl(excl, n: int) -> tuple:
     return tuple(idx)
 
 
-def _downdate(c: np.ndarray, x: float, arr_rest: np.ndarray) -> np.ndarray:
-    """Remove the factor (1 + x t) from the coefficient vector c.
-
-    Chooses between the forward recurrence (stable for small |x|) and the
-    backward recurrence (divides by x, stable for large |x|); a residual
-    self-check triggers a full rebuild from arr_rest when either direction
-    lost accuracy, and a near-zero divisor forces the rebuild directly.
-    """
-    n = c.size - 1  # degree before removal
-    maxabs = max(abs(x), float(np.max(np.abs(arr_rest))) if arr_rest.size else 0.0)
-    out = np.zeros(n)
-    if abs(x) < _DOWNDATE_DIVISOR_FLOOR * maxabs:
-        if abs(x) == 0.0:
-            # exact: removing a zero entry leaves the low coefficients
-            return c[:n].copy()
-        return _coeffs(arr_rest)
-    if abs(x) <= 1.0:
-        out[0] = 1.0
-        for m in range(1, n):
-            out[m] = c[m] - x * out[m - 1]
-        resid = c[n] - x * out[n - 1]
-        scale = abs(c[n]) + abs(x * out[n - 1])
-    else:
-        out[n - 1] = c[n] / x
-        for m in range(n - 1, 0, -1):
-            out[m - 1] = (c[m] - out[m]) / x
-        resid = out[0] - 1.0
-        scale = 1.0
-        out[0] = 1.0
-    if abs(resid) > _DOWNDATE_RESID_TOL * (1.0 + scale):
-        return _coeffs(arr_rest)
-    return out
-
-
 def sigma_excl(k: int, kappa, excl) -> float:
     """sigma_k of kappa with the (1-based) indices in excl removed."""
     arr = _as_vector(kappa)
@@ -151,13 +110,9 @@ def sigma_excl(k: int, kappa, excl) -> float:
         return 1.0
     if k < 0 or k > m:
         return 0.0
-    c = _coeffs(arr)
     keep = np.ones(arr.size, dtype=bool)
-    for pos, j in enumerate(idx):
-        keep[j - 1] = False
-        rest = arr[keep]
-        c = _downdate(c, arr[j - 1], rest)
-    return float(c[k])
+    keep[[j - 1 for j in idx]] = False
+    return float(_coeffs(arr[keep])[k])
 
 
 def sigma_d1(k: int, kappa, p: int) -> float:

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import symcone.quadforms as quadforms
 from symcone import (
     ConeQuery,
+    DomainError,
     InvalidInputError,
     KeyParams,
     abcd_matrices,
@@ -166,6 +168,13 @@ class TestTestFnTerms:
         assert small.small_kappa1
         big = eval_testfn_terms(np.array([50.0, 49.0, 3.0, 2.0, 1.0]), 3, 2, np.ones(5), 10.0)
         assert not big.small_kappa1
+
+    def test_positivity_violation_raises(self, monkeypatch):
+        # a negative divided difference makes D_i negative on a cone member;
+        # the check must still raise under `python -O`, so it is not an assert
+        monkeypatch.setattr(quadforms, "divdiff_exp_scaled", lambda a, b, top: -1.0)
+        with pytest.raises(DomainError):
+            eval_testfn_terms(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), 3, 2, np.ones(5), 10.0)
 
     def test_large_scale_no_overflow(self):
         # exponential weights are factored, so scales beyond exp-overflow work

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import symcone.registry as registry
+
 from symcone import (
     ConeQuery,
     InvalidInputError,
+    LemmaCheck,
     RunContext,
     classify_case,
     in_gamma,
@@ -97,6 +100,60 @@ class TestRunCheck:
     def test_tolerance_override_can_fail_a_check(self):
         res = run_check("L4_2_id1", n=6, samples=500, seed=0, tol=0.0)
         assert res.verdict == "FAIL"
+
+
+def _fill_rows(value):
+    def rows(X, aux, P):
+        return np.full(X.shape[0], value)
+
+    return rows
+
+
+class TestNonFiniteRows:
+    """A check never passes on rows it could not evaluate."""
+
+    def _register(self, monkeypatch, kind, rows):
+        check = LemmaCheck(
+            "test_local", kind, "test-local check with constant rows", "real", rows,
+            lambda n, k: (None,),
+        )
+        monkeypatch.setitem(registry.REGISTRY, check.id, check)
+        return check.id
+
+    def test_all_nan_rows_are_error(self, monkeypatch):
+        cid = self._register(monkeypatch, "INEQUALITY", _fill_rows(np.nan))
+        res = run_check(cid, n=5, samples=300, seed=0)
+        assert res.verdict == "ERROR"
+        assert res.samples == 0
+        assert res.details["nonfinite_rows"] == 300
+        assert np.isnan(res.min_slack)
+
+    def test_all_excluded_rows_are_error(self, monkeypatch):
+        cid = self._register(monkeypatch, "INEQUALITY", _fill_rows(np.inf))
+        res = run_check(cid, n=5, samples=300, seed=0)
+        assert res.verdict == "ERROR"
+        assert res.samples == 0
+        assert res.details["nonfinite_rows"] == 0
+        assert res.witness is None
+
+    def test_nan_among_passing_rows_is_error(self, monkeypatch):
+        def rows(X, aux, P):
+            return np.where(np.arange(X.shape[0]) % 2 == 0, 0.0, np.nan)
+
+        cid = self._register(monkeypatch, "INEQUALITY", rows)
+        res = run_check(cid, n=5, samples=300, seed=0)
+        assert res.verdict == "ERROR"
+        assert res.samples == 150
+        assert res.details["nonfinite_rows"] == 150
+        assert res.min_slack == 0.0
+
+    def test_asymptotic_nan_fails_every_point(self, monkeypatch):
+        cid = self._register(monkeypatch, "ASYMPTOTIC", _fill_rows(np.nan))
+        res = run_check(cid, n=5, samples=50, seed=0)
+        assert res.verdict == "FAIL"
+        assert res.kappa1_star is None
+        assert not any(p["passed"] for p in res.details["points"])
+        assert res.details["nonfinite_rows"] == 50 * len(res.details["points"])
 
 
 class TestDeterminismAndWitness:
