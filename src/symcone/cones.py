@@ -212,6 +212,42 @@ def _feasible_mask(
     return ok
 
 
+def rejection_sample(
+    draw: Callable[[int], np.ndarray],
+    count: int,
+    block: Callable[[int, int], int],
+    budget: int,
+    counts: dict,
+    what: str,
+) -> np.ndarray:
+    """Stack the rows that `draw(B)` accepts from B fresh candidates until
+    `count` rows are in, and return exactly `count` of them.
+
+    `block(left, room)` sizes each draw from the rows still missing and the
+    draws left in the budget; a size above `room` is drawn whole.  Once
+    `budget` candidates are spent, raise SamplingExhaustedError with the
+    per-constraint rejections that `draw` tallied in `counts`.
+    """
+    out = []
+    got = 0
+    attempts = 0
+    while got < count:
+        if attempts >= budget:
+            worst = max(counts, key=counts.get)
+            raise SamplingExhaustedError(
+                f"{what} exhausted after {attempts} draws ({got}/{count} accepted); "
+                f"most-rejecting constraint: {worst} ({counts[worst]} rejections)",
+                rejection_counts=counts,
+            )
+        B = block(count - got, budget - attempts)
+        attempts += B
+        X = draw(B)
+        if X.shape[0]:
+            out.append(X)
+            got += X.shape[0]
+    return np.concatenate(out)[:count]
+
+
 def sample_batch(
     rng: np.random.Generator,
     count: int,
@@ -238,31 +274,19 @@ def sample_batch(
         "sigma_k_range": 0,
         "predicate": 0,
     }
-    out = []
-    got = 0
-    attempts = 0
-    while got < count:
-        if attempts >= max_attempts:
-            worst = max(counts, key=counts.get)
-            raise SamplingExhaustedError(
-                f"sampling exhausted after {attempts} draws ({got}/{count} accepted); "
-                f"most-rejecting constraint: {worst} ({counts[worst]} rejections)",
-                rejection_counts=counts,
-            )
-        B = min(_BATCH, max(64, 4 * (count - got)))
-        B = min(B, max_attempts - attempts)
-        attempts += B
+
+    def draw(B: int) -> np.ndarray:
         X = _candidates(rng, B, n, k, kappa1, near_top_index, sigma_k_range, wide, negative_middle)
-        ok = _feasible_mask(X, k, kappa1, near_top_index, sigma_k_range, counts)
-        X = X[ok]
+        X = X[_feasible_mask(X, k, kappa1, near_top_index, sigma_k_range, counts)]
         if predicate is not None and X.shape[0]:
             keep = predicate(X)
             counts["predicate"] += int(X.shape[0] - keep.sum())
             X = X[keep]
-        if X.shape[0]:
-            out.append(X)
-            got += X.shape[0]
-    return np.concatenate(out)[:count]
+        return X
+
+    return rejection_sample(
+        draw, count, lambda left, room: min(_BATCH, max(64, 4 * left), room), max_attempts, counts, "sampling"
+    )
 
 
 def sample_gamma(spec: SampleSpec) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .symfun import (
     batch_coeffs,
     batch_coeffs_excl,
     batch_excl1_table,
+    batch_excl2_table,
+    order,
 )
 
 __all__ = [
@@ -69,6 +71,7 @@ class KeyParams:
     @staticmethod
     def for_kappa(kappa, k: int, i: int, K: float) -> "KeyParams":
         arr = _as_vector(kappa)
+        _check_k(k, arr.size)
         if not 1 <= i <= arr.size:
             raise InvalidInputError(f"i={i} out of range [1, {arr.size}]")
         s_ii = float(batch_coeffs_excl(arr[None, :], (i - 1,))[0, k - 1])
@@ -101,58 +104,27 @@ class TestFnTerms:
 
 
 def key_matrix_batch(X: np.ndarray, k: int, i0: int, K: float) -> np.ndarray:
-    B, n = X.shape
-    T1 = batch_excl1_table(X)  # (B, n, n) coefficient tables without one entry
-    v = T1[:, :, k - 1] if 0 <= k - 1 <= n - 1 else np.zeros((B, n))  # sigma_k^{jj}
+    n = X.shape[1]
+    v = order(batch_excl1_table(X), k - 1)  # sigma_k^{jj}
+    S = batch_excl2_table(X, (k - 2,))[k - 2]  # sigma_k^{pp,qq}, zero diagonal
     ki = X[:, i0]
     M = K * ki[:, None, None] * (v[:, :, None] * v[:, None, :])
-    S = np.zeros((B, n, n))
-    if 0 <= k - 2 <= n - 2:
-        for p in range(n):
-            for q in range(p + 1, n):
-                spq = batch_coeffs_excl(X, (p, q))[:, k - 2]
-                S[:, p, q] = spq
-                S[:, q, p] = spq
     M -= ki[:, None, None] * S
-    idx = np.arange(B)
-    M[idx, i0, i0] -= v[:, i0]
-    for j in range(n):
-        if j == i0:
-            continue
-        a_j = v[:, j] + (X[:, i0] + X[:, j]) * S[:, i0, j]
-        M[idx, j, j] += a_j
+    a = v + (ki[:, None] + X) * S[:, i0, :]  # diagonal weights a_j, j != i
+    a[:, i0] = -v[:, i0]
+    idx = np.arange(n)
+    M[:, idx, idx] += a
     return M
 
 
-def _reduced_tables(X: np.ndarray, k: int, i0: int, orders: Tuple[int, ...]):
-    """sigma_t(kappa|i j) and sigma_t(kappa|i p q) tables on the reduced vector.
-
-    Returns (one, two): one[t][:, a] = sigma_t(kappa | i, idx_a);
-    two[t][:, a, b] = sigma_t(kappa | i, idx_a, idx_b) for a != b, where idx
-    enumerates positions != i0.
-    """
-    Y = np.delete(X, i0, axis=1)
-    B, m = Y.shape
-    one = {}
-    two = {}
-    T1 = batch_excl1_table(Y)  # (B, m, m): coefficients of (kappa|i,a)
-    for t in orders:
-        one[t] = T1[:, :, t] if 0 <= t <= m - 1 else np.zeros((B, m))
-        two[t] = np.zeros((B, m, m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            c = batch_coeffs_excl(Y, (a, b))
-            for t in orders:
-                if 0 <= t <= m - 2:
-                    two[t][:, a, b] = c[:, t]
-                    two[t][:, b, a] = c[:, t]
-    return Y, one, two
-
-
 def abcd_batch(X: np.ndarray, k: int, i0: int):
-    B, n = X.shape
-    m = n - 1
-    Y, one, two = _reduced_tables(X, k, i0, (k - 3, k - 2, k - 1, k))
+    """The reduced forms on the positions j != i; the tables hold
+    sigma_t(kappa | i j) and sigma_t(kappa | i p q)."""
+    Y = np.delete(X, i0, axis=1)
+    m = Y.shape[1]
+    T1 = batch_excl1_table(Y)
+    one = {t: order(T1, t) for t in (k - 2, k - 1, k)}
+    two = batch_excl2_table(Y, (k - 3, k - 2, k - 1, k))
     offdiag = ~np.eye(m, dtype=bool)
     A = np.where(offdiag, two[k - 2] ** 2 - two[k - 1] * two[k - 3], 0.0)
     Bm = np.where(offdiag, -two[k - 2], 0.0)
@@ -169,7 +141,8 @@ def abcd_batch(X: np.ndarray, k: int, i0: int):
 def h_matrix_batch(X: np.ndarray, i0: int) -> np.ndarray:
     B, n = X.shape
     m = n - 1
-    Y, one, two = _reduced_tables(X, n - 2, i0, (n - 5, n - 3))
+    Y = np.delete(X, i0, axis=1)
+    two = batch_excl2_table(Y, (n - 5, n - 3))
     cbar = batch_coeffs(Y)
     s3 = cbar[:, n - 3]
     s5 = cbar[:, n - 5] if n >= 5 else np.ones(B)
@@ -178,9 +151,8 @@ def h_matrix_batch(X: np.ndarray, i0: int) -> np.ndarray:
     r = 2.0 * s3 / (3.0 * s5)
     offdiag = ~np.eye(m, dtype=bool)
     H = np.where(offdiag, r[:, None, None] * two[n - 5] * two[n - 3] - two[n - 3] ** 2, 0.0)
-    diag2 = batch_excl1_table(Y**2)[:, :, n - 3] if 0 <= n - 3 <= m - 1 else np.zeros((B, m))
     idx = np.arange(m)
-    H[:, idx, idx] = diag2
+    H[:, idx, idx] = order(batch_excl1_table(Y**2), n - 3)
     return H
 
 
@@ -229,6 +201,11 @@ def lemma41_gap_batch(X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq:
 # ---------------------------------------------------------------------------
 # Scalar API.
 # ---------------------------------------------------------------------------
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise InvalidInputError(f"k={k} out of range [1, {n}]")
 
 
 def _check_i(i: int, n: int) -> int:
@@ -290,21 +267,22 @@ def h_matrix(kappa, i: int) -> QuadForm:
 # ---------------------------------------------------------------------------
 
 
-def divdiff_exp_scaled(a, b, top):
-    """(e^a - e^b)/(a - b) * e^{-top}, elementwise-stable.
-
-    Uses expm1 for separated arguments and the Taylor series of
-    (1 - e^{-d})/d for |d| < 1e-6; the coincidence limit is e^{a - top}.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    hi = np.maximum(a, b)
-    d = np.abs(a - b)
-    small = d < 1e-6
+def divdiff_ratio(d) -> np.ndarray:
+    """(1 - e^{-d})/d for any sign of d, elementwise; the Taylor series
+    replaces expm1 for |d| < 1e-6, and the limit at d = 0 is 1."""
+    d = np.asarray(d, dtype=float)
+    small = np.abs(d) < 1e-6
     dd = np.where(small, 1.0, d)
     series = 1.0 - d / 2.0 + d * d / 6.0 - d**3 / 24.0
-    ratio = np.where(small, series, -np.expm1(-dd) / dd)
-    return np.exp(hi - top) * ratio
+    return np.where(small, series, -np.expm1(-dd) / dd)
+
+
+def divdiff_exp_scaled(a, b, top):
+    """(e^a - e^b)/(a - b) * e^{-top}, elementwise-stable; the coincidence
+    limit is e^{a - top}."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.exp(np.maximum(a, b) - top) * divdiff_ratio(np.abs(a - b))
 
 
 def testfn_terms(kappa, k: int, i: int, h, K: float) -> TestFnTerms:
@@ -318,29 +296,22 @@ def testfn_terms(kappa, k: int, i: int, h, K: float) -> TestFnTerms:
     hv = np.asarray(h, dtype=float)
     if hv.shape != arr.shape:
         raise InvalidInputError("h must have the same shape as kappa")
-    n = arr.size
-    i0 = _check_i(i, n)
+    _check_k(k, arr.size)
+    i0 = _check_i(i, arr.size)
     top = float(np.max(arr))
     w = np.exp(arr - top)
     W = float(np.sum(w))
     logP = top + math.log(W)
-    T1 = batch_excl1_table(arr[None, :])[0]
-    skl = T1[:, k - 1] if 0 <= k - 1 <= n - 1 else np.zeros(n)  # sigma_k^{ll}
+    skl = order(batch_excl1_table(arr[None, :]), k - 1)[0]  # sigma_k^{ll}
+    S = batch_excl2_table(arr[None, :], (k - 2,))[k - 2][0]  # sigma_k^{pp,qq}, zero diagonal
     gsum = float(skl @ hv)
-    spq = 0.0
-    for p in range(n):
-        for q in range(p + 1, n):
-            spq += 2.0 * float(batch_coeffs_excl(arr[None, :], (p, q))[0, k - 2]) * hv[p] * hv[q]
+    spq = float(hv @ S @ hv)
     Ai = w[i0] * (K * gsum**2 - spq)
-    Bi = 0.0
     Ci = float(skl[i0] * np.sum(w * hv**2))
-    Di = 0.0
-    for l in range(n):
-        if l == i0:
-            continue
-        s2 = float(batch_coeffs_excl(arr[None, :], (i0, l))[0, k - 2])
-        Bi += 2.0 * s2 * w[l] * hv[l] ** 2
-        Di += 2.0 * float(divdiff_exp_scaled(arr[l], arr[i0], top)) * skl[l] * hv[l] ** 2
+    # l = i0 drops out: S[i0, i0] = 0, and the divided difference is masked.
+    Bi = 2.0 * float(np.sum(S[i0] * w * hv**2))
+    dd = np.where(np.arange(arr.size) == i0, 0.0, divdiff_exp_scaled(arr, arr[i0], top))
+    Di = 2.0 * float(np.sum(dd * skl * hv**2))
     Pi_scaled = float(np.sum(w * hv))  # P_i * e^{-kappa_1}
     Ei = (1.0 + logP) / (W * logP) * skl[i0] * Pi_scaled**2
     terms = TestFnTerms(

@@ -22,7 +22,8 @@ asymptotic sweep a NaN fails its grid point.
 
 Rows whose sample falls outside a check's stated hypothesis (for example the
 derived constant c requires K kappa_i sigma_{k-1}(kappa|i) > 1) are excluded
-from the minimum, and the exclusion count is reported in `details`.
+from the minimum and counted in `details["excluded_rows"]` (per grid point
+as well, for an asymptotic sweep).
 
 All randomness flows from one integer seed through counter-based child
 streams, so every result - including witnesses - is bit-reproducible.
@@ -37,17 +38,17 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .cones import make_rng, sample_bar_batch, sample_batch
+from .cones import make_rng, rejection_sample, sample_bar_batch, sample_batch
 from .errors import DomainError, InvalidInputError, SamplingExhaustedError
 from .quadforms import (
-    _reduced_tables,
     abcd_batch,
     divdiff_exp_scaled,
+    divdiff_ratio,
     h_matrix_batch,
     key_matrix_batch,
     lemma41_gap_batch,
 )
-from .symfun import batch_coeffs, batch_coeffs_excl, batch_excl1_table
+from .symfun import batch_coeffs, batch_coeffs_excl, batch_excl1_table, batch_excl2_table, order
 
 __all__ = [
     "CaseLabel",
@@ -72,6 +73,7 @@ PSD_EPS = 1e-8
 ASYM_KAPPA1_GRID = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 ASYM_K_GRID = (1e1, 1e2, 1e3, 1e4)
 _BLOCK = 2048
+_SAMPLER_BUDGET = 400_000
 _TINY = 1e-300
 
 
@@ -83,38 +85,6 @@ _TINY = 1e-300
 def _child_seed(seed: int, label: str) -> int:
     digest = hashlib.blake2s(f"{seed}|{label}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-def _col(c: np.ndarray, t: int) -> np.ndarray:
-    """Column t of a coefficient table, zeros when out of range."""
-    if 0 <= t < c.shape[1]:
-        return c[:, t]
-    return np.zeros(c.shape[0])
-
-
-def _e1(T: np.ndarray, t: int) -> np.ndarray:
-    """Order-t slice of a single-exclusion table (B, n, orders)."""
-    if 0 <= t < T.shape[2]:
-        return T[:, :, t]
-    return np.zeros(T.shape[:2])
-
-
-def _pair_all(X: np.ndarray) -> np.ndarray:
-    """Pc[b, p, q, t] = sigma_t(row_b | p, q), diagonal left at zero."""
-    B, n = X.shape
-    out = np.zeros((B, n, n, n - 1))
-    for p in range(n):
-        for q in range(p + 1, n):
-            c = batch_coeffs_excl(X, (p, q))
-            out[:, p, q, :] = c
-            out[:, q, p, :] = c
-    return out
-
-
-def _p(Pc: np.ndarray, t: int) -> np.ndarray:
-    if 0 <= t < Pc.shape[3]:
-        return Pc[:, :, :, t]
-    return np.zeros(Pc.shape[:3])
 
 
 def _mag(*terms) -> np.ndarray:
@@ -135,15 +105,6 @@ def _iden(residual, *terms):
 def _relmin(M: np.ndarray) -> np.ndarray:
     fro = np.sqrt(np.sum(M * M, axis=(1, 2)))
     return np.linalg.eigvalsh(M)[:, 0] / np.maximum(fro, _TINY)
-
-
-def _divdiff_ratio(d: np.ndarray) -> np.ndarray:
-    """(1 - e^{-d})/d for any sign of d, series-stable near zero."""
-    d = np.asarray(d, dtype=float)
-    small = np.abs(d) < 1e-6
-    dd = np.where(small, 1.0, d)
-    series = 1.0 - d / 2.0 + d * d / 6.0 - d**3 / 24.0
-    return np.where(small, series, -np.expm1(-dd) / dd)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +131,8 @@ def classify_masks(X: np.ndarray, i0: int) -> Dict[str, np.ndarray]:
     """
     B, n = X.shape
     cb = batch_coeffs_excl(X, (i0,))
-    sbar = _col(cb, n - 2)
-    s3bar = _col(cb, n - 3)
+    sbar = order(cb, n - 2)
+    s3bar = order(cb, n - 3)
     sk = batch_coeffs(X)[:, n - 2]
     d0 = 1.0 / (32.0 * n * (n - 2))
     A = (sbar <= 0.0) & (X[:, n - 2] <= 0.0)
@@ -221,18 +182,9 @@ def _case_predicate(i0: int, cases: Tuple[str, ...]):
 
 def _draw_gamma(rng, B: int, n: int, k: int, force_neg: int = 0, barred: bool = False) -> np.ndarray:
     """Cone members with generic scales; optionally force trailing negatives."""
-    out = []
-    got = 0
-    attempts = 0
     counts = {"membership": 0}
-    while got < B:
-        if attempts >= 400_000:
-            raise SamplingExhaustedError(
-                f"gamma sampler exhausted after {attempts} draws ({got}/{B})",
-                rejection_counts=counts,
-            )
-        blk = _BLOCK
-        attempts += blk
+
+    def draw(blk):
         X = np.abs(rng.normal(0.0, 3.0, (blk, n))) + 0.05
         top = X.max(axis=1)
         if force_neg:
@@ -247,11 +199,9 @@ def _draw_gamma(rng, B: int, n: int, k: int, force_neg: int = 0, barred: bool = 
         else:
             keep = np.all(c[:, 1 : k + 1] > 0.0, axis=1)
         counts["membership"] += int(blk - keep.sum())
-        X = X[keep]
-        if X.shape[0]:
-            out.append(X)
-            got += X.shape[0]
-    return np.concatenate(out)[:B]
+        return X[keep]
+
+    return rejection_sample(draw, B, lambda left, room: _BLOCK, _SAMPLER_BUDGET, counts, "gamma sampler")
 
 
 def _sampler_real(P, rng, B):
@@ -284,18 +234,9 @@ def _sampler_l59(P, rng, B):
     or a delta-negative last entry (delta = 0.1, the weaker variant)."""
     n = P["n"]
     k = n - 2
-    out = []
-    got = 0
-    attempts = 0
     counts = {"membership": 0, "hypothesis": 0}
-    while got < B:
-        if attempts >= 400_000:
-            raise SamplingExhaustedError(
-                f"scale sampler exhausted after {attempts} draws ({got}/{B})",
-                rejection_counts=counts,
-            )
-        blk = _BLOCK
-        attempts += blk
+
+    def draw(blk):
         X = np.empty((blk, n))
         X[:, 0] = 10.0 ** rng.uniform(0.5, 4.0, blk)
         X[:, 1:] = rng.uniform(-0.95 * 2.0 / (n - 2), 1.0, (blk, n - 1)) * X[:, :1]
@@ -305,11 +246,9 @@ def _sampler_l59(P, rng, B):
         counts["membership"] += int(blk - member.sum())
         hyp = (-X[:, n - 1] >= 0.1 * X[:, 0]) | (X[:, n - 2] >= 0.1 * X[:, 0])
         counts["hypothesis"] += int((member & ~hyp).sum())
-        X = X[member & hyp]
-        if X.shape[0]:
-            out.append(X)
-            got += X.shape[0]
-    return np.concatenate(out)[:B], {}
+        return X[member & hyp]
+
+    return rejection_sample(draw, B, lambda left, room: _BLOCK, _SAMPLER_BUDGET, counts, "scale sampler"), {}
 
 
 def _sampler_tail_cases(P, rng, B):
@@ -331,21 +270,12 @@ def _sampler_tail_cases(P, rng, B):
     i0 = P["i0"]
     d0 = 1.0 / (32.0 * n * (n - 2))
     pred = _case_predicate(i0, P.get("cases") or ("B3", "C"))
-    out = []
-    got = 0
-    attempts = 0
     counts = {
         "finite": 0, "gamma_k": 0, "kappa1_target": 0, "near_top": 0,
         "sigma_k_range": 0, "predicate": 0, "discriminant": 0,
     }
-    while got < B:
-        if attempts >= 400_000:
-            raise SamplingExhaustedError(
-                f"tail-case sampler exhausted after {attempts} draws ({got}/{B})",
-                rejection_counts=counts,
-            )
-        blk = 4096
-        attempts += blk
+
+    def draw(blk):
         kap1 = k1 * (1.0 + rng.uniform(-0.005, 0.005, blk))
         ki = kap1 - rng.uniform(0.0, 1.0, blk) * np.sqrt(kap1) / n
         nm = n - 4
@@ -359,7 +289,7 @@ def _sampler_tail_cases(P, rng, B):
         mids[flip] *= -1.0
         pre = np.concatenate([kap1[:, None], mids], axis=1)  # reduced prefix, n-3 entries
         cp = batch_coeffs(pre)
-        s5, s4, s3 = _col(cp, n - 5), _col(cp, n - 4), _col(cp, n - 3)
+        s5, s4, s3 = order(cp, n - 5), order(cp, n - 4), order(cp, n - 3)
         sgn = np.where(rng.uniform(size=blk) < 0.5, 1.0, -1.0)
         lo_e = min(-12.0, -3.0 * math.log10(k1) - 2.0)
         T1 = sgn * st * 10.0 ** rng.uniform(lo_e, math.log10(d0), blk)
@@ -367,8 +297,8 @@ def _sampler_tail_cases(P, rng, B):
         det = s4 * s4 - s5 * s3
         safe = np.abs(det) > 0.0
         det = np.where(safe, det, 1.0)
-        u = (s4 * (T2 - s3) - s5 * (T1 - _col(cp, n - 2))) / det
-        v = (s4 * (T1 - _col(cp, n - 2)) - s3 * (T2 - s3)) / det
+        u = (s4 * (T2 - s3) - s5 * (T1 - order(cp, n - 2))) / det
+        v = (s4 * (T1 - order(cp, n - 2)) - s3 * (T2 - s3)) / det
         disc = u * u - 4.0 * v
         safe &= disc >= 0.0
         counts["discriminant"] += int(blk - safe.sum())
@@ -379,17 +309,16 @@ def _sampler_tail_cases(P, rng, B):
         X = -np.sort(-X, axis=1)
         X = X[safe]
         if not X.shape[0]:
-            continue
+            return X
         ok = _feasible_mask(X, k, k1, i0 + 1, (1.0, 10.0), counts)
         X = X[ok]
         if X.shape[0]:
             keep = pred(X)
             counts["predicate"] += int(X.shape[0] - keep.sum())
             X = X[keep]
-        if X.shape[0]:
-            out.append(X)
-            got += X.shape[0]
-    return np.concatenate(out)[:B], {}
+        return X
+
+    return rejection_sample(draw, B, lambda left, room: 4096, _SAMPLER_BUDGET, counts, "tail-case sampler"), {}
 
 
 def _sampler_main(P, rng, B):
@@ -437,10 +366,10 @@ def _rows_id1(X, aux, P):
     ci = batch_coeffs_excl(X, (0,))
     cj = batch_coeffs_excl(X, (1,))
     cij = batch_coeffs_excl(X, (0, 1))
-    s_ii = _col(ci, k - 1)
-    s_jj = _col(cj, k - 1)
-    s2 = _col(cij, k - 2)
-    s1 = _col(cij, k - 1)
+    s_ii = order(ci, k - 1)
+    s_jj = order(cj, k - 1)
+    s2 = order(cij, k - 2)
+    s1 = order(cij, k - 1)
     ki = X[:, 0]
     kj = X[:, 1]
     aj = s_jj + (ki + kj) * s2
@@ -461,14 +390,14 @@ def _rows_id2(X, aux, P):
     cip = batch_coeffs_excl(X, (0, 1))
     ciq = batch_coeffs_excl(X, (0, 2))
     cpq = batch_coeffs_excl(X, (1, 2))
-    s_ii, s_pp, s_qq = _col(ci, k - 1), _col(cp, k - 1), _col(cq, k - 1)
-    s_iipp, s_iiqq, s_ppqq = _col(cip, k - 2), _col(ciq, k - 2), _col(cpq, k - 2)
+    s_ii, s_pp, s_qq = order(ci, k - 1), order(cp, k - 1), order(cq, k - 1)
+    s_iipp, s_iiqq, s_ppqq = order(cip, k - 2), order(ciq, k - 2), order(cpq, k - 2)
     ki = X[:, 0]
     u1 = ki * (s_pp * s_iiqq + s_qq * s_iipp - s_ii * s_ppqq)
     u2 = -s_pp * s_qq
     u3 = -(ki**2) * s_iipp * s_iiqq
     u4 = ki * s_ii * s_ppqq
-    v1 = -_col(cip, k - 1) * _col(ciq, k - 1)
+    v1 = -order(cip, k - 1) * order(ciq, k - 1)
     return _iden((u1 + u2 + u3 + u4) - v1, u1, u2, u3, u4, v1)
 
 
@@ -479,10 +408,10 @@ def _rows_id3(X, aux, P):
     cj = batch_coeffs_excl(X, (1,))
     cij = batch_coeffs_excl(X, (0, 1))
     ki, kj = X[:, 0], X[:, 1]
-    lhs = (_col(ci, k - 1) + _col(cj, k - 1)) * (ki + kj)
-    r1 = 2.0 * _col(c, k)
-    r2 = -2.0 * _col(cij, k)
-    r3 = (ki**2 + kj**2) * _col(cij, k - 2)
+    lhs = (order(ci, k - 1) + order(cj, k - 1)) * (ki + kj)
+    r1 = 2.0 * order(c, k)
+    r2 = -2.0 * order(cij, k)
+    r3 = (ki**2 + kj**2) * order(cij, k - 2)
     return _iden(lhs - (r1 + r2 + r3), lhs, r1, r2, r3)
 
 
@@ -494,9 +423,9 @@ def _rows_id4(X, aux, P):
     cpq = batch_coeffs_excl(X, (1, 2))
     c3 = batch_coeffs_excl(X, (0, 1, 2))
     ki, kq = X[:, 0], X[:, 2]
-    w1 = _col(cq, k - 1) * _col(cip, k - 2)
-    w2 = -_col(ci, k - 1) * _col(cpq, k - 2)
-    t2, t1, t3 = _col(c3, k - 2), _col(c3, k - 1), _col(c3, k - 3)
+    w1 = order(cq, k - 1) * order(cip, k - 2)
+    w2 = -order(ci, k - 1) * order(cpq, k - 2)
+    t2, t1, t3 = order(c3, k - 2), order(c3, k - 1), order(c3, k - 3)
     z1 = ki * t2**2
     z2 = -ki * t1 * t3
     z3 = kq * t3 * t1
@@ -511,9 +440,9 @@ def _rows_id5(X, aux, P):
     ciq = batch_coeffs_excl(X, (0, 2))
     c3 = batch_coeffs_excl(X, (0, 1, 2))
     ki, kq = X[:, 0], X[:, 2]
-    lhs = _col(cp, k - 1) * _col(ciq, k - 1)
-    t0, t1, t2, t3 = _col(c3, k), _col(c3, k - 1), _col(c3, k - 2), _col(c3, k - 3)
-    r1 = _col(c, k) * t2
+    lhs = order(cp, k - 1) * order(ciq, k - 1)
+    t0, t1, t2, t3 = order(c3, k), order(c3, k - 1), order(c3, k - 2), order(c3, k - 3)
+    r1 = order(c, k) * t2
     r2 = t1**2
     r3 = -t0 * t2
     r4 = -kq * ki * t2**2
@@ -531,7 +460,7 @@ def _rows_l51(X, aux, P):
         terms = [c2[:, k]]
         rhs = c2[:, k].copy()
         for i in range(1, k + 1):
-            t = 2.0 * (-1.0) ** (i + 1) * _col(c, k + i) * c[:, k - i]
+            t = 2.0 * (-1.0) ** (i + 1) * order(c, k + i) * c[:, k - i]
             rhs += t
             terms.append(t)
         best = np.minimum(best, _iden(lhs - rhs, lhs, *terms))
@@ -547,7 +476,7 @@ def _rows_l54(X, aux, P):
         prods = T[:, :, n - s] * T[:, :, n - 1]
         lhs = prods.sum(axis=1)
         r1 = c[:, n - s] * c[:, n - 1]
-        r2 = -(s + 1.0) * c[:, n] * _col(c, n - s - 1)
+        r2 = -(s + 1.0) * c[:, n] * order(c, n - s - 1)
         mag = 1.0 + np.abs(prods).sum(axis=1) + np.abs(r1) + np.abs(r2)
         best = np.minimum(best, -np.abs(lhs - (r1 + r2)) / mag)
     return best
@@ -556,15 +485,15 @@ def _rows_l54(X, aux, P):
 def _rows_l55(X, aux, P):
     n = X.shape[1]
     T = batch_excl1_table(X)
-    P4 = _p(_pair_all(X), n - 4)
+    P4 = batch_excl2_table(X, (n - 4,))[n - 4]
     best = np.full(X.shape[0], np.inf)
     for j in range(n):
         lhs_terms = P4[:, j, :] ** 2
         lhs = lhs_terms.sum(axis=1)
-        r1 = 3.0 * _e1(T, n - 4)[:, j] ** 2
-        r2 = -2.0 * _e1(T, n - 5)[:, j] * _e1(T, n - 3)[:, j]
-        r3 = -4.0 * _e1(T, n - 6)[:, j] * _e1(T, n - 2)[:, j]
-        r4 = -6.0 * _e1(T, n - 7)[:, j] * _e1(T, n - 1)[:, j]
+        r1 = 3.0 * order(T, n - 4)[:, j] ** 2
+        r2 = -2.0 * order(T, n - 5)[:, j] * order(T, n - 3)[:, j]
+        r3 = -4.0 * order(T, n - 6)[:, j] * order(T, n - 2)[:, j]
+        r4 = -6.0 * order(T, n - 7)[:, j] * order(T, n - 1)[:, j]
         mag = 1.0 + lhs_terms.sum(axis=1) + np.abs(r1) + np.abs(r2) + np.abs(r3) + np.abs(r4)
         best = np.minimum(best, -np.abs(lhs - (r1 + r2 + r3 + r4)) / mag)
     return best
@@ -614,16 +543,16 @@ def _rows_l21(X, aux, P):
     xi = aux["xi"]
     c = batch_coeffs(X)
     E = batch_excl1_table(X)
-    Pc = _pair_all(X)
+    Pc = batch_excl2_table(X, range(-1, k - 1))
     sk = c[:, k]
-    sum2k = np.einsum("bpq,bp,bq->b", _p(Pc, k - 2), xi, xi)
+    sum2k = np.einsum("bpq,bp,bq->b", Pc[k - 2], xi, xi)
     skp = np.einsum("bp,bp->b", E[:, :, k - 1], xi)
     best = np.full(X.shape[0], np.inf)
     for l in range(1, k):
         alpha = 1.0 / (k - l)
         sl = c[:, l]
-        slp = np.einsum("bp,bp->b", _e1(E, l - 1), xi)
-        sum2l = np.einsum("bpq,bp,bq->b", _p(Pc, l - 2), xi, xi)
+        slp = np.einsum("bp,bp->b", order(E, l - 1), xi)
+        sum2l = np.einsum("bpq,bp,bq->b", Pc[l - 2], xi, xi)
         for delta in (0.3, 1.0, 2.0):
             lhs = -sum2k + (1.0 - alpha + alpha / delta) * skp**2 / sk
             rhs = sk * (alpha + 1.0 - delta * alpha) * (slp / sl) ** 2 - (sk / sl) * sum2l
@@ -636,7 +565,7 @@ def _rows_l22(X, aux, P):
     k = P["k"]
     theta = math.sqrt(k * (n - k) / (n - 1.0))
     E = batch_excl1_table(X)
-    Pk1 = _p(_pair_all(X), k - 1)
+    Pk1 = batch_excl2_table(X, (k - 1,))[k - 1]
     best = np.full(X.shape[0], np.inf)
     for a in range(n):
         for b in range(a + 1, n):
@@ -670,9 +599,9 @@ def _rows_l24b(X, aux, P):
     n = X.shape[1]
     k = P["k"]
     cpq = batch_coeffs_excl(X, (n - 2, n - 1))
-    d = _col(cpq, k - 1)
+    d = order(cpq, k - 1)
     guard = (d > 0.0) & (X[:, n - 2] <= 0.0)
-    val = (2.0 * _col(cpq, k) / np.where(guard, d, 1.0) + X[:, n - 1] + X[:, n - 2]) / (
+    val = (2.0 * order(cpq, k) / np.where(guard, d, 1.0) + X[:, n - 1] + X[:, n - 2]) / (
         1.0 + np.abs(X[:, n - 1])
     )
     return np.where(guard, val, np.inf)
@@ -705,8 +634,8 @@ def _rows_l26(X, aux, P):
 def _rows_l58(X, aux, P):
     n = X.shape[1]
     c = batch_coeffs(X)
-    P4 = _p(_pair_all(X), n - 4)
-    lhs = 4.0 * _col(c, n - 4) ** 2
+    P4 = batch_excl2_table(X, (n - 4,))[n - 4]
+    lhs = 4.0 * order(c, n - 4) ** 2
     best = np.full(X.shape[0], np.inf)
     for j in range(n):
         rhs = (P4[:, j, :] ** 2).sum(axis=1)
@@ -717,7 +646,7 @@ def _rows_l58(X, aux, P):
 def _rows_l59(X, aux, P):
     n = X.shape[1]
     cb = batch_coeffs_excl(X, (0,))
-    ratio = _col(cb, n - 3) / X[:, 0] ** (n - 3)
+    ratio = order(cb, n - 3) / X[:, 0] ** (n - 3)
     best = np.full(X.shape[0], np.inf)
     for delta in (0.1, 0.3):
         dp = min(delta ** (n - 2) / 2 ** (n - 1), delta ** (n - 1))
@@ -730,12 +659,12 @@ def _rows_l59(X, aux, P):
 def _rows_l52(X, aux, P):
     n = X.shape[1]
     E = batch_excl1_table(X)
-    Pc = _pair_all(X)
+    Pc = batch_excl2_table(X, range(n + 1))
     idx = np.arange(n)
     best = np.full(X.shape[0], np.inf)
     for s in range(0, n + 1):
-        M = _p(Pc, s).copy()
-        M[:, idx, idx] = _e1(E, s)
+        M = Pc[s]
+        M[:, idx, idx] = order(E, s)
         best = np.minimum(best, _relmin(M))
     return best
 
@@ -744,9 +673,9 @@ def _rows_l53(X, aux, P):
     n = X.shape[1]
     t = n - 3
     E = batch_excl1_table(X)
-    M = -_p(_pair_all(X), t)
+    M = -batch_excl2_table(X, (t,))[t]
     idx = np.arange(n)
-    M[:, idx, idx] = 2.0 * _e1(E, t)
+    M[:, idx, idx] = 2.0 * order(E, t)
     return _relmin(M)
 
 
@@ -754,10 +683,10 @@ def _rows_l56(X, aux, P):
     n = X.shape[1]
     s = P["k"]
     E = batch_excl1_table(X)
-    Pc = _pair_all(X)
-    M = _p(Pc, s - 1) ** 2 - _p(Pc, s) * _p(Pc, s - 2)
+    Pc = batch_excl2_table(X, (s - 2, s - 1, s))
+    M = Pc[s - 1] ** 2 - Pc[s] * Pc[s - 2]
     idx = np.arange(n)
-    M[:, idx, idx] = _e1(E, s - 1) ** 2
+    M[:, idx, idx] = order(E, s - 1) ** 2
     return _relmin(M)
 
 
@@ -765,7 +694,7 @@ def _rows_d_gram(X, aux, P):
     k = P["k"]
     Y = np.delete(X, 0, axis=1)
     T = batch_excl1_table(Y)
-    w = _e1(T, k - 1)
+    w = order(T, k - 1)
     D = w[:, :, None] * w[:, None, :]
     return _relmin(D)
 
@@ -784,24 +713,20 @@ def _rows_l64(X, aux, P):
     return _relmin(h_matrix_batch(X, P["i0"]))
 
 
-def _bar_scalars(X, i0, orders):
-    Y, one, two = _reduced_tables(X, X.shape[1] - 2, i0, orders)
-    cbar = batch_coeffs(Y)
-    return Y, one, two, cbar
-
-
 def _rows_s615(X, aux, P):
     n = X.shape[1]
     i0 = P["i0"]
-    Y, one, two, cbar = _bar_scalars(X, i0, (n - 6, n - 5, n - 3, n - 2))
+    Y = np.delete(X, i0, axis=1)
+    T1 = batch_excl1_table(Y)
+    cbar = batch_coeffs(Y)
     s3 = cbar[:, n - 3]
-    s5 = _col(cbar, n - 5)
+    s5 = order(cbar, n - 5)
     ok = (s3 > 0.0) & (s5 > 0.0)
     r = 2.0 * s3 / (3.0 * np.where(ok, s5, 1.0))
     H = h_matrix_batch(X, i0)
     Rd = r[:, None] * (
-        one[n - 5] * one[n - 3]
-        - 4.0 * one[n - 6] * one[n - 2]
+        order(T1, n - 5) * order(T1, n - 3)
+        - 4.0 * order(T1, n - 6) * order(T1, n - 2)
         - (4.0 / 3.0) * (s5 * s3)[:, None]
     )
     idx = np.arange(n - 1)
@@ -816,12 +741,13 @@ def _rows_l32(X, aux, P):
     eps = 1.0 / (3.0 * k)
     top = X[:, 0]
     E = batch_excl1_table(X)
-    s_ii = _e1(E, k - 1)[:, i0]
+    S = batch_excl2_table(X, (k - 2,))[k - 2]
+    s_ii = order(E, k - 1)[:, i0]
     best = np.full(X.shape[0], np.inf)
     for l in range(n):
         if l == i0:
             continue
-        s2 = _col(batch_coeffs_excl(X, (i0, l)), k - 2)
+        s2 = S[:, i0, l]
         wl = np.exp(X[:, l] - top)
         dd = divdiff_exp_scaled(X[:, l], X[:, i0], top)
         lhs = (2.0 - eps) * (wl * s2 + dd * E[:, l, k - 1])
@@ -835,7 +761,8 @@ def _rows_l34(X, aux, P):
     k = P["k"]
     i0 = P["i0"]
     E = batch_excl1_table(X)
-    s_ii = _e1(E, k - 1)[:, i0]
+    S = batch_excl2_table(X, (k - 2,))[k - 2]
+    s_ii = order(E, k - 1)[:, i0]
     ki = X[:, i0]
     best = np.full(X.shape[0], np.inf)
     for j in range(n):
@@ -843,9 +770,9 @@ def _rows_l34(X, aux, P):
             continue
         kj = X[:, j]
         s_jj = E[:, j, k - 1]
-        s2 = _col(batch_coeffs_excl(X, (i0, j)), k - 2)
+        s2 = S[:, i0, j]
         aj = s_jj + (ki + kj) * s2
-        lhs = 2.0 * ki * _divdiff_ratio(ki - kj) * s_jj
+        lhs = 2.0 * ki * divdiff_ratio(ki - kj) * s_jj
         best = np.minimum(best, _ineq(lhs, aj))
         # the L-quantity, scaled by e^{-|kappa_i - kappa_j|} to stay finite
         upper = ki > kj
@@ -869,9 +796,8 @@ def _rows_l35a(X, aux, P):
     W = w.sum(axis=1)
     logP = top + np.log(W)
     E = batch_excl1_table(X)
-    Pc = _pair_all(X)
     gsum = np.einsum("bp,bp->b", E[:, :, k - 1], h)
-    spq = np.einsum("bpq,bp,bq->b", _p(Pc, k - 2), h, h)
+    spq = np.einsum("bpq,bp,bq->b", batch_excl2_table(X, (k - 2,))[k - 2], h, h)
     dd = divdiff_exp_scaled(X, X[:, i0][:, None], top[:, None])
     term = dd * E[:, :, k - 1] * h**2
     term[:, i0] = 0.0
@@ -889,10 +815,8 @@ def _rows_l35b(X, aux, P):
     w = np.exp(X - top[:, None])
     logP = top + np.log(w.sum(axis=1))
     E = batch_excl1_table(X)
-    s_ii = _e1(E, k - 1)[:, i0]
-    s2 = np.empty((X.shape[0], n))
-    for l in range(n):
-        s2[:, l] = 0.0 if l == i0 else _col(batch_coeffs_excl(X, (i0, l)), k - 2)
+    s_ii = order(E, k - 1)[:, i0]
+    s2 = batch_excl2_table(X, (k - 2,))[k - 2][:, i0, :]  # zero at l = i0
     mask = np.ones(n, dtype=bool)
     mask[i0] = False
     lhs = 2.0 * (w[:, mask] * s2[:, mask] * h[:, mask] ** 2).sum(axis=1)
@@ -912,7 +836,7 @@ def _rows_l61(X, aux, P):
     c = batch_coeffs(X)
     cbar = batch_coeffs(np.delete(X, i0, axis=1))
     s3 = cbar[:, n - 3]
-    s5 = _col(cbar, n - 5)
+    s5 = order(cbar, n - 5)
     ok = (s3 > 0.0) & (s5 > 0.0)
     ratio = s3 / np.where(ok, s5, 1.0)
     v = 1.1 * X[:, 0] ** 2 + c[:, n - 2] / X[:, i0] - ratio
@@ -923,14 +847,17 @@ def _rows_l62(X, aux, P):
     n = X.shape[1]
     i0 = P["i0"]
     A, _, _, _ = abcd_batch(X, n - 2, i0)
-    Y, one, two, cbar = _bar_scalars(X, i0, (n - 6, n - 5, n - 3, n - 2))
+    Y = np.delete(X, i0, axis=1)
+    T1 = batch_excl1_table(Y)
+    two = batch_excl2_table(Y, (n - 5, n - 3))
+    cbar = batch_coeffs(Y)
     s3 = cbar[:, n - 3]
-    s5 = _col(cbar, n - 5)
+    s5 = order(cbar, n - 5)
     ok = (s3 > 0.0) & (s5 > 0.0)
     r = 2.0 * s3 / (3.0 * np.where(ok, s5, 1.0))
     R = two[n - 3] * two[n - 5]
     idx = np.arange(n - 1)
-    R[:, idx, idx] = 2.0 * one[n - 3] * one[n - 5] - 2.0 * one[n - 2] * one[n - 6]
+    R[:, idx, idx] = 2.0 * order(T1, n - 3) * order(T1, n - 5) - 2.0 * order(T1, n - 2) * order(T1, n - 6)
     G = (8.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * A - r[:, None, None] * R
     return np.where(ok, _relmin(G), -1.0)
 
@@ -938,14 +865,17 @@ def _rows_l62(X, aux, P):
 def _rows_l63(X, aux, P):
     n = X.shape[1]
     i0 = P["i0"]
-    Y, one, two, cbar = _bar_scalars(X, i0, (n - 6, n - 2))
+    Y = np.delete(X, i0, axis=1)
+    T1 = batch_excl1_table(Y)
+    cbar = batch_coeffs(Y)
     s2b = cbar[:, n - 2]
     s3 = cbar[:, n - 3]
-    s5 = _col(cbar, n - 5)
+    s5 = order(cbar, n - 5)
+    s6j, s2j = order(T1, n - 6), order(T1, n - 2)
     best = np.full(X.shape[0], np.inf)
     for j in range(n - 1):
-        t1 = -s2b * one[n - 6][:, j]
-        t2 = -one[n - 2][:, j] * one[n - 6][:, j]
+        t1 = -s2b * s6j[:, j]
+        t2 = -s2j[:, j] * s6j[:, j]
         t3 = (1.0 / 40.0) * s3 * s5
         v = t1 + t2 + t3
         best = np.minimum(best, v / _mag(t1, t2, t3))
@@ -956,7 +886,7 @@ def _rows_s601(X, aux, P):
     n = X.shape[1]
     i0 = P["i0"]
     A, _, C, _ = abcd_batch(X, n - 2, i0)
-    pen = (1.0 / 20.0) * _col(batch_coeffs_excl(X, (i0,)), n - 3) ** 2
+    pen = (1.0 / 20.0) * order(batch_coeffs_excl(X, (i0,)), n - 3) ** 2
     m = n - 1
     idx = np.arange(m)
     G = (8.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * A + C
@@ -970,7 +900,7 @@ def _rows_s602(X, aux, P):
     K = P["K"]
     A, Bm, _, D = abcd_batch(X, n - 2, i0)
     c = batch_coeffs(X)
-    s_ii = _col(batch_coeffs_excl(X, (i0,)), n - 3)
+    s_ii = order(batch_coeffs_excl(X, (i0,)), n - 3)
     denom = K * X[:, i0] * s_ii - 1.0
     ok = denom > 0.0
     cc = 1.0 / np.where(ok, denom, 1.0)
@@ -987,7 +917,7 @@ def _rows_s602(X, aux, P):
 
 
 def _key_rows(X, k, i0, K):
-    s_ii = _col(batch_coeffs_excl(X, (i0,)), k - 1)
+    s_ii = order(batch_coeffs_excl(X, (i0,)), k - 1)
     ok = K * X[:, i0] * s_ii > 1.0
     lam = _relmin(key_matrix_batch(X, k, i0, K))
     return np.where(ok, lam, np.inf)
@@ -1001,7 +931,7 @@ def _rows_gap(X, aux, P):
     k = P["k"]
     i0 = P["i0"]
     K = P["K"]
-    s_ii = _col(batch_coeffs_excl(X, (i0,)), k - 1)
+    s_ii = order(batch_coeffs_excl(X, (i0,)), k - 1)
     ok = K * X[:, i0] * s_ii > 1.0
     out = np.full(X.shape[0], np.inf)
     if np.any(ok):
@@ -1211,38 +1141,42 @@ def witness_slack(witness: dict) -> float:
 
 
 def _min_update(best, wit, check, P, X, aux, slacks):
-    """Fold one block into the running minimum; returns (min, witness, used, nan).
+    """Fold one block into the running minimum.
 
-    A +inf slack marks a row outside the check's hypothesis and a NaN slack a
-    row that could not be evaluated; neither enters the minimum, and the NaN
-    rows are counted so the caller can refuse to pass on them.
+    Returns (min, witness, used, nan, excluded).  A +inf slack marks a row
+    outside the check's hypothesis and a NaN slack a row that could not be
+    evaluated; neither enters the minimum.  Both are counted: the caller
+    refuses to pass on NaN rows and reports the excluded ones.
     """
     nan = np.isnan(slacks)
-    used = ~nan & (slacks != np.inf)
+    excluded = slacks == np.inf
+    used = ~nan & ~excluded
     if np.any(used):
         j = int(np.argmin(np.where(used, slacks, np.inf)))
         if slacks[j] < best:
             best = float(slacks[j])
             wit = _make_witness(check, P, X, aux, j, best)
-    return best, wit, int(used.sum()), int(nan.sum())
+    return best, wit, int(used.sum()), int(nan.sum()), int(excluded.sum())
 
 
 def _eval_point(check, P, rng, samples):
-    """Evaluate `samples` rows at fixed parameters; returns (min, witness, used, nan)."""
+    """Evaluate `samples` rows at fixed parameters; returns (min, witness, used, nan, excluded)."""
     best = math.inf
     wit = None
     used = 0
     nonfinite = 0
+    excluded = 0
     drawn = 0
     while drawn < samples:
         B = min(_BLOCK, samples - drawn)
         X, aux = _SAMPLERS[check.sampler](P, rng, B)
         slacks = check.rows(X, aux, P)
-        best, wit, cnt, bad = _min_update(best, wit, check, P, X, aux, slacks)
+        best, wit, cnt, bad, out = _min_update(best, wit, check, P, X, aux, slacks)
         used += cnt
         nonfinite += bad
+        excluded += out
         drawn += B
-    return best, wit, used, nonfinite
+    return best, wit, used, nonfinite, excluded
 
 
 def _run_fixed(check: LemmaCheck, ctx: RunContext) -> CheckResult:
@@ -1252,6 +1186,7 @@ def _run_fixed(check: LemmaCheck, ctx: RunContext) -> CheckResult:
     wit = None
     used = 0
     nonfinite = 0
+    excluded = 0
     try:
         for k in ks:
             if k is not None and not 1 <= k <= ctx.n:
@@ -1260,9 +1195,10 @@ def _run_fixed(check: LemmaCheck, ctx: RunContext) -> CheckResult:
             if check.default_kappa1 is not None and P["kappa1"] is None:
                 P["kappa1"] = check.default_kappa1
             rng = make_rng(_child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}"))
-            b, w, u, bad = _eval_point(check, P, rng, per_k)
+            b, w, u, bad, out = _eval_point(check, P, rng, per_k)
             used += u
             nonfinite += bad
+            excluded += out
             if b < best:
                 best, wit = b, w
     except SamplingExhaustedError as exc:
@@ -1272,7 +1208,7 @@ def _run_fixed(check: LemmaCheck, ctx: RunContext) -> CheckResult:
             details={"error": str(exc), "rejections": exc.rejection_counts},
         )
     tol = _tol_for(check, ctx)
-    details = {"k_values": [k for k in ks], "tol": tol, "nonfinite_rows": nonfinite}
+    details = {"k_values": [k for k in ks], "tol": tol, "nonfinite_rows": nonfinite, "excluded_rows": excluded}
     if nonfinite:
         verdict = "ERROR"
         details["error"] = f"{nonfinite} rows gave a NaN slack"
@@ -1299,10 +1235,12 @@ def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
     wit = None
     used_total = 0
     nonfinite_total = 0
+    excluded_total = 0
     for g in grid:
         pt_min = math.inf
         pt_used = 0
         pt_nonfinite = 0
+        pt_excluded = 0
         exhausted = None
         for Kv in Ks:
             P = _base_params(check, ctx, k)
@@ -1310,18 +1248,20 @@ def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
             P["K"] = Kv
             rng = make_rng(_child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}|{g}|{Kv}"))
             try:
-                b, w, u, bad = _eval_point(check, P, rng, ctx.samples)
+                b, w, u, bad, out = _eval_point(check, P, rng, ctx.samples)
             except SamplingExhaustedError as exc:
                 exhausted = str(exc)
                 continue
             pt_used += u
             pt_nonfinite += bad
+            pt_excluded += out
             if b < pt_min:
                 pt_min = b
             if b < best:
                 best, wit = b, w
         used_total += pt_used
         nonfinite_total += pt_nonfinite
+        excluded_total += pt_excluded
         passed = exhausted is None and pt_used > 0 and pt_nonfinite == 0 and pt_min >= -tol
         points.append(
             {
@@ -1329,6 +1269,7 @@ def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
                 "min_slack": None if not math.isfinite(pt_min) else pt_min,
                 "samples": pt_used,
                 "nonfinite_rows": pt_nonfinite,
+                "excluded_rows": pt_excluded,
                 "passed": bool(passed),
                 "exhausted": exhausted,
             }
@@ -1351,7 +1292,10 @@ def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
         id=check.id, kind=check.kind, n=ctx.n, k=k, samples=used_total,
         min_slack=best, verdict=verdict, seed=ctx.seed, witness=wit,
         kappa1_star=kappa1_star,
-        details={"points": points, "K_grid": [Kv for Kv in Ks], "tol": tol, "nonfinite_rows": nonfinite_total},
+        details={
+            "points": points, "K_grid": [Kv for Kv in Ks], "tol": tol,
+            "nonfinite_rows": nonfinite_total, "excluded_rows": excluded_total,
+        },
     )
 
 

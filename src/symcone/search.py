@@ -117,8 +117,12 @@ def _assemble(u: np.ndarray, cfg: SearchConfig, k: int, target: Optional[float])
     return kap
 
 
-def _objective(kap: np.ndarray, cfg: SearchConfig, k: int) -> float:
-    M = key_matrix_batch(kap[None, :], k, cfg.i - 1, cfg.K)[0]
+def _key(kap: np.ndarray, cfg: SearchConfig, k: int) -> np.ndarray:
+    return key_matrix_batch(kap[None, :], k, cfg.i - 1, cfg.K)[0]
+
+
+def _relmin(M: np.ndarray) -> float:
+    """Least eigenvalue over the Frobenius norm."""
     fro = math.sqrt(float(np.sum(M * M)))
     return float(np.linalg.eigvalsh(M)[0]) / max(fro, 1e-300)
 
@@ -145,8 +149,7 @@ def _exact_value(kap: np.ndarray, cfg: SearchConfig, k: int) -> float:
     for j in range(n):
         if j != i0:
             M[j, j] += v[j] + (lst[i0] + lst[j]) * se(k - 2, (i0, j))
-    fro = math.sqrt(float(np.sum(M * M)))
-    return float(np.linalg.eigvalsh(M)[0]) / max(fro, 1e-300)
+    return _relmin(M)
 
 
 def minimize_lambda(cfg: SearchConfig) -> SearchResult:
@@ -192,7 +195,7 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
             kap = _assemble(np.asarray(u, dtype=float), cfg, k, target)
             if kap is None:
                 return math.inf
-            return _objective(kap, cfg, k)
+            return _relmin(_key(kap, cfg, k))
 
         if not math.isfinite(f(u0)):
             continue
@@ -205,8 +208,8 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
         kap = _assemble(np.asarray(res.x, dtype=float), cfg, k, target)
         if kap is None:
             continue
-        value = _objective(kap, cfg, k)
-        M = key_matrix_batch(kap[None, :], k, cfg.i - 1, cfg.K)[0]
+        M = _key(kap, cfg, k)
+        value = _relmin(M)
         _, vecs = np.linalg.eigh(M)
         wit = SearchWitness(
             kappa=[float(v) for v in kap],

@@ -169,14 +169,46 @@ def sigma_fsum(k: int, kappa) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _dp(X: np.ndarray, keep: np.ndarray, top: int) -> np.ndarray:
+    """c[t, s, b] = sigma_t(X[b, keep[s]]) for t = 0..min(top, m): one
+    coefficient DP over every kept-column set at once.
+
+    keep is (sets, m) with ascending 0-based columns.  The table is
+    coefficient-major so each step updates contiguous (sets, B) planes, and
+    it stops at order `top` since no order feeds a lower one.  Each entry
+    goes through the same multiply-adds in the same order as the row-wise
+    recurrence, so the values are bit-identical to it.
+    """
+    sets, m = keep.shape
+    top = min(top, m)
+    c = np.zeros((top + 1, sets, X.shape[0]))
+    c[0] = 1.0
+    XT = X.T
+    for t in range(m):
+        hi = min(t + 1, top)
+        c[1 : hi + 1] += XT[keep[:, t]] * c[:hi]
+    return c
+
+
+def _kept(n: int, excluded: np.ndarray) -> np.ndarray:
+    """Ascending kept columns for each row of excluded columns: (sets, n - e)."""
+    mask = np.ones((excluded.shape[0], n), dtype=bool)
+    mask[np.arange(excluded.shape[0])[:, None], excluded] = False
+    return np.nonzero(mask)[1].reshape(excluded.shape[0], n - excluded.shape[1])
+
+
+def order(T: np.ndarray, t: int) -> np.ndarray:
+    """Order-t slice of a coefficient table (orders on the last axis);
+    zeros when sigma_t is identically zero there (t < 0 or t too large)."""
+    if 0 <= t < T.shape[-1]:
+        return T[..., t]
+    return np.zeros(T.shape[:-1])
+
+
 def batch_coeffs(X: np.ndarray) -> np.ndarray:
     """sigma_m for every row: X (B, n) -> (B, n+1)."""
-    B, n = X.shape
-    c = np.zeros((B, n + 1))
-    c[:, 0] = 1.0
-    for t in range(n):
-        c[:, 1 : t + 2] = c[:, 1 : t + 2] + X[:, t, None] * c[:, 0 : t + 1]
-    return c
+    n = X.shape[1]
+    return np.ascontiguousarray(_dp(X, np.arange(n)[None, :], n)[:, 0, :].T)
 
 
 def batch_coeffs_excl(X: np.ndarray, cols) -> np.ndarray:
@@ -189,17 +221,24 @@ def batch_coeffs_excl(X: np.ndarray, cols) -> np.ndarray:
 
 def batch_excl1_table(X: np.ndarray) -> np.ndarray:
     """T[b, i, m] = sigma_m(row_b | i) for all single exclusions: (B, n, n)."""
+    n = X.shape[1]
+    c = _dp(X, _kept(n, np.arange(n)[:, None]), n - 1)
+    return np.ascontiguousarray(c.transpose(2, 1, 0))
+
+
+def batch_excl2_table(X: np.ndarray, orders) -> dict:
+    """{t: T} with T[b, p, q] = sigma_t(row_b | p, q), (B, n, n), for each t
+    in orders.  The diagonal is zero, and so is every T with t outside
+    [0, n-2]; the DP runs only up to the highest order asked for."""
     B, n = X.shape
-    T = np.empty((B, n, n))
-    for i in range(n):
-        T[:, i, :] = batch_coeffs_excl(X, (i,))
-    return T
-
-
-def batch_abs_term_sum(X: np.ndarray) -> np.ndarray:
-    """Row-wise sum of |terms| of each sigma_m: the conditioning scale.
-
-    Returns (B, n+1) where entry m is sigma_m(|row|) = sum over subsets of
-    the absolute term magnitudes.  Used for magnitude-aware tolerances.
-    """
-    return batch_coeffs(np.abs(X))
+    orders = tuple(orders)
+    p, q = np.triu_indices(n, 1)
+    c = _dp(X, _kept(n, np.stack([p, q], axis=1)), max(max(orders), 0))
+    out = {}
+    for t in orders:
+        T = np.zeros((B, n, n))
+        if 0 <= t < c.shape[0]:
+            T[:, p, q] = c[t].T
+            T[:, q, p] = c[t].T
+        out[t] = T
+    return out

@@ -82,6 +82,11 @@ class TestKeyMatrix:
         M = key_matrix((4.0, 3.0, 2.0, 1.0, 0.5), params).entries
         assert np.array_equal(M, M.T)
 
+    @pytest.mark.parametrize("k", [0, -1, 6])
+    def test_k_out_of_range_rejected(self, k):
+        with pytest.raises(InvalidInputError):
+            KeyParams.for_kappa(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), k, 2, 10.0)
+
     def test_c_requires_positive_denominator(self):
         from symcone import DomainError
 
@@ -182,6 +187,45 @@ class TestTestFnTerms:
         t = eval_testfn_terms(kappa, 3, 2, np.ones(5), 10.0)
         for v in (t.Ai, t.Bi, t.Ci, t.Di, t.Ei):
             assert math.isfinite(v)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_loop_oracle(self, k):
+        kappa = np.array([5.0, 3.0, 2.0, 1.0, 0.5])
+        h = np.array([1.0, -2.0, 0.5, 1.5, -1.0])
+        i, K = 2, 10.0
+        n, i0 = 5, 1
+        w = np.exp(kappa - kappa.max())
+        d1 = [sigma_excl(k - 1, kappa, (l + 1,)) for l in range(n)]
+
+        def d2(p, q):
+            return sigma_excl(k - 2, kappa, (p + 1, q + 1))
+
+        gsum = sum(d1[l] * h[l] for l in range(n))
+        spq = sum(2.0 * d2(p, q) * h[p] * h[q] for p in range(n) for q in range(p + 1, n))
+        Ai = w[i0] * (K * gsum**2 - spq)
+        Bi = sum(2.0 * d2(i0, l) * w[l] * h[l] ** 2 for l in range(n) if l != i0)
+        Di = sum(
+            2.0 * (math.exp(kappa[l]) - math.exp(kappa[i0])) / (kappa[l] - kappa[i0])
+            * math.exp(-kappa.max()) * d1[l] * h[l] ** 2
+            for l in range(n) if l != i0
+        )
+        t = eval_testfn_terms(kappa, k, i, h, K)
+        assert t.Ai == pytest.approx(Ai, rel=1e-12, abs=1e-12)
+        assert t.Bi == pytest.approx(Bi, rel=1e-12, abs=1e-12)
+        assert t.Di == pytest.approx(Di, rel=1e-12, abs=1e-12)
+
+    def test_k1_has_no_second_derivative_terms(self):
+        # sum(h) = 0 and sigma_1 has no second derivatives, so A_i = B_i = 0;
+        # reading sigma_{k-2} at index -1 once gave A_i = 12.76, B_i = 2.70
+        kappa = np.array([5.0, 3.0, 2.0, 1.0, 0.5])
+        t = eval_testfn_terms(kappa, 1, 2, np.array([1.0, -2.0, 0.5, 1.5, -1.0]), 10.0)
+        assert t.Ai == 0.0
+        assert t.Bi == 0.0
+
+    @pytest.mark.parametrize("k", [0, -1, 6])
+    def test_k_out_of_range_rejected(self, k):
+        with pytest.raises(InvalidInputError):
+            eval_testfn_terms(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), k, 2, np.ones(5), 10.0)
 
 
 class TestRhsAndGap:

@@ -134,6 +134,7 @@ class TestNonFiniteRows:
         assert res.verdict == "ERROR"
         assert res.samples == 0
         assert res.details["nonfinite_rows"] == 0
+        assert res.details["excluded_rows"] == 300
         assert res.witness is None
 
     def test_nan_among_passing_rows_is_error(self, monkeypatch):
@@ -145,6 +146,7 @@ class TestNonFiniteRows:
         assert res.verdict == "ERROR"
         assert res.samples == 150
         assert res.details["nonfinite_rows"] == 150
+        assert res.details["excluded_rows"] == 0
         assert res.min_slack == 0.0
 
     def test_asymptotic_nan_fails_every_point(self, monkeypatch):
@@ -154,6 +156,16 @@ class TestNonFiniteRows:
         assert res.kappa1_star is None
         assert not any(p["passed"] for p in res.details["points"])
         assert res.details["nonfinite_rows"] == 50 * len(res.details["points"])
+
+    def test_asymptotic_excluded_rows_counted_per_point(self, monkeypatch):
+        def rows(X, aux, P):
+            return np.where(np.arange(X.shape[0]) % 2 == 0, 0.0, np.inf)
+
+        cid = self._register(monkeypatch, "ASYMPTOTIC", rows)
+        res = run_check(cid, n=5, samples=50, seed=0)
+        assert res.verdict == "THRESHOLD"
+        assert [p["excluded_rows"] for p in res.details["points"]] == [25] * len(res.details["points"])
+        assert res.details["excluded_rows"] == 25 * len(res.details["points"])
 
 
 class TestDeterminismAndWitness:

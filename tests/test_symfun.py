@@ -17,6 +17,7 @@ from symcone import (
     sigma_excl,
     sigma_fsum,
 )
+from symcone.symfun import batch_coeffs, batch_coeffs_excl, batch_excl1_table, batch_excl2_table, order
 
 RTOL = 1e-10
 
@@ -236,3 +237,78 @@ class TestHypothesis:
     @settings(max_examples=200, deadline=None)
     def test_append_zero_is_noop(self, kappa, k):
         assert close(sigma(k, kappa), sigma(k, list(kappa) + [0.0]), 1e-11)
+
+
+# ---------------------------------------------------------------------------
+# Batched tables: one coefficient-major DP against the per-set reference.
+# ---------------------------------------------------------------------------
+
+
+def _rowwise_coeffs(X):
+    """The row-major coefficient recurrence, one column step at a time."""
+    B, n = X.shape
+    c = np.zeros((B, n + 1))
+    c[:, 0] = 1.0
+    for t in range(n):
+        c[:, 1 : t + 2] = c[:, 1 : t + 2] + X[:, t, None] * c[:, 0 : t + 1]
+    return c
+
+
+def _rows(n, B):
+    rng = np.random.default_rng(1000 * n + B)
+    return rng.normal(0.0, 1.0, (B, n)) * 10.0 ** rng.uniform(-1.0, 2.0, (B, 1))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBatchTables:
+    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("B", [1, 5, 2048])
+    def test_coeffs_match_rowwise_recurrence(self, n, B):
+        X = _rows(n, B)
+        c = batch_coeffs(X)
+        assert c.shape == (B, n + 1)
+        assert c.flags.c_contiguous
+        assert np.array_equal(_bits(c), _bits(_rowwise_coeffs(X)))
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("B", [1, 5, 2048])
+    def test_excl1_table_matches_per_set(self, n, B):
+        X = _rows(n, B)
+        T = batch_excl1_table(X)
+        assert T.shape == (B, n, n)
+        assert T.flags.c_contiguous
+        for i in range(n):
+            assert np.array_equal(_bits(T[:, i, :]), _bits(batch_coeffs_excl(X, (i,))))
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("B", [1, 5, 2048])
+    def test_excl2_table_matches_per_set(self, n, B):
+        X = _rows(n, B)
+        orders = (-2, -1, 0, 1, n - 2, n - 1, n)
+        P = batch_excl2_table(X, orders)
+        assert set(P) == set(orders)
+        idx = np.arange(n)
+        for t in orders:
+            assert P[t].shape == (B, n, n)
+            assert P[t].flags.c_contiguous
+            assert not P[t][:, idx, idx].any()
+            if not 0 <= t <= n - 2:
+                assert not P[t].any()
+        for p in range(n):
+            for q in range(p + 1, n):
+                ref = batch_coeffs_excl(X, (p, q))
+                for t in orders:
+                    if 0 <= t <= n - 2:
+                        assert np.array_equal(_bits(P[t][:, p, q]), _bits(ref[:, t]))
+                        assert np.array_equal(_bits(P[t][:, q, p]), _bits(ref[:, t]))
+
+    def test_order_slices_last_axis_and_zero_fills(self):
+        T = batch_excl1_table(_rows(5, 4))
+        assert np.array_equal(order(T, 2), T[:, :, 2])
+        for t in (-1, 5):
+            z = order(T, t)
+            assert z.shape == (4, 5)
+            assert not z.any()
