@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from .errors import SymconeError
-from .registry import REGISTRY, registry_list, run_check
+from .registry import PSD_EPS, REGISTRY, registry_list, run_check
 from .search import SearchConfig, minimize_lambda, threshold_bisect
 
 SCHEMA_VERSION = 1
@@ -282,11 +282,12 @@ def _cmd_search(args) -> int:
     rec = dataclasses.asdict(result)
     rec["record"] = "result"
     writer.emit(rec)
+    # Negative beyond the PSD tolerance, both in float and exactly built.
     negative = (
         result.best is not None
-        and result.best.value < 0.0
+        and result.best.value < -PSD_EPS
         and result.best.refined_value is not None
-        and result.best.refined_value < 0.0
+        and result.best.refined_value < -PSD_EPS
     )
     writer.emit({"record": "summary", "negative_found": bool(negative)})
     writer.close()

@@ -46,6 +46,9 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 SIGMA_RANGE_NOISE_FACTOR = 64.0
+# The sigma_k window [N0, N] of the conjecture regime, shared by the regime
+# samplers of the lemma registry and by the key-form search.
+SIGMA_K_WINDOW = (1.0, 10.0)
 _BATCH = 2048
 
 
@@ -139,31 +142,23 @@ def _candidates(
     kappa1: float,
     near_top: Optional[int],
     solve_range: Optional[Tuple[float, float]],
-    wide: bool,
-    negative_middle: float,
 ) -> np.ndarray:
     """One batch of candidate vectors, sorted descending (feasibility unchecked)."""
     X = np.empty((B, n))
     X[:, 0] = kappa1 * (1.0 + rng.uniform(-0.005, 0.005, B))
     sq = np.sqrt(X[:, 0]) / n
-    lo_scale = kappa1 * 1e-9 if wide else kappa1 / n
+    lo_scale = kappa1 / n
     for j in range(1, n - 1 if solve_range is not None else n):
         if near_top is not None and j < near_top:
             # pin positions 2..i strictly inside (kappa1 - sqrt(kappa1)/n, kappa1)
             X[:, j] = X[:, 0] - rng.uniform(0.0, 1.0, B) * sq
-        elif j < k:
+        elif j < k or solve_range is not None:
             X[:, j] = np.exp(rng.uniform(math.log(lo_scale), math.log(kappa1 * 0.9), B))
-            if wide and negative_middle > 0:
-                flip = rng.uniform(size=B) < negative_middle
+            if j >= k:  # a quarter of the solved draw's tail entries turn negative
+                flip = rng.uniform(size=B) < 0.25
                 X[flip, j] = -0.3 * X[flip, j]
         else:
-            if solve_range is not None:
-                X[:, j] = np.exp(rng.uniform(math.log(lo_scale), math.log(kappa1 * 0.9), B))
-                if negative_middle > 0:
-                    flip = rng.uniform(size=B) < negative_middle
-                    X[flip, j] = -0.3 * X[flip, j]
-            else:
-                X[:, j] = rng.uniform(-0.95 * (n - k) * kappa1 / k, kappa1, B)
+            X[:, j] = rng.uniform(-0.95 * (n - k) * kappa1 / k, kappa1, B)
     if solve_range is not None:
         lo, hi = solve_range
         target = np.exp(rng.uniform(math.log(lo), math.log(hi), B))
@@ -181,7 +176,7 @@ def _candidates(
 def _feasible_mask(
     X: np.ndarray,
     k: int,
-    kappa1: Optional[float],
+    kappa1: float,
     near_top: Optional[int],
     sigma_range: Optional[Tuple[float, float]],
     counts: dict,
@@ -193,10 +188,9 @@ def _feasible_mask(
     member = np.all(c[:, 1 : k + 1] > 0.0, axis=1)
     counts["gamma_k"] += int((ok & ~member).sum())
     ok &= member
-    if kappa1 is not None:
-        m = np.abs(X[:, 0] - kappa1) <= 0.01 * kappa1
-        counts["kappa1_target"] += int((ok & ~m).sum())
-        ok &= m
+    m = np.abs(X[:, 0] - kappa1) <= 0.01 * kappa1
+    counts["kappa1_target"] += int((ok & ~m).sum())
+    ok &= m
     if near_top is not None:
         with np.errstate(invalid="ignore"):  # rows already rejected as non-finite
             m = X[:, near_top - 1] > X[:, 0] - np.sqrt(np.maximum(X[:, 0], 0.0)) / n
@@ -256,8 +250,6 @@ def sample_batch(
     kappa1: float,
     near_top_index: Optional[int] = None,
     sigma_k_range: Optional[Tuple[float, float]] = None,
-    wide: bool = False,
-    negative_middle: float = 0.25,
     predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     max_attempts: int = 100_000,
 ) -> np.ndarray:
@@ -276,7 +268,7 @@ def sample_batch(
     }
 
     def draw(B: int) -> np.ndarray:
-        X = _candidates(rng, B, n, k, kappa1, near_top_index, sigma_k_range, wide, negative_middle)
+        X = _candidates(rng, B, n, k, kappa1, near_top_index, sigma_k_range)
         X = X[_feasible_mask(X, k, kappa1, near_top_index, sigma_k_range, counts)]
         if predicate is not None and X.shape[0]:
             keep = predicate(X)
@@ -304,15 +296,16 @@ def sample_gamma(spec: SampleSpec) -> np.ndarray:
     return X[0]
 
 
-def sample_bar_batch(rng: np.random.Generator, count: int, m: int, boundary_frac: float = 0.4) -> np.ndarray:
+def sample_bar_batch(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
     """Vectors in the barred cone of level m (dimension m), sorted descending.
 
-    Interior points are positive vectors; boundary points are constructed
-    explicitly by zeroing one entry (sigma_m = 0 exactly), since the boundary
-    has measure zero and is unreachable by rejection.
+    Interior points are positive vectors; 40% of the draws are boundary
+    points, constructed explicitly by zeroing one entry (sigma_m = 0
+    exactly), since the boundary has measure zero and is unreachable by
+    rejection.
     """
     X = np.exp(rng.uniform(-1.0, 3.0, (count, m)))
-    hit = rng.uniform(size=count) < boundary_frac
+    hit = rng.uniform(size=count) < 0.4
     cols = rng.integers(0, m, size=count)
     X[hit, cols[hit]] = 0.0
     return -np.sort(-X, axis=1)

@@ -139,13 +139,13 @@ def abcd_batch(X: np.ndarray, k: int, i0: int):
 
 
 def h_matrix_batch(X: np.ndarray, i0: int) -> np.ndarray:
-    B, n = X.shape
+    n = X.shape[1]
     m = n - 1
     Y = np.delete(X, i0, axis=1)
     two = batch_excl2_table(Y, (n - 5, n - 3))
     cbar = batch_coeffs(Y)
     s3 = cbar[:, n - 3]
-    s5 = cbar[:, n - 5] if n >= 5 else np.ones(B)
+    s5 = cbar[:, n - 5]
     if np.any(s5 == 0.0):
         raise SingularDenominatorError("sigma_{n-5}(kappa|i) vanished in H construction")
     r = 2.0 * s3 / (3.0 * s5)
@@ -328,6 +328,12 @@ def testfn_terms(kappa, k: int, i: int, h, K: float) -> TestFnTerms:
 # ---------------------------------------------------------------------------
 # Eigenvalues.
 # ---------------------------------------------------------------------------
+
+
+def _relmin(M: np.ndarray) -> np.ndarray:
+    """Least eigenvalue over the Frobenius norm, for each matrix of a batch."""
+    fro = np.sqrt(np.sum(M * M, axis=(1, 2)))
+    return np.linalg.eigvalsh(M)[:, 0] / np.maximum(fro, 1e-300)
 
 
 def min_eig(M) -> float:

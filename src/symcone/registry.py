@@ -38,9 +38,10 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .cones import make_rng, rejection_sample, sample_bar_batch, sample_batch
+from .cones import SIGMA_K_WINDOW, make_rng, rejection_sample, sample_bar_batch, sample_batch
 from .errors import DomainError, InvalidInputError, SamplingExhaustedError
 from .quadforms import (
+    _relmin,
     abcd_batch,
     divdiff_exp_scaled,
     divdiff_ratio,
@@ -74,7 +75,6 @@ ASYM_KAPPA1_GRID = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 ASYM_K_GRID = (1e1, 1e2, 1e3, 1e4)
 _BLOCK = 2048
 _SAMPLER_BUDGET = 400_000
-_TINY = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +100,6 @@ def _ineq(lhs, rhs):
 
 def _iden(residual, *terms):
     return -np.abs(residual) / _mag(*terms)
-
-
-def _relmin(M: np.ndarray) -> np.ndarray:
-    fro = np.sqrt(np.sum(M * M, axis=(1, 2)))
-    return np.linalg.eigvalsh(M)[:, 0] / np.maximum(fro, _TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +250,8 @@ def _sampler_tail_cases(P, rng, B):
     """Constructive draw for the tail cases B3 / C at any scale.
 
     Both cases pin sigma_{n-2}(kappa|i) to a near-zero value T1 while
-    sigma_{n-2}(kappa) stays in [1, 10]; at large scales that region is far
-    too thin for rejection.  Writing sigma_{n-2} and sigma_{n-3} of the
+    sigma_{n-2}(kappa) stays in SIGMA_K_WINDOW; at large scales that region
+    is far too thin for rejection.  Writing sigma_{n-2} and sigma_{n-3} of the
     reduced vector as affine functions of its last two entries (x, y) gives
     a 2x2 linear system in (x + y, x y), solved in closed form; x and y are
     then roots of a quadratic.  Draws with a negative discriminant or a
@@ -279,7 +274,7 @@ def _sampler_tail_cases(P, rng, B):
         kap1 = k1 * (1.0 + rng.uniform(-0.005, 0.005, blk))
         ki = kap1 - rng.uniform(0.0, 1.0, blk) * np.sqrt(kap1) / n
         nm = n - 4
-        st = np.exp(rng.uniform(0.0, math.log(10.0), blk))  # sigma_k target
+        st = np.exp(rng.uniform(*map(math.log, SIGMA_K_WINDOW), blk))  # sigma_k target
         # The discriminant of the root quadratic is only nonnegative when the
         # middle entries are O(sigma_k / kappa_1^2) and (for positive targets)
         # |T1| = O(sigma_k^2 / kappa_1^3); span those windows in log scale.
@@ -310,7 +305,7 @@ def _sampler_tail_cases(P, rng, B):
         X = X[safe]
         if not X.shape[0]:
             return X
-        ok = _feasible_mask(X, k, k1, i0 + 1, (1.0, 10.0), counts)
+        ok = _feasible_mask(X, k, k1, i0 + 1, SIGMA_K_WINDOW, counts)
         X = X[ok]
         if X.shape[0]:
             keep = pred(X)
@@ -323,7 +318,7 @@ def _sampler_tail_cases(P, rng, B):
 
 def _sampler_main(P, rng, B):
     """The conjecture-regime sampler: kappa_1 pinned, index i near the top,
-    sigma_k in [1, 10]; optional case conditioning and wide log-scale tails."""
+    sigma_k in SIGMA_K_WINDOW; optional case conditioning."""
     cases = P.get("cases")
     pred = _case_predicate(P["i0"], cases) if cases else None
     X = sample_batch(
@@ -333,8 +328,7 @@ def _sampler_main(P, rng, B):
         P["k"],
         P["kappa1"],
         near_top_index=P["i0"] + 1,
-        sigma_k_range=(1.0, 10.0),
-        wide=bool(P.get("wide")),
+        sigma_k_range=SIGMA_K_WINDOW,
         predicate=pred,
     )
     aux = {}
@@ -987,13 +981,11 @@ class LemmaCheck:
     uses_K: bool = False
     psd_scaled: bool = False  # tolerance: psd_eps instead of tol
     cases: Optional[Tuple[str, ...]] = None
-    wide: bool = False
     aux_K: bool = False
     aux_xi: bool = False
     aux_h: bool = False
     default_kappa1: Optional[float] = None  # fixed-scale case checks
     force_neg: int = 0
-    barred: bool = False
 
 
 _CATALOG = (
@@ -1097,7 +1089,6 @@ def _base_params(check: LemmaCheck, ctx: RunContext, k: Optional[int]) -> dict:
         "K": ctx.K,
         "kappa1": ctx.kappa1,
         "cases": check.cases,
-        "wide": check.wide,
         "aux_K": check.aux_K,
         "aux_xi": check.aux_xi,
         "aux_h": check.aux_h,

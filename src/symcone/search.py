@@ -1,16 +1,17 @@
 """Adversarial search for negative eigenvalues of the key form.
 
 `minimize_lambda` runs restarted Nelder-Mead over a feasible slice of the
-constraint set.  When a sigma_k window is active the free variables are
-kappa_2 .. kappa_{n-1} with kappa_1 pinned to the target scale and kappa_n
-solved from sigma_k(kappa) = target (sigma_k is affine in each single entry),
+constraint set.  The free variables are kappa_2 .. kappa_{n-1}, with kappa_1
+pinned to the target scale and kappa_n solved from sigma_k(kappa) = target
+for a target in the sigma_k window (sigma_k is affine in each single entry),
 because the window is far too thin at large scales for rejection or penalty
-methods to stay inside it.  Without a window all of kappa_2 .. kappa_n are
-free.  Constraint violations return +inf, which Nelder-Mead treats as a wall.
+methods to stay inside it.  Constraint violations return +inf, which
+Nelder-Mead treats as a wall.
 
-Any negative finding is re-evaluated with compensated-summation sigma values
-(`sigma_fsum`) before being reported, so that a rounding artifact of the
-fast coefficient kernels is not mistaken for a counterexample.
+Any negative finding is re-evaluated on the key matrix computed exactly,
+by the same builder run on `Fraction` entries and rounded once to float, so
+that a rounding artifact of the float kernels is not mistaken for a
+counterexample.
 
 `threshold_bisect` locates the smallest top-curvature scale at which a named
 registry check passes, by bisection on a log grid.
@@ -20,16 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .cones import SIGMA_RANGE_NOISE_FACTOR, make_rng, sample_batch
+from .cones import SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, make_rng, sample_batch
 from .errors import InvalidInputError, SamplingExhaustedError
-from .quadforms import key_matrix_batch
+from .quadforms import _relmin, key_matrix_batch
 from .registry import run_check
-from .symfun import batch_coeffs, sigma_fsum
+from .symfun import batch_coeffs
 
 _EPS = np.finfo(float).eps
 
@@ -50,7 +52,6 @@ class SearchConfig:
     K: float = 1e3
     kappa1: float = 1e4
     i: int = 2  # 1-based near-top index
-    sigma_k_range: Optional[Tuple[float, float]] = (1.0, 10.0)
     restarts: int = 50
     maxiter: int = 400
     seed: int = 0
@@ -67,7 +68,7 @@ class SearchWitness:
     kappa: List[float]
     value: float  # lambda_min / frobenius of the key form
     xi: List[float]  # eigenvector of the least eigenvalue
-    refined_value: Optional[float] = None  # compensated re-evaluation (negatives only)
+    refined_value: Optional[float] = None  # value of the exactly computed key matrix (negatives only)
 
 
 @dataclass
@@ -79,20 +80,17 @@ class SearchResult:
     restarts_used: int = 0
 
 
-def _assemble(u: np.ndarray, cfg: SearchConfig, k: int, target: Optional[float]) -> Optional[np.ndarray]:
+def _assemble(u: np.ndarray, cfg: SearchConfig, k: int, target: float) -> Optional[np.ndarray]:
     """Build the full vector from the free coordinates; None when infeasible."""
     n = cfg.n
     kap = np.empty(n)
     kap[0] = cfg.kappa1
-    if target is not None:
-        kap[1 : n - 1] = u
-        c = batch_coeffs(kap[None, : n - 1])[0]
-        denom = c[k - 1]
-        if not denom > 0:
-            return None
-        kap[n - 1] = (target - c[k]) / denom
-    else:
-        kap[1:] = u
+    kap[1 : n - 1] = u
+    c = batch_coeffs(kap[None, : n - 1])[0]
+    denom = c[k - 1]
+    if not denom > 0:
+        return None
+    kap[n - 1] = (target - c[k]) / denom
     if not np.all(np.isfinite(kap)):
         return None
     if np.any(kap[1:] > kap[0]):
@@ -102,14 +100,11 @@ def _assemble(u: np.ndarray, cfg: SearchConfig, k: int, target: Optional[float])
     c = batch_coeffs(kap[None, :])[0]
     if not np.all(c[1:k] > 0.0):
         return None
-    if target is not None:
-        # sigma_k equals the solved target up to representation noise; at
-        # large scales the recomputed value quantizes in ULPs of the absolute
-        # term sum and its exact sign is meaningless.
-        noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * batch_coeffs(np.abs(kap)[None, :])[0][k]
-        if not c[k] > -noise:
-            return None
-    elif not c[k] > 0.0:
+    # sigma_k equals the solved target up to representation noise; at large
+    # scales the recomputed value quantizes in ULPs of the absolute term sum
+    # and its exact sign is meaningless.
+    noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * batch_coeffs(np.abs(kap)[None, :])[0][k]
+    if not c[k] > -noise:
         return None
     s_ii = batch_coeffs(np.delete(kap, cfg.i - 1)[None, :])[0][k - 1]
     if not cfg.K * kap[cfg.i - 1] * s_ii > 1.0:
@@ -118,38 +113,15 @@ def _assemble(u: np.ndarray, cfg: SearchConfig, k: int, target: Optional[float])
 
 
 def _key(kap: np.ndarray, cfg: SearchConfig, k: int) -> np.ndarray:
-    return key_matrix_batch(kap[None, :], k, cfg.i - 1, cfg.K)[0]
+    """The key matrix of one vector, as a batch of one."""
+    return key_matrix_batch(kap[None, :], k, cfg.i - 1, cfg.K)
 
 
-def _relmin(M: np.ndarray) -> float:
-    """Least eigenvalue over the Frobenius norm."""
-    fro = math.sqrt(float(np.sum(M * M)))
-    return float(np.linalg.eigvalsh(M)[0]) / max(fro, 1e-300)
-
-
-def _exact_value(kap: np.ndarray, cfg: SearchConfig, k: int) -> float:
-    """Key-form least eigenvalue with compensated-summation sigma entries."""
-    n = cfg.n
-    i0 = cfg.i - 1
-    lst = [float(v) for v in kap]
-
-    def se(m: int, excl: Tuple[int, ...]) -> float:
-        rest = [x for j, x in enumerate(lst) if j not in excl]
-        return sigma_fsum(m, rest)
-
-    v = np.array([se(k - 1, (j,)) for j in range(n)])
-    ki = lst[i0]
-    M = cfg.K * ki * np.outer(v, v)
-    for p in range(n):
-        for q in range(p + 1, n):
-            spq = se(k - 2, (p, q))
-            M[p, q] -= ki * spq
-            M[q, p] -= ki * spq
-    M[i0, i0] -= v[i0]
-    for j in range(n):
-        if j != i0:
-            M[j, j] += v[j] + (lst[i0] + lst[j]) * se(k - 2, (i0, j))
-    return _relmin(M)
+def _exact_key(kap: np.ndarray, cfg: SearchConfig, k: int) -> np.ndarray:
+    """The key matrix computed in exact rational arithmetic from the float
+    entries of kap, each entry then rounded once to float."""
+    X = np.array([[Fraction(float(v)) for v in kap]], dtype=object)
+    return key_matrix_batch(X, k, cfg.i - 1, Fraction(cfg.K)).astype(float)
 
 
 def minimize_lambda(cfg: SearchConfig) -> SearchResult:
@@ -167,27 +139,20 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
             k,
             cfg.kappa1,
             near_top_index=cfg.i,
-            sigma_k_range=cfg.sigma_k_range,
+            sigma_k_range=SIGMA_K_WINDOW,
         )
     except SamplingExhaustedError:
         return SearchResult(config=cfg, best=None, evaluations=0, restarts_used=0)
 
-    use_slice = cfg.sigma_k_range is not None
-    if use_slice:
-        lo, hi = cfg.sigma_k_range
-
+    lo, hi = SIGMA_K_WINDOW
     for r in range(cfg.restarts):
         # Rescale so kappa_1 sits exactly at the pinned scale (samples jitter
         # it by 0.5%); keep the row's own sigma_k as the slice target so the
         # re-solved last entry reproduces a feasible point.
         row = starts[r] * (cfg.kappa1 / starts[r][0])
-        target = None
-        if use_slice:
-            sk = float(batch_coeffs(row[None, :])[0][k])
-            target = min(max(sk, lo), hi)
-            u0 = row[1 : cfg.n - 1].copy()
-        else:
-            u0 = row[1:].copy()
+        sk = float(batch_coeffs(row[None, :])[0][k])
+        target = min(max(sk, lo), hi)
+        u0 = row[1 : cfg.n - 1].copy()
 
         def f(u):
             nonlocal evaluations
@@ -195,7 +160,7 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
             kap = _assemble(np.asarray(u, dtype=float), cfg, k, target)
             if kap is None:
                 return math.inf
-            return _relmin(_key(kap, cfg, k))
+            return float(_relmin(_key(kap, cfg, k))[0])
 
         if not math.isfinite(f(u0)):
             continue
@@ -209,15 +174,15 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
         if kap is None:
             continue
         M = _key(kap, cfg, k)
-        value = _relmin(M)
-        _, vecs = np.linalg.eigh(M)
+        value = float(_relmin(M)[0])
+        _, vecs = np.linalg.eigh(M[0])
         wit = SearchWitness(
             kappa=[float(v) for v in kap],
             value=value,
             xi=[float(v) for v in vecs[:, 0]],
         )
         if value < 0.0:
-            wit.refined_value = _exact_value(kap, cfg, k)
+            wit.refined_value = float(_relmin(_exact_key(kap, cfg, k))[0])
         candidates.append(wit)
 
     candidates.sort(key=lambda w: w.value)

@@ -150,8 +150,9 @@ def sigma_enum(k: int, kappa) -> float:
 def sigma_fsum(k: int, kappa) -> float:
     """Compensated-summation evaluation (exact-rounded sum of term products).
 
-    Used to re-examine suspicious negative findings: each subset product
-    carries its own rounding, but the summation itself is exact.
+    A test oracle: each subset product carries its own rounding, but the
+    summation itself is exact.  Exact values come from the batched kernels
+    run on `Fraction` object arrays.
     """
     arr = _as_vector(kappa)
     if k == 0:
@@ -165,7 +166,8 @@ def sigma_fsum(k: int, kappa) -> float:
 # ---------------------------------------------------------------------------
 # Batched kernels (0-based, internal).  Row-parallel versions of the same
 # coefficient DP, used by the samplers and the lemma registry where one check
-# touches 10^4 vectors at a time.
+# touches 10^4 vectors at a time.  Every table is allocated with the input's
+# dtype, so a `Fraction` object array goes through the same code exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -181,8 +183,8 @@ def _dp(X: np.ndarray, keep: np.ndarray, top: int) -> np.ndarray:
     """
     sets, m = keep.shape
     top = min(top, m)
-    c = np.zeros((top + 1, sets, X.shape[0]))
-    c[0] = 1.0
+    c = np.zeros((top + 1, sets, X.shape[0]), dtype=X.dtype)
+    c[0] = 1  # an int, not 1.0: a float would turn Fraction products into floats
     XT = X.T
     for t in range(m):
         hi = min(t + 1, top)
@@ -202,7 +204,7 @@ def order(T: np.ndarray, t: int) -> np.ndarray:
     zeros when sigma_t is identically zero there (t < 0 or t too large)."""
     if 0 <= t < T.shape[-1]:
         return T[..., t]
-    return np.zeros(T.shape[:-1])
+    return np.zeros(T.shape[:-1], dtype=T.dtype)
 
 
 def batch_coeffs(X: np.ndarray) -> np.ndarray:
@@ -236,7 +238,7 @@ def batch_excl2_table(X: np.ndarray, orders) -> dict:
     c = _dp(X, _kept(n, np.stack([p, q], axis=1)), max(max(orders), 0))
     out = {}
     for t in orders:
-        T = np.zeros((B, n, n))
+        T = np.zeros((B, n, n), dtype=X.dtype)
         if 0 <= t < c.shape[0]:
             T[:, p, q] = c[t].T
             T[:, q, p] = c[t].T

@@ -109,6 +109,18 @@ class TestSearchCommand:
         assert result["best"] is not None
         assert records[-1]["negative_found"] is False
 
+    def test_roundoff_negative_is_not_a_failure(self, tmp_path):
+        # The best end point is negative at the rounding level, in float and
+        # exactly built; only a value below -PSD_EPS is a finding.
+        out = tmp_path / "s.jsonl"
+        argv = ["search", "--n", "7", "--k", "5", "--kappa1", "1e4", "--K", "1e3", "--restarts", "4", "--seed", "42"]
+        assert main(argv + ["--out", str(out)]) == 0
+        records = read_jsonl(out)
+        best = [r for r in records if r["record"] == "result"][0]["best"]
+        assert -1e-8 < best["value"] < 0.0
+        assert -1e-8 < best["refined_value"] < 0.0
+        assert records[-1]["negative_found"] is False
+
 
 class TestThresholdCommand:
     def test_threshold_report(self, tmp_path):

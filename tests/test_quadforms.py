@@ -1,6 +1,8 @@
 """Quadratic-form builders and the eigenvalue certifier."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +50,37 @@ def key_oracle(kappa, params, xi):
     return out
 
 
+def exact_key_matrix(kappa, k, i0, K):
+    """The key form as a matrix of Fractions, from subset-enumerated sigmas:
+    off the diagonal kappa_i (K s_p s_q - s_pq), on it K kappa_i s_j^2 plus
+    a_j (j != i) or minus s_i (j = i), where s_j = sigma_{k-1}(kappa|j),
+    s_pq = sigma_{k-2}(kappa|pq) and a_j = s_j + (kappa_i + kappa_j) s_ij."""
+    n = len(kappa)
+
+    def s(t, *excl):
+        rest = [x for j, x in enumerate(kappa) if j not in excl]
+        return sum((math.prod(c) for c in itertools.combinations(rest, t)), Fraction(0))
+
+    ki = kappa[i0]
+    M = [[K * ki * s(k - 1, p) * s(k - 1, q) for q in range(n)] for p in range(n)]
+    for p, q in itertools.permutations(range(n), 2):
+        M[p][q] -= ki * s(k - 2, p, q)
+    for j in range(n):
+        M[j][j] += -s(k - 1, j) if j == i0 else s(k - 1, j) + (ki + kappa[j]) * s(k - 2, i0, j)
+    return M
+
+
 class TestKeyMatrix:
+    @pytest.mark.parametrize("n,k", [(5, 3), (5, 4), (6, 4), (7, 5)])
+    def test_exact_on_fractions(self, n, k):
+        X = sample_batch(make_rng(20 + n), 2, n, k, 1e3)
+        F = np.array([[Fraction(float(v)) for v in row] for row in X], dtype=object)
+        M = quadforms.key_matrix_batch(F, k, 1, Fraction(1000))
+        assert M.dtype == object
+        for b in range(2):
+            assert M[b].tolist() == exact_key_matrix(list(F[b]), k, 1, Fraction(1000))
+        assert all(isinstance(e, Fraction) for e in M.flat)
+
     def test_hand_example_all_ones(self):
         params = KeyParams.for_kappa(np.ones(5), 3, 1, 1.0)
         assert params.c == pytest.approx(0.2)

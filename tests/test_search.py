@@ -1,5 +1,7 @@
 """Eigenvalue minimization and threshold location."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from symcone import (
     minimize_lambda,
     threshold_bisect,
 )
+from symcone.quadforms import _relmin, key_matrix_batch
 
 
 def small_cfg(**kw):
@@ -47,6 +50,16 @@ class TestMinimizeLambda:
         assert abs(lam - w.value) <= 1e-10
         xi = np.array(w.xi)
         assert abs(xi @ M @ xi / max(fro, 1e-300) - w.value * float(xi @ xi)) <= 1e-9
+
+    def test_refined_value_is_the_exact_key_matrix(self):
+        cfg = small_cfg(kappa1=1e4, restarts=4, maxiter=150, seed=42)
+        res = minimize_lambda(cfg)
+        refined = [w for w in res.ranked if w.refined_value is not None]
+        assert refined  # roundoff-negative end points exist on this cell
+        for w in refined:
+            F = np.array([[Fraction(v) for v in w.kappa]], dtype=object)
+            M = key_matrix_batch(F, 3, cfg.i - 1, Fraction(cfg.K)).astype(float)
+            assert w.refined_value == _relmin(M)[0]
 
     def test_deterministic(self):
         a = minimize_lambda(small_cfg(seed=4))

@@ -1,10 +1,13 @@
 """Elementary symmetric functions: worked values, algebraic laws, oracles."""
 
+import itertools
 import math
+import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcone import (
@@ -226,12 +229,15 @@ class TestHypothesis:
         assert close(sigma(k, kappa), sigma_enum(k, kappa), 1e-11)
 
     @given(kappa=finite_entries)
+    @example(kappa=[12.0, 12.0, 29.184527861005023, 48.0, 24.0625, -1.0, -1.0])
     @settings(max_examples=200, deadline=None)
     def test_generating_polynomial_at_one(self, kappa):
-        # prod(1 + kappa_i) = sum_k sigma_k
+        # prod(1 + kappa_i) = sum_k sigma_k, with the error measured against
+        # the term magnitude prod(1 + |kappa_i|): the product may cancel to 0.
         total = math.fsum(sigma(k, kappa) for k in range(len(kappa) + 1))
         prod = float(np.prod([1.0 + x for x in kappa]))
-        assert close(total, prod, 1e-9)
+        mag = float(np.prod([1.0 + abs(x) for x in kappa]))
+        assert abs(total - prod) <= 1e-12 * (1.0 + mag)
 
     @given(kappa=finite_entries, k=st.integers(min_value=0, max_value=8))
     @settings(max_examples=200, deadline=None)
@@ -312,3 +318,63 @@ class TestBatchTables:
             z = order(T, t)
             assert z.shape == (4, 5)
             assert not z.any()
+
+
+# ---------------------------------------------------------------------------
+# The same kernel on Fraction object arrays: exact values.
+# ---------------------------------------------------------------------------
+
+
+def _fraction_rows(n, B):
+    rng = np.random.default_rng(50 + n)
+    num = rng.integers(-60, 61, (B, n))
+    den = rng.integers(1, 12, (B, n))
+    return np.array([[Fraction(int(a), int(b)) for a, b in zip(rn, rd)] for rn, rd in zip(num, den)], dtype=object)
+
+
+def _enum(vals, t):
+    """sigma_t by subset enumeration, exact on Fractions."""
+    if not 0 <= t <= len(vals):
+        return 0
+    return sum((math.prod(c) for c in itertools.combinations(vals, t)), Fraction(0))
+
+
+def _assert_exact(T):
+    assert T.dtype == object
+    assert all(isinstance(e, numbers.Rational) for e in T.flat)  # Fraction, or int 0 / 1
+
+
+class TestExactTables:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_coeffs_exact(self, n):
+        X = _fraction_rows(n, 3)
+        c = batch_coeffs(X)
+        _assert_exact(c)
+        for b in range(3):
+            assert list(c[b]) == [_enum(list(X[b]), t) for t in range(n + 1)]
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_excl1_table_exact(self, n):
+        X = _fraction_rows(n, 3)
+        T = batch_excl1_table(X)
+        _assert_exact(T)
+        for b in range(3):
+            for i in range(n):
+                rest = [x for j, x in enumerate(X[b]) if j != i]
+                assert list(T[b, i]) == [_enum(rest, t) for t in range(n)]
+        _assert_exact(order(T, n))
+        assert not order(T, n).any()
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_excl2_table_exact(self, n):
+        X = _fraction_rows(n, 3)
+        orders = (-1, 0, 1, n - 2, n - 1)
+        P = batch_excl2_table(X, orders)
+        for t in orders:
+            _assert_exact(P[t])
+            for b in range(3):
+                for p in range(n):
+                    for q in range(n):
+                        rest = [x for j, x in enumerate(X[b]) if j not in (p, q)]
+                        want = 0 if p == q else _enum(rest, t)
+                        assert P[t][b, p, q] == want
