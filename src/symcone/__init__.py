@@ -45,6 +45,7 @@ from .registry import (
 from .search import (
     SearchConfig,
     SearchResult,
+    SearchRun,
     SearchWitness,
     ThresholdResult,
     minimize_lambda,
@@ -105,6 +106,7 @@ __all__ = [
     # search
     "SearchConfig",
     "SearchResult",
+    "SearchRun",
     "SearchWitness",
     "ThresholdResult",
     "minimize_lambda",

@@ -8,6 +8,11 @@ because the window is far too thin at large scales for rejection or penalty
 methods to stay inside it.  Constraint violations return +inf, which
 Nelder-Mead treats as a wall.
 
+All restarts of a search advance in lockstep, so each objective call is one
+batch of rows.  Per restart the iterates are those of the classic scalar
+Nelder-Mead (the coefficients, initial simplex, tie order and stopping rule
+of scipy's `_minimize_neldermead`), so batching changes no result.
+
 Any negative finding is re-evaluated on the key matrix computed exactly,
 by the same builder run on `Fraction` entries and rounded once to float, so
 that a rounding artifact of the float kernels is not mistaken for a
@@ -22,10 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cones import SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, make_rng, sample_batch
 from .errors import InvalidInputError, SamplingExhaustedError
@@ -38,6 +42,7 @@ _EPS = np.finfo(float).eps
 __all__ = [
     "SearchConfig",
     "SearchWitness",
+    "SearchRun",
     "SearchResult",
     "ThresholdResult",
     "minimize_lambda",
@@ -56,6 +61,14 @@ class SearchConfig:
     maxiter: int = 400
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.i <= self.n:
+            raise InvalidInputError(f"need 1 <= i <= n, got i={self.i}, n={self.n}")
+        if self.restarts < 1:
+            raise InvalidInputError(f"need restarts >= 1, got {self.restarts}")
+        if not self.kappa1 > 0:
+            raise InvalidInputError(f"need kappa1 > 0, got {self.kappa1}")
+
     def resolved_k(self) -> int:
         k = self.k if self.k is not None else self.n - 2
         if not 2 <= k <= self.n - 1:
@@ -72,49 +85,60 @@ class SearchWitness:
 
 
 @dataclass
+class SearchRun:
+    """How one restart ended."""
+
+    start_feasible: bool
+    nfev: int  # objective rows of this restart, the start-point check included
+    nit: int  # Nelder-Mead iterations, counted from 1 as scipy does
+    status: str  # infeasible_start | converged | maxiter | infeasible_end
+    value: Optional[float] = None  # the end point's value, None without one
+
+
+@dataclass
 class SearchResult:
     config: SearchConfig
     best: Optional[SearchWitness]
     ranked: List[SearchWitness] = field(default_factory=list)
     evaluations: int = 0
     restarts_used: int = 0
+    runs: List[SearchRun] = field(default_factory=list)  # one per restart, in restart order
 
 
-def _assemble(u: np.ndarray, cfg: SearchConfig, k: int, target: float) -> Optional[np.ndarray]:
-    """Build the full vector from the free coordinates; None when infeasible."""
+def _assemble(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Full vectors from rows of free coordinates, each row with its own
+    sigma_k target, and the mask of the feasible rows."""
     n = cfg.n
-    kap = np.empty(n)
-    kap[0] = cfg.kappa1
-    kap[1 : n - 1] = u
-    c = batch_coeffs(kap[None, : n - 1])[0]
-    denom = c[k - 1]
-    if not denom > 0:
-        return None
-    kap[n - 1] = (target - c[k]) / denom
-    if not np.all(np.isfinite(kap)):
-        return None
-    if np.any(kap[1:] > kap[0]):
-        return None  # kappa_1 must stay the top entry
-    if kap[cfg.i - 1] <= kap[0] - math.sqrt(kap[0]) / n:
-        return None
-    c = batch_coeffs(kap[None, :])[0]
-    if not np.all(c[1:k] > 0.0):
-        return None
-    # sigma_k equals the solved target up to representation noise; at large
-    # scales the recomputed value quantizes in ULPs of the absolute term sum
-    # and its exact sign is meaningless.
-    noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * batch_coeffs(np.abs(kap)[None, :])[0][k]
-    if not c[k] > -noise:
-        return None
-    s_ii = batch_coeffs(np.delete(kap, cfg.i - 1)[None, :])[0][k - 1]
-    if not cfg.K * kap[cfg.i - 1] * s_ii > 1.0:
-        return None
-    return kap
+    kap = np.empty((U.shape[0], n))
+    kap[:, 0] = cfg.kappa1
+    kap[:, 1 : n - 1] = U
+    # Infeasible rows run through every test below; their inf/nan is masked.
+    with np.errstate(all="ignore"):
+        c = batch_coeffs(kap[:, : n - 1])
+        denom = c[:, k - 1]
+        kap[:, n - 1] = (target - c[:, k]) / denom
+        ok = (denom > 0) & np.all(np.isfinite(kap), axis=1)
+        ok &= ~np.any(kap[:, 1:] > kap[:, :1], axis=1)  # kappa_1 must stay the top entry
+        ok &= kap[:, cfg.i - 1] > kap[:, 0] - np.sqrt(kap[:, 0]) / n
+        c = batch_coeffs(kap)
+        ok &= np.all(c[:, 1:k] > 0.0, axis=1)
+        # sigma_k equals the solved target up to representation noise; at
+        # large scales the recomputed value quantizes in ULPs of the absolute
+        # term sum and its exact sign is meaningless.
+        noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * batch_coeffs(np.abs(kap))[:, k]
+        ok &= c[:, k] > -noise
+        s_ii = batch_coeffs(np.delete(kap, cfg.i - 1, axis=1))[:, k - 1]
+        ok &= cfg.K * kap[:, cfg.i - 1] * s_ii > 1.0
+    return kap, ok
 
 
-def _key(kap: np.ndarray, cfg: SearchConfig, k: int) -> np.ndarray:
-    """The key matrix of one vector, as a batch of one."""
-    return key_matrix_batch(kap[None, :], k, cfg.i - 1, cfg.K)
+def _objective(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> np.ndarray:
+    """lambda_min / frobenius of the key form for each row; +inf when infeasible."""
+    kap, ok = _assemble(U, cfg, k, target)
+    f = np.full(U.shape[0], np.inf)
+    if ok.any():
+        f[ok] = _relmin(key_matrix_batch(kap[ok], k, cfg.i - 1, cfg.K))
+    return f
 
 
 def _exact_key(kap: np.ndarray, cfg: SearchConfig, k: int) -> np.ndarray:
@@ -124,75 +148,164 @@ def _exact_key(kap: np.ndarray, cfg: SearchConfig, k: int) -> np.ndarray:
     return key_matrix_batch(X, k, cfg.i - 1, Fraction(cfg.K)).astype(float)
 
 
+def _nelder_mead(
+    func: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    maxiter: int,
+    xatol: float,
+    fatol: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nelder-Mead from each row of x0 (R, N), all problems in lockstep.
+
+    func(U, r) returns the values of the rows of U, row j being a point of
+    problem r[j].  Each step makes at most three calls: the reflections,
+    the one expansion or contraction point each restart needs, and the
+    shrunk vertices.  Per problem every expression, the tie order of the
+    sort and the stopping rule are those of scipy's `_minimize_neldermead`
+    (not adaptive, no bounds), so the iterates are the same bits.
+
+    Returns the best vertex (R, N), the iteration and evaluation counts, and
+    whether the tolerance test stopped the problem (else maxiter did).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    R, N = x0.shape
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    j = np.arange(N)
+    sim[:, j + 1, j] = np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt)
+    fsim = func(sim.reshape(-1, N), np.repeat(np.arange(R), N + 1)).reshape(R, N + 1)
+    nfev = np.full(R, N + 1)
+    for _ in range(2):  # scipy sorts the first simplex twice; ties among +inf can move
+        ind = np.argsort(fsim, axis=1)
+        sim = np.take_along_axis(sim, ind[:, :, None], 1)
+        fsim = np.take_along_axis(fsim, ind, 1)
+    nit = np.ones(R, dtype=int)
+    converged = np.zeros(R, dtype=bool)
+
+    while True:
+        act = np.flatnonzero(~converged & (nit < maxiter))
+        if not act.size:
+            break
+        s, fs = sim[act], fsim[act]
+        with np.errstate(invalid="ignore"):  # inf - inf at the walls
+            done = (np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol) & (
+                np.max(np.abs(fs[:, :1] - fs[:, 1:]), axis=1) <= fatol
+            )
+        converged[act[done]] = True
+        act, s, fs = act[~done], s[~done], fs[~done]
+        if not act.size:
+            break
+
+        xbar = np.add.reduce(s[:, :-1], 1) / N
+        worst = s[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = func(xr, act)
+        nfev[act] += 1
+
+        expand = fxr < fs[:, 0]
+        accept = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~accept & (fxr < fs[:, -1])
+        inside = ~expand & ~accept & ~outside
+        x2 = np.where(
+            expand[:, None],
+            (1 + rho * chi) * xbar - rho * chi * worst,
+            np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst, (1 - psi) * xbar + psi * worst),
+        )
+        f2 = np.full(act.size, np.nan)
+        need = ~accept
+        if need.any():
+            f2[need] = func(x2[need], act[need])
+            nfev[act[need]] += 1
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fs[:, -1]))
+        take_r = accept | (expand & ~take2)
+        shrink = (outside | inside) & ~take2
+        s[take_r, -1], fs[take_r, -1] = xr[take_r], fxr[take_r]
+        s[take2, -1], fs[take2, -1] = x2[take2], f2[take2]
+        if shrink.any():
+            sh = s[shrink]
+            sh[:, 1:] = sh[:, :1] + sigma * (sh[:, 1:] - sh[:, :1])
+            s[shrink] = sh
+            fs[shrink, 1:] = func(sh[:, 1:].reshape(-1, N), np.repeat(act[shrink], N)).reshape(-1, N)
+            nfev[act[shrink]] += N
+
+        nit[act] += 1
+        ind = np.argsort(fs, axis=1)
+        sim[act] = np.take_along_axis(s, ind[:, :, None], 1)
+        fsim[act] = np.take_along_axis(fs, ind, 1)
+
+    return sim[:, 0], nit, nfev, converged
+
+
+def _starts(cfg: SearchConfig, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The free coordinates of every restart's start point and its sigma_k
+    target.  Raises SamplingExhaustedError when no start can be drawn."""
+    starts = sample_batch(
+        make_rng(cfg.seed),
+        cfg.restarts,
+        cfg.n,
+        k,
+        cfg.kappa1,
+        near_top_index=cfg.i,
+        sigma_k_range=SIGMA_K_WINDOW,
+    )
+    # Rescale so kappa_1 sits exactly at the pinned scale (samples jitter it
+    # by 0.5%); keep each row's own sigma_k as its slice target so the
+    # re-solved last entry reproduces a feasible point.
+    rows = starts * (cfg.kappa1 / starts[:, :1])
+    lo, hi = SIGMA_K_WINDOW
+    target = np.minimum(np.maximum(batch_coeffs(rows)[:, k], lo), hi)
+    return rows[:, 1 : cfg.n - 1], target
+
+
 def minimize_lambda(cfg: SearchConfig) -> SearchResult:
     """Restarted Nelder-Mead search for the most negative normalized eigenvalue."""
     k = cfg.resolved_k()
-    rng = make_rng(cfg.seed)
-    evaluations = 0
-    candidates: List[SearchWitness] = []
-
     try:
-        starts = sample_batch(
-            rng,
-            cfg.restarts,
-            cfg.n,
-            k,
-            cfg.kappa1,
-            near_top_index=cfg.i,
-            sigma_k_range=SIGMA_K_WINDOW,
-        )
+        U0, target = _starts(cfg, k)
     except SamplingExhaustedError:
-        return SearchResult(config=cfg, best=None, evaluations=0, restarts_used=0)
+        return SearchResult(config=cfg, best=None)
 
-    lo, hi = SIGMA_K_WINDOW
-    for r in range(cfg.restarts):
-        # Rescale so kappa_1 sits exactly at the pinned scale (samples jitter
-        # it by 0.5%); keep the row's own sigma_k as the slice target so the
-        # re-solved last entry reproduces a feasible point.
-        row = starts[r] * (cfg.kappa1 / starts[r][0])
-        sk = float(batch_coeffs(row[None, :])[0][k])
-        target = min(max(sk, lo), hi)
-        u0 = row[1 : cfg.n - 1].copy()
-
-        def f(u):
-            nonlocal evaluations
-            evaluations += 1
-            kap = _assemble(np.asarray(u, dtype=float), cfg, k, target)
-            if kap is None:
-                return math.inf
-            return float(_relmin(_key(kap, cfg, k))[0])
-
-        if not math.isfinite(f(u0)):
-            continue
-        res = minimize(
-            f,
-            u0,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.maxiter, "xatol": 1e-10 * cfg.kappa1, "fatol": 1e-14},
+    feasible = np.isfinite(_objective(U0, cfg, k, target))
+    runs = [SearchRun(start_feasible=bool(f), nfev=1, nit=0, status="infeasible_start") for f in feasible]
+    candidates: List[SearchWitness] = []
+    run = np.flatnonzero(feasible)
+    if run.size:
+        t = target[run]
+        x, nit, nfev, converged = _nelder_mead(
+            lambda U, r: _objective(U, cfg, k, t[r]), U0[run], cfg.maxiter, 1e-10 * cfg.kappa1, 1e-14
         )
-        kap = _assemble(np.asarray(res.x, dtype=float), cfg, k, target)
-        if kap is None:
-            continue
-        M = _key(kap, cfg, k)
-        value = float(_relmin(M)[0])
-        _, vecs = np.linalg.eigh(M[0])
-        wit = SearchWitness(
-            kappa=[float(v) for v in kap],
-            value=value,
-            xi=[float(v) for v in vecs[:, 0]],
-        )
-        if value < 0.0:
-            wit.refined_value = float(_relmin(_exact_key(kap, cfg, k))[0])
-        candidates.append(wit)
+        kap, ok = _assemble(x, cfg, k, t)
+        M = key_matrix_batch(kap[ok], k, cfg.i - 1, cfg.K)
+        value = np.full(run.size, np.nan)
+        vecs = np.full((run.size, cfg.n, cfg.n), np.nan)
+        value[ok] = _relmin(M)
+        vecs[ok] = np.linalg.eigh(M)[1]
+        for j, r in enumerate(run):
+            rec = runs[r]
+            rec.nfev += int(nfev[j])
+            rec.nit = int(nit[j])
+            if not ok[j]:
+                rec.status = "infeasible_end"
+                continue
+            rec.status = "converged" if converged[j] else "maxiter"
+            rec.value = float(value[j])
+            wit = SearchWitness(
+                kappa=[float(v) for v in kap[j]],
+                value=rec.value,
+                xi=[float(v) for v in vecs[j, :, 0]],
+            )
+            if wit.value < 0.0:
+                wit.refined_value = float(_relmin(_exact_key(kap[j], cfg, k))[0])
+            candidates.append(wit)
 
     candidates.sort(key=lambda w: w.value)
-    best = candidates[0] if candidates else None
     return SearchResult(
         config=cfg,
-        best=best,
+        best=candidates[0] if candidates else None,
         ranked=candidates[:10],
-        evaluations=evaluations,
+        evaluations=sum(rec.nfev for rec in runs),
         restarts_used=len(candidates),
+        runs=runs,
     )
 
 

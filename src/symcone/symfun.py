@@ -21,6 +21,7 @@ Derivative facts used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -199,6 +200,25 @@ def _kept(n: int, excluded: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(excluded.shape[0], n - excluded.shape[1])
 
 
+@functools.lru_cache(maxsize=None)
+def _excl1_keep(n: int) -> np.ndarray:
+    """Kept columns of every single exclusion for length n; built once, read-only."""
+    keep = _kept(n, np.arange(n)[:, None])
+    keep.flags.writeable = False
+    return keep
+
+
+@functools.lru_cache(maxsize=None)
+def _excl2_index(n: int):
+    """The pairs p < q of `triu_indices(n, 1)` and the kept columns of every
+    pair exclusion for length n; built once, read-only."""
+    p, q = np.triu_indices(n, 1)
+    keep = _kept(n, np.stack([p, q], axis=1))
+    for a in (p, q, keep):
+        a.flags.writeable = False
+    return p, q, keep
+
+
 def order(T: np.ndarray, t: int) -> np.ndarray:
     """Order-t slice of a coefficient table (orders on the last axis);
     zeros when sigma_t is identically zero there (t < 0 or t too large)."""
@@ -224,7 +244,7 @@ def batch_coeffs_excl(X: np.ndarray, cols) -> np.ndarray:
 def batch_excl1_table(X: np.ndarray) -> np.ndarray:
     """T[b, i, m] = sigma_m(row_b | i) for all single exclusions: (B, n, n)."""
     n = X.shape[1]
-    c = _dp(X, _kept(n, np.arange(n)[:, None]), n - 1)
+    c = _dp(X, _excl1_keep(n), n - 1)
     return np.ascontiguousarray(c.transpose(2, 1, 0))
 
 
@@ -234,8 +254,8 @@ def batch_excl2_table(X: np.ndarray, orders) -> dict:
     [0, n-2]; the DP runs only up to the highest order asked for."""
     B, n = X.shape
     orders = tuple(orders)
-    p, q = np.triu_indices(n, 1)
-    c = _dp(X, _kept(n, np.stack([p, q], axis=1)), max(max(orders), 0))
+    p, q, keep = _excl2_index(n)
+    c = _dp(X, keep, max(max(orders), 0))
     out = {}
     for t in orders:
         T = np.zeros((B, n, n), dtype=X.dtype)

@@ -107,6 +107,8 @@ class TestSearchCommand:
         assert records[0]["command"] == "search"
         result = [r for r in records if r["record"] == "result"][0]
         assert result["best"] is not None
+        assert len(result["runs"]) == 5
+        assert sum(run["nfev"] for run in result["runs"]) == result["evaluations"]
         assert records[-1]["negative_found"] is False
 
     def test_roundoff_negative_is_not_a_failure(self, tmp_path):
@@ -120,6 +122,17 @@ class TestSearchCommand:
         assert -1e-8 < best["value"] < 0.0
         assert -1e-8 < best["refined_value"] < 0.0
         assert records[-1]["negative_found"] is False
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--i", "9"], ["--i", "0"], ["--restarts", "0"], ["--kappa1", "-5"]],
+        ids=["i-above-n", "i-zero", "no-restarts", "negative-kappa1"],
+    )
+    def test_invalid_config_exits_2(self, flags, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        assert main(["search", "--n", "5", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: need ")
+        assert not out.exists()
 
 
 class TestThresholdCommand:

@@ -1,9 +1,16 @@
 """Eigenvalue minimization and threshold location."""
 
+import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import symcone
+from symcone import search
 
 from symcone import (
     ConeQuery,
@@ -15,7 +22,9 @@ from symcone import (
     minimize_lambda,
     threshold_bisect,
 )
+from symcone.cones import SIGMA_RANGE_NOISE_FACTOR
 from symcone.quadforms import _relmin, key_matrix_batch
+from symcone.symfun import batch_coeffs
 
 
 def small_cfg(**kw):
@@ -77,6 +86,201 @@ class TestMinimizeLambda:
     def test_invalid_level(self):
         with pytest.raises(InvalidInputError):
             minimize_lambda(SearchConfig(n=5, k=1)).config
+
+    @pytest.mark.parametrize("kw", [dict(i=0), dict(i=6), dict(restarts=0), dict(kappa1=-5.0), dict(kappa1=math.nan)])
+    def test_invalid_config(self, kw):
+        with pytest.raises(InvalidInputError):
+            SearchConfig(n=5, **kw)
+
+    def test_runs_account_for_every_restart(self):
+        # seed 0 draws a start that is infeasible on the slice
+        res = minimize_lambda(small_cfg(seed=0, restarts=6))
+        assert len(res.runs) == 6
+        assert sum(r.nfev for r in res.runs) == res.evaluations
+        ended = [r for r in res.runs if r.status in ("converged", "maxiter")]
+        assert len(ended) == res.restarts_used
+        assert sorted(r.value for r in ended)[: len(res.ranked)] == [w.value for w in res.ranked]
+        starts = [r for r in res.runs if not r.start_feasible]
+        assert starts and all(r.status == "infeasible_start" and r.nfev == 1 and r.nit == 0 for r in starts)
+        assert all(r.value is None for r in starts)
+
+    def test_infeasible_end_point_is_recorded_not_ranked(self, monkeypatch):
+        def stuck_at_zero(func, x0, maxiter, xatol, fatol):
+            R = len(x0)
+            return np.zeros_like(x0), np.full(R, 3), np.full(R, 7), np.zeros(R, dtype=bool)
+
+        monkeypatch.setattr(search, "_nelder_mead", stuck_at_zero)
+        res = minimize_lambda(small_cfg(restarts=3))
+        assert res.best is None and res.ranked == [] and res.restarts_used == 0
+        assert [(r.status, r.nfev, r.nit, r.value) for r in res.runs] == [("infeasible_end", 8, 3, None)] * 3
+        assert res.evaluations == 24
+
+
+def _objective_of(cfg):
+    """The search objective on the start points of cfg, for the engine."""
+    k = cfg.resolved_k()
+    U0, target = search._starts(cfg, k)
+    return U0, (lambda U, r: search._objective(U, cfg, k, target[r]))
+
+
+def _walled_rosenbrock(U, r):
+    """A Rosenbrock valley per problem r, +inf outside a ball, with +inf
+    starts and ties for the tie order of the sort."""
+    shift = 0.1 * r[:, None]
+    V = U - shift
+    f = np.sum(100.0 * (V[:, 1:] - V[:, :-1] ** 2) ** 2 + (1.0 - V[:, :-1]) ** 2, axis=1)
+    return np.where(np.sum(V * V, axis=1) < 6.0, np.round(f, 3), np.inf)
+
+
+_CELLS = [
+    small_cfg(seed=3),
+    small_cfg(seed=0, restarts=6),
+    SearchConfig(n=6, k=5, K=1e3, kappa1=1e4, restarts=4, maxiter=150, seed=42),
+    SearchConfig(n=7, k=5, K=1e3, kappa1=1e4, restarts=3, maxiter=150, seed=7),
+]
+
+
+class TestLockstepNelderMead:
+    @pytest.mark.parametrize("cfg", _CELLS, ids=lambda c: f"n{c.n}k{c.k}s{c.seed}")
+    def test_matches_scipy_per_restart(self, cfg):
+        optimize = pytest.importorskip("scipy.optimize")
+        U0, f = _objective_of(cfg)
+        opts = {"maxiter": cfg.maxiter, "xatol": 1e-10 * cfg.kappa1, "fatol": 1e-14}
+        x, nit, nfev, converged = search._nelder_mead(f, U0, cfg.maxiter, opts["xatol"], opts["fatol"])
+        runs = minimize_lambda(cfg).runs
+        for r in range(cfg.restarts):  # infeasible starts included: an all-+inf simplex
+            with np.errstate(invalid="ignore"):  # scipy's stopping test sees inf - inf too
+                ref = optimize.minimize(
+                    lambda u: float(f(u[None, :], np.array([r]))[0]), U0[r], method="Nelder-Mead", options=opts
+                )
+            assert x[r].tobytes() == ref.x.tobytes()
+            assert (nit[r], nfev[r], converged[r]) == (ref.nit, ref.nfev, ref.status == 0)
+            if runs[r].start_feasible:
+                assert (runs[r].nit, runs[r].nfev) == (ref.nit, ref.nfev + 1)
+                assert runs[r].status == ("converged" if ref.status == 0 else "maxiter")
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 9, 20])
+    def test_matches_scipy_on_walled_valley(self, N):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(N)
+        X0 = rng.uniform(-1.5, 1.5, size=(6, N))
+        X0[0] = 0.0  # zero coordinates take the zdelt step
+        X0[1] = 3.0  # outside the wall: every vertex is +inf
+        opts = {"maxiter": 120, "xatol": 1e-8, "fatol": 1e-10}
+        x, nit, nfev, converged = search._nelder_mead(_walled_rosenbrock, X0, 120, opts["xatol"], opts["fatol"])
+        for r in range(6):
+            with np.errstate(invalid="ignore"):
+                ref = optimize.minimize(
+                    lambda u: float(_walled_rosenbrock(u[None, :], np.array([r]))[0]),
+                    X0[r],
+                    method="Nelder-Mead",
+                    options=opts,
+                )
+            assert x[r].tobytes() == ref.x.tobytes()
+            assert (nit[r], nfev[r], converged[r]) == (ref.nit, ref.nfev, ref.status == 0)
+
+    def test_lockstep_equals_each_start_alone(self):
+        cfg = small_cfg(seed=0, restarts=6)
+        U0, f = _objective_of(cfg)
+        tol = (1e-10 * cfg.kappa1, 1e-14)
+        together = search._nelder_mead(f, U0, cfg.maxiter, *tol)
+        for r in range(cfg.restarts):
+            alone = search._nelder_mead(lambda U, _r: f(U, np.full(len(U), r)), U0[r : r + 1], cfg.maxiter, *tol)
+            assert together[0][r].tobytes() == alone[0][0].tobytes()
+            assert [a[r] for a in together[1:]] == [a[0] for a in alone[1:]]
+
+    def test_batch_count_per_step(self):
+        # reflections, one second point per restart, shrinks: at most three
+        # calls per step, plus one for the first simplices
+        cfg = small_cfg(restarts=8)
+        U0, f = _objective_of(cfg)
+        calls = []
+
+        def counted(U, r):
+            calls.append(len(U))
+            return f(U, r)
+
+        _, nit, nfev, _ = search._nelder_mead(counted, U0, cfg.maxiter, 1e-10 * cfg.kappa1, 1e-14)
+        assert sum(calls) == nfev.sum()
+        assert len(calls) <= 1 + 3 * (nit.max() - 1)
+
+
+@np.errstate(all="ignore")
+def _assemble_row(u, cfg, k, target):
+    """One row of the slice map, one test after another: (reason, kappa)."""
+    n = cfg.n
+    kap = np.empty(n)
+    kap[0] = cfg.kappa1
+    kap[1 : n - 1] = u
+    c = batch_coeffs(kap[None, : n - 1])[0]
+    if not c[k - 1] > 0:
+        return "denominator", None
+    kap[n - 1] = (target - c[k]) / c[k - 1]
+    if not np.all(np.isfinite(kap)):
+        return "non-finite", None
+    if np.any(kap[1:] > kap[0]):
+        return "top entry", None
+    if kap[cfg.i - 1] <= kap[0] - math.sqrt(kap[0]) / n:
+        return "near top", None
+    c = batch_coeffs(kap[None, :])[0]
+    if not np.all(c[1:k] > 0.0):
+        return "cone", None
+    noise = SIGMA_RANGE_NOISE_FACTOR * np.finfo(float).eps * batch_coeffs(np.abs(kap)[None, :])[0][k]
+    if not c[k] > -noise:
+        return "sigma_k", None
+    s_ii = batch_coeffs(np.delete(kap, cfg.i - 1)[None, :])[0][k - 1]
+    if not cfg.K * kap[cfg.i - 1] * s_ii > 1.0:
+        return "K", None
+    return "feasible", kap
+
+
+class TestAssemble:
+    def test_batch_equals_rowwise(self):
+        cfg = small_cfg()
+        U0, target = search._starts(cfg, 3)
+        s, p = -8000.0, 1.0 - 999000.0 + 1999.0 * 8000.0  # sigma_2 of the first four is 1, sigma_1 < 0
+        d = math.sqrt(s * s - 4.0 * p)
+        rows = [
+            (U0[0], target[0]),
+            (U0[1], target[1]),
+            (np.zeros(3), 2.0),
+            (np.array([999.0, np.nan, 1.0]), 2.0),
+            (np.array([999.0, 1e300, 1e300]), 2.0),
+            (np.array([999.0, 1500.0, 1.0]), 2.0),
+            (np.array([900.0, 1.0, 1.0]), 2.0),
+            (np.array([999.0, (s + d) / 2.0, (s - d) / 2.0]), 2.0),
+            (U0[0], -5.0),
+        ]
+        U = np.array([u for u, _ in rows])
+        t = np.array([tt for _, tt in rows])
+        seen = set()
+        for c in (cfg, small_cfg(K=1e-9)):
+            kap, ok = search._assemble(U, c, 3, t)
+            for j, (u, tt) in enumerate(rows):
+                reason, ref = _assemble_row(u, c, 3, tt)
+                seen.add(reason)
+                assert ok[j] == (reason == "feasible"), reason
+                if ok[j]:
+                    assert kap[j].tobytes() == ref.tobytes()
+        assert seen == {"feasible", "denominator", "non-finite", "top entry", "near top", "cone", "sigma_k", "K"}
+
+    def test_objective_is_inf_exactly_where_infeasible(self):
+        cfg = small_cfg(seed=0, restarts=6)
+        U0, target = search._starts(cfg, 3)
+        _, ok = search._assemble(U0, cfg, 3, target)
+        f = search._objective(U0, cfg, 3, target)
+        assert not ok.all()
+        assert np.array_equal(np.isinf(f), ~ok)
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only oracle; importing it costs most of symcone's start-up time and memory
+    src = str(Path(symcone.__file__).resolve().parents[1])
+    code = "import sys, symcone, symcone.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={"PYTHONPATH": src}, cwd=src
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestThresholdBisect:

@@ -20,6 +20,7 @@ from symcone import (
     sigma_excl,
     sigma_fsum,
 )
+from symcone import symfun
 from symcone.symfun import batch_coeffs, batch_coeffs_excl, batch_excl1_table, batch_excl2_table, order
 
 RTOL = 1e-10
@@ -318,6 +319,15 @@ class TestBatchTables:
             z = order(T, t)
             assert z.shape == (4, 5)
             assert not z.any()
+
+    def test_index_tables_are_built_once_and_read_only(self):
+        assert symfun._excl1_keep(6) is symfun._excl1_keep(6)
+        assert symfun._excl2_index(6) is symfun._excl2_index(6)
+        keep1 = symfun._excl1_keep(6)
+        p, q, keep2 = symfun._excl2_index(6)
+        assert keep1.shape == (6, 5) and keep2.shape == (15, 4)
+        for a in (keep1, p, q, keep2):
+            assert not a.flags.writeable
 
 
 # ---------------------------------------------------------------------------
