@@ -40,6 +40,7 @@ from .registry import (
     classify_case,
     registry_list,
     run_check,
+    run_checks,
     witness_slack,
 )
 from .search import (
@@ -102,6 +103,7 @@ __all__ = [
     "classify_case",
     "registry_list",
     "run_check",
+    "run_checks",
     "witness_slack",
     # search
     "SearchConfig",

@@ -4,6 +4,9 @@ Output is JSON Lines (one record per line).  The first record of every run
 is a manifest with the schema version, the resolved options, and the seed,
 so a result file is self-describing and re-runnable.
 
+Results are bit-for-bit reproducible per platform only, so every manifest
+records the Python and numpy versions, the platform and the BLAS library.
+
 Exit codes: 0 all checks passed, 1 at least one genuine failure (negative
 slack beyond tolerance or a confirmed negative search finding), 2 an error
 (unknown check, infeasible sampling, bad arguments).
@@ -14,13 +17,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Tuple
+from typing import List, Optional
+
+import numpy as np
 
 from . import __version__
 from .errors import SymconeError
-from .registry import PSD_EPS, REGISTRY, registry_list, run_check
+from .registry import PSD_EPS, REGISTRY, RunContext, registry_list, resolve_jobs, run_checks
 from .search import SearchConfig, minimize_lambda, threshold_bisect
 
 SCHEMA_VERSION = 1
@@ -113,7 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--only", type=str, default=None, help="comma-separated check ids")
     v.add_argument("--tol", type=float, default=1e-10)
     v.add_argument("--psd-eps", type=float, default=1e-8)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes (default: every CPU this process may use); results do not depend on it",
+    )
     v.add_argument("--out", type=str, default=None, help="write JSONL here instead of stdout")
     v.add_argument("--list", action="store_true", help="list the catalog and exit")
 
@@ -147,35 +155,23 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _run_one(task: dict) -> dict:
-    """Worker: run one (check, n) pair; must stay picklable for --jobs."""
+def _environment() -> dict:
+    """What bit-for-bit reproducibility depends on besides the options and seed."""
     try:
-        res = run_check(
-            task["check_id"],
-            n=task["n"],
-            samples=task["samples"],
-            seed=task["seed"],
-            k=task["k"],
-            K=task["K"],
-            kappa1=task["kappa1"],
-            i=task["i"],
-            tol=task["tol"],
-            psd_eps=task["psd_eps"],
-        )
-        rec = dataclasses.asdict(res)
-        rec["record"] = "result"
-        return rec
-    except SymconeError as exc:
-        return {
-            "record": "result",
-            "id": task["check_id"],
-            "n": task["n"],
-            "verdict": "ERROR",
-            "details": {"error": str(exc)},
-        }
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError, AttributeError):  # numpy without a machine-readable config
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "blas": blas,
+    }
 
 
 def _cmd_verify(args) -> int:
+    jobs = resolve_jobs(args.jobs)
     writer = _Writer(args.out)
     if args.list:
         for check in registry_list():
@@ -200,25 +196,18 @@ def _cmd_verify(args) -> int:
     else:
         ids = [c.id for c in registry_list()]
 
-    tasks = []
-    for n in args.n:
-        for cid in ids:
-            if n < REGISTRY[cid].min_n:
-                continue
-            tasks.append(
-                {
-                    "check_id": cid,
-                    "n": n,
-                    "samples": args.samples,
-                    "seed": args.seed,
-                    "k": args.k,
-                    "K": args.K,
-                    "kappa1": args.kappa1,
-                    "i": args.i,
-                    "tol": args.tol,
-                    "psd_eps": args.psd_eps,
-                }
-            )
+    requests = [
+        (
+            cid,
+            RunContext(
+                n=n, samples=args.samples, seed=args.seed, k=args.k, K=args.K, kappa1=args.kappa1,
+                i=args.i, tol=args.tol, psd_eps=args.psd_eps,
+            ),
+        )
+        for n in args.n
+        for cid in ids
+        if n >= REGISTRY[cid].min_n
+    ]
 
     writer.emit(
         {
@@ -233,24 +222,24 @@ def _cmd_verify(args) -> int:
             "seed": args.seed,
             "kappa1": args.kappa1,
             "K": args.K,
-            "checks": [t["check_id"] for t in tasks],
-            "jobs": args.jobs,
+            "checks": [cid for cid, _ in requests],
+            "jobs": jobs,
+            "environment": _environment(),
         }
     )
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, tasks))  # submission order: deterministic merge
-    else:
-        results = [_run_one(t) for t in tasks]
-
     worst = 0
-    for rec in results:
+    results = run_checks(requests, jobs)
+    for (cid, ctx), res in zip(requests, results):
+        if isinstance(res, SymconeError):
+            rec = {"record": "result", "id": cid, "n": ctx.n, "verdict": "ERROR", "details": {"error": str(res)}}
+        else:
+            rec = dataclasses.asdict(res)
+            rec["record"] = "result"
         writer.emit(rec)
-        verdict = rec.get("verdict")
-        if verdict == "ERROR":
+        if rec["verdict"] == "ERROR":
             worst = max(worst, 2)
-        elif verdict == "FAIL":
+        elif rec["verdict"] == "FAIL":
             worst = max(worst, 1)
     writer.emit({"record": "summary", "tasks": len(results), "exit_code": worst})
     writer.close()
@@ -276,6 +265,7 @@ def _cmd_search(args) -> int:
             "version": __version__,
             "command": "search",
             "config": dataclasses.asdict(cfg),
+            "environment": _environment(),
         }
     )
     result = minimize_lambda(cfg)
@@ -312,6 +302,7 @@ def _cmd_threshold(args) -> int:
             "steps": args.steps,
             "samples": args.samples,
             "seed": args.seed,
+            "environment": _environment(),
         }
     )
     try:

@@ -26,20 +26,26 @@ from the minimum and counted in `details["excluded_rows"]` (per grid point
 as well, for an asymptotic sweep).
 
 All randomness flows from one integer seed through counter-based child
-streams, so every result - including witnesses - is bit-reproducible.
+streams, so every result - including witnesses - is bit-reproducible.  Each
+point of a check (one k of a fixed check, one (kappa_1, K) of a sweep) has
+its own stream, so `run_checks` plans the points of many checks, evaluates
+them on a pool of worker processes and folds each check's outcomes in plan
+order; the result does not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .cones import SIGMA_K_WINDOW, make_rng, rejection_sample, sample_bar_batch, sample_batch
-from .errors import DomainError, InvalidInputError, SamplingExhaustedError
+from .errors import DomainError, InvalidInputError, SamplingExhaustedError, SymconeError
 from .quadforms import (
     _relmin,
     abcd_batch,
@@ -59,7 +65,9 @@ __all__ = [
     "classify_case",
     "classify_masks",
     "registry_list",
+    "resolve_jobs",
     "run_check",
+    "run_checks",
     "witness_slack",
     "IDENTITY_TOL",
     "INEQUALITY_TOL",
@@ -1170,37 +1178,130 @@ def _eval_point(check, P, rng, samples):
     return best, wit, used, nonfinite, excluded
 
 
-def _run_fixed(check: LemmaCheck, ctx: RunContext) -> CheckResult:
+class _Point(NamedTuple):
+    """One independent unit of evaluation: `rows` samples of `check` at params `P`."""
+
+    check: LemmaCheck
+    P: dict
+    seed: int  # child seed of the point's own stream
+    rows: int
+
+
+def _sweep(check: LemmaCheck, ctx: RunContext):
+    """(k, kappa_1 grid, K grid) of an asymptotic check."""
+    k = check.k_values(ctx.n, ctx.k)[0]
+    grid = (ctx.kappa1,) if ctx.kappa1 is not None else ASYM_KAPPA1_GRID
+    Ks = (ctx.K,) if ctx.K is not None else (ASYM_K_GRID if check.uses_K else (None,))
+    return k, grid, Ks
+
+
+def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
+    """The points of one check, in the order the fold reads their outcomes."""
+    if check_id not in REGISTRY:
+        raise InvalidInputError(f"unknown check id: {check_id!r}")
+    check = REGISTRY[check_id]
+    if ctx.n < check.min_n:
+        raise InvalidInputError(f"{check.id} requires n >= {check.min_n}, got n={ctx.n}")
+    points = []
+    if check.kind == "ASYMPTOTIC":
+        k, grid, Ks = _sweep(check, ctx)
+        for g in grid:
+            for Kv in Ks:
+                P = {**_base_params(check, ctx, k), "kappa1": g, "K": Kv}
+                points.append(_Point(check, P, _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}|{g}|{Kv}"), ctx.samples))
+        return points
     ks = check.k_values(ctx.n, ctx.k)
     per_k = max(1, -(-ctx.samples // len(ks)))
+    for k in ks:
+        if k is not None and not 1 <= k <= ctx.n:
+            raise InvalidInputError(f"k={k} out of range for n={ctx.n}")
+        P = _base_params(check, ctx, k)
+        if check.default_kappa1 is not None and P["kappa1"] is None:
+            P["kappa1"] = check.default_kappa1
+        points.append(_Point(check, P, _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}"), per_k))
+    return points
+
+
+def _evaluate(point: _Point):
+    """The 5-tuple of `_eval_point`, or the SymconeError it raised, as a value."""
+    try:
+        return _eval_point(point.check, point.P, make_rng(point.seed), point.rows)
+    except SymconeError as exc:
+        return exc
+
+
+# The plan a pool worker evaluates, inherited through fork; None in the parent.
+_WORKER_POINTS: Optional[Sequence[_Point]] = None
+
+
+def _worker_init(points: Sequence[_Point]) -> None:
+    global _WORKER_POINTS
+    _WORKER_POINTS = points
+
+
+def _evaluate_index(j: int):
+    return _evaluate(_WORKER_POINTS[j])
+
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Worker count: `jobs`, or by default the CPUs this process may run on."""
+    if jobs is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    if jobs < 1:
+        raise InvalidInputError(f"need jobs >= 1, got {jobs}")
+    return jobs
+
+
+def _evaluate_all(points: Sequence[_Point], jobs: int) -> list:
+    """Outcomes of `points` in order, on a fork pool of min(jobs, points) workers.
+
+    Workers read the points from memory inherited through fork, so only
+    indices and outcomes are pickled, and test-local checks with closure
+    rows work.  Runs in this process with one worker, inside a worker,
+    without the fork start method, or while other threads run (a fork
+    could copy a lock one of them holds).
+    """
+    workers = min(jobs, len(points))
+    if workers > 1 and _WORKER_POINTS is None and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_worker_init, initargs=(points,)) as pool:
+                return list(pool.map(_evaluate_index, range(len(points))))
+    return [_evaluate(p) for p in points]
+
+
+def _fold_fixed(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResult:
+    ks = check.k_values(ctx.n, ctx.k)
     best = math.inf
     wit = None
     used = 0
     nonfinite = 0
     excluded = 0
-    try:
-        for k in ks:
-            if k is not None and not 1 <= k <= ctx.n:
-                raise InvalidInputError(f"k={k} out of range for n={ctx.n}")
-            P = _base_params(check, ctx, k)
-            if check.default_kappa1 is not None and P["kappa1"] is None:
-                P["kappa1"] = check.default_kappa1
-            rng = make_rng(_child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}"))
-            b, w, u, bad, out = _eval_point(check, P, rng, per_k)
-            used += u
-            nonfinite += bad
-            excluded += out
-            if b < best:
-                best, wit = b, w
-    except SamplingExhaustedError as exc:
-        return CheckResult(
-            id=check.id, kind=check.kind, n=ctx.n, k=ctx.k, samples=used,
-            min_slack=best if used else math.nan, verdict="ERROR", seed=ctx.seed,
-            details={"error": str(exc), "rejections": exc.rejection_counts},
-        )
+    failure = None
+    for out in outcomes:
+        if isinstance(out, SamplingExhaustedError):
+            failure = out
+            break
+        if isinstance(out, SymconeError):
+            raise out
+        b, w, u, bad, ex = out
+        used += u
+        nonfinite += bad
+        excluded += ex
+        if b < best:
+            best, wit = b, w
     tol = _tol_for(check, ctx)
     details = {"k_values": [k for k in ks], "tol": tol, "nonfinite_rows": nonfinite, "excluded_rows": excluded}
-    if nonfinite:
+    if failure is not None:
+        verdict = "ERROR"
+        details["error"] = str(failure)
+        details["rejections"] = failure.rejection_counts
+    elif nonfinite:
         verdict = "ERROR"
         details["error"] = f"{nonfinite} rows gave a NaN slack"
     elif not used:
@@ -1215,11 +1316,8 @@ def _run_fixed(check: LemmaCheck, ctx: RunContext) -> CheckResult:
     )
 
 
-def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
-    ks = check.k_values(ctx.n, ctx.k)
-    k = ks[0]
-    grid = (ctx.kappa1,) if ctx.kappa1 is not None else ASYM_KAPPA1_GRID
-    Ks = (ctx.K,) if ctx.K is not None else (ASYM_K_GRID if check.uses_K else (None,))
+def _fold_asymptotic(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResult:
+    k, grid, Ks = _sweep(check, ctx)
     tol = _tol_for(check, ctx)
     points = []
     best = math.inf
@@ -1227,25 +1325,22 @@ def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
     used_total = 0
     nonfinite_total = 0
     excluded_total = 0
-    for g in grid:
+    for a, g in enumerate(grid):
         pt_min = math.inf
         pt_used = 0
         pt_nonfinite = 0
         pt_excluded = 0
         exhausted = None
-        for Kv in Ks:
-            P = _base_params(check, ctx, k)
-            P["kappa1"] = g
-            P["K"] = Kv
-            rng = make_rng(_child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}|{g}|{Kv}"))
-            try:
-                b, w, u, bad, out = _eval_point(check, P, rng, ctx.samples)
-            except SamplingExhaustedError as exc:
-                exhausted = str(exc)
+        for out in outcomes[a * len(Ks):(a + 1) * len(Ks)]:
+            if isinstance(out, SamplingExhaustedError):
+                exhausted = out
                 continue
+            if isinstance(out, SymconeError):
+                raise out
+            b, w, u, bad, ex = out
             pt_used += u
             pt_nonfinite += bad
-            pt_excluded += out
+            pt_excluded += ex
             if b < pt_min:
                 pt_min = b
             if b < best:
@@ -1254,17 +1349,18 @@ def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
         nonfinite_total += pt_nonfinite
         excluded_total += pt_excluded
         passed = exhausted is None and pt_used > 0 and pt_nonfinite == 0 and pt_min >= -tol
-        points.append(
-            {
-                "kappa1": g,
-                "min_slack": None if not math.isfinite(pt_min) else pt_min,
-                "samples": pt_used,
-                "nonfinite_rows": pt_nonfinite,
-                "excluded_rows": pt_excluded,
-                "passed": bool(passed),
-                "exhausted": exhausted,
-            }
-        )
+        point = {
+            "kappa1": g,
+            "min_slack": None if not math.isfinite(pt_min) else pt_min,
+            "samples": pt_used,
+            "nonfinite_rows": pt_nonfinite,
+            "excluded_rows": pt_excluded,
+            "passed": bool(passed),
+            "exhausted": None if exhausted is None else str(exhausted),
+        }
+        if exhausted is not None:
+            point["rejections"] = exhausted.rejection_counts
+        points.append(point)
     star_idx = None
     for a in range(len(points)):
         if all(p["passed"] for p in points[a:]):
@@ -1290,17 +1386,47 @@ def _run_asymptotic(check: LemmaCheck, ctx: RunContext) -> CheckResult:
     )
 
 
+def run_checks(
+    requests: Sequence[Tuple[str, RunContext]], jobs: Optional[int] = None
+) -> List[Union[CheckResult, SymconeError]]:
+    """Run many checks, each request a (check id, RunContext) pair.
+
+    The points of all requests (each k of a fixed check, each (kappa_1, K)
+    of a sweep) draw from their own child seeds, so they are evaluated in
+    one pass on `jobs` worker processes (default: every usable CPU) and
+    folded per request in plan order.  Results do not depend on `jobs`.
+    Returns, per request, its CheckResult or the SymconeError it raised;
+    the first error in plan order wins, as in a one-by-one run.
+    """
+    jobs = resolve_jobs(jobs)
+    plans = []
+    for check_id, ctx in requests:
+        try:
+            plans.append(_plan(check_id, ctx))
+        except SymconeError as exc:
+            plans.append(exc)
+    outcomes = iter(_evaluate_all([p for plan in plans if isinstance(plan, list) for p in plan], jobs))
+    results = []
+    for (check_id, ctx), plan in zip(requests, plans):
+        if isinstance(plan, SymconeError):
+            results.append(plan)
+            continue
+        check = REGISTRY[check_id]
+        fold = _fold_asymptotic if check.kind == "ASYMPTOTIC" else _fold_fixed
+        try:
+            results.append(fold(check, ctx, [next(outcomes) for _ in plan]))
+        except SymconeError as exc:
+            results.append(exc)
+    return results
+
+
 def run_check(check_id: str, ctx: Optional[RunContext] = None, **kwargs) -> CheckResult:
     """Run one named check.  Either pass a RunContext or keyword fields."""
-    if check_id not in REGISTRY:
-        raise InvalidInputError(f"unknown check id: {check_id!r}")
-    check = REGISTRY[check_id]
     if ctx is None:
         ctx = RunContext(**kwargs)
     elif kwargs:
         raise InvalidInputError("pass either a RunContext or keyword fields, not both")
-    if ctx.n < check.min_n:
-        raise InvalidInputError(f"{check.id} requires n >= {check.min_n}, got n={ctx.n}")
-    if check.kind == "ASYMPTOTIC":
-        return _run_asymptotic(check, ctx)
-    return _run_fixed(check, ctx)
+    out = run_checks([(check_id, ctx)])[0]
+    if isinstance(out, SymconeError):
+        raise out
+    return out

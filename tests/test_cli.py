@@ -1,7 +1,10 @@
 """Command-line interface: JSONL schema, exit codes, determinism."""
 
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
 
 from symcone.cli import main
@@ -78,12 +81,24 @@ class TestVerify:
 
     def test_jobs_deterministic_merge(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        args = ["verify", "--only", "newton,L5_1_identity", "--n", "5..6", "--samples", "200", "--seed", "7"]
-        assert main(args + ["--out", str(a)]) == 0
+        args = ["verify", "--only", "newton,L5_1_identity,L3_2", "--n", "5..6", "--samples", "200", "--seed", "7"]
+        assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
         assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
-        ra = [r for r in read_jsonl(a) if r["record"] == "result"]
-        rb = [r for r in read_jsonl(b) if r["record"] == "result"]
-        assert ra == rb
+        ra, rb = a.read_text().splitlines(), b.read_text().splitlines()
+        assert json.loads(ra[0])["jobs"] == 1 and json.loads(rb[0])["jobs"] == 2
+        assert len(ra) == 2 + 6 and ra[1:] == rb[1:]  # results and summary byte for byte
+
+    def test_default_jobs_is_every_usable_cpu(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", "--only", "newton", "--n", "5", "--samples", "50", "--out", str(out)]) == 0
+        assert read_jsonl(out)[0]["jobs"] == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, jobs, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", "--only", "newton", "--n", "5", "--jobs", jobs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: need jobs >= 1")
+        assert not out.exists()
 
     def test_float_round_trip(self, tmp_path):
         out = tmp_path / "r.jsonl"
@@ -153,6 +168,25 @@ class TestThresholdCommand:
     def test_unknown_check(self, tmp_path):
         out = tmp_path / "t.jsonl"
         assert main(["threshold", "--check", "bogus", "--n", "5", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--only", "newton", "--n", "5", "--samples", "20"],
+        ["search", "--n", "5", "--k", "3", "--restarts", "1"],
+        ["threshold", "--check", "L3_2", "--n", "5", "--lo", "10", "--hi", "1e3", "--steps", "1", "--samples", "20"],
+    ],
+    ids=["verify", "search", "threshold"],
+)
+def test_manifest_records_environment(argv, tmp_path):
+    out = tmp_path / "m.jsonl"
+    main(argv + ["--out", str(out)])
+    env = read_jsonl(out)[0]["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["platform"] == platform.platform()
+    assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
 
 
 class TestVersionFlag:

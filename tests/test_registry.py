@@ -1,5 +1,10 @@
 """Named check catalog: verdicts, witnesses, determinism, case classifier."""
 
+import dataclasses
+import json
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ import symcone.registry as registry
 
 from symcone import (
     ConeQuery,
+    DomainError,
     InvalidInputError,
     LemmaCheck,
     RunContext,
@@ -15,11 +21,14 @@ from symcone import (
     make_rng,
     registry_list,
     run_check,
+    run_checks,
     sample_batch,
     sigma,
     sigma_excl,
     witness_slack,
 )
+from symcone.cli import main as cli_main
+from symcone.errors import SamplingExhaustedError
 
 KINDS = {"IDENTITY", "INEQUALITY", "PSD", "ASYMPTOTIC"}
 
@@ -109,19 +118,17 @@ def _fill_rows(value):
     return rows
 
 
+def _local_check(monkeypatch, kind, rows, sampler="real", k_values=lambda n, k: (None,)):
+    check = LemmaCheck("test_local", kind, "test-local check", sampler, rows, k_values)
+    monkeypatch.setitem(registry.REGISTRY, check.id, check)
+    return check.id
+
+
 class TestNonFiniteRows:
     """A check never passes on rows it could not evaluate."""
 
-    def _register(self, monkeypatch, kind, rows):
-        check = LemmaCheck(
-            "test_local", kind, "test-local check with constant rows", "real", rows,
-            lambda n, k: (None,),
-        )
-        monkeypatch.setitem(registry.REGISTRY, check.id, check)
-        return check.id
-
     def test_all_nan_rows_are_error(self, monkeypatch):
-        cid = self._register(monkeypatch, "INEQUALITY", _fill_rows(np.nan))
+        cid = _local_check(monkeypatch, "INEQUALITY", _fill_rows(np.nan))
         res = run_check(cid, n=5, samples=300, seed=0)
         assert res.verdict == "ERROR"
         assert res.samples == 0
@@ -129,7 +136,7 @@ class TestNonFiniteRows:
         assert np.isnan(res.min_slack)
 
     def test_all_excluded_rows_are_error(self, monkeypatch):
-        cid = self._register(monkeypatch, "INEQUALITY", _fill_rows(np.inf))
+        cid = _local_check(monkeypatch, "INEQUALITY", _fill_rows(np.inf))
         res = run_check(cid, n=5, samples=300, seed=0)
         assert res.verdict == "ERROR"
         assert res.samples == 0
@@ -141,7 +148,7 @@ class TestNonFiniteRows:
         def rows(X, aux, P):
             return np.where(np.arange(X.shape[0]) % 2 == 0, 0.0, np.nan)
 
-        cid = self._register(monkeypatch, "INEQUALITY", rows)
+        cid = _local_check(monkeypatch, "INEQUALITY", rows)
         res = run_check(cid, n=5, samples=300, seed=0)
         assert res.verdict == "ERROR"
         assert res.samples == 150
@@ -150,7 +157,7 @@ class TestNonFiniteRows:
         assert res.min_slack == 0.0
 
     def test_asymptotic_nan_fails_every_point(self, monkeypatch):
-        cid = self._register(monkeypatch, "ASYMPTOTIC", _fill_rows(np.nan))
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", _fill_rows(np.nan))
         res = run_check(cid, n=5, samples=50, seed=0)
         assert res.verdict == "FAIL"
         assert res.kappa1_star is None
@@ -161,7 +168,7 @@ class TestNonFiniteRows:
         def rows(X, aux, P):
             return np.where(np.arange(X.shape[0]) % 2 == 0, 0.0, np.inf)
 
-        cid = self._register(monkeypatch, "ASYMPTOTIC", rows)
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", rows)
         res = run_check(cid, n=5, samples=50, seed=0)
         assert res.verdict == "THRESHOLD"
         assert [p["excluded_rows"] for p in res.details["points"]] == [25] * len(res.details["points"])
@@ -250,3 +257,139 @@ class TestResultShape:
     def test_context_and_kwargs_are_exclusive(self):
         with pytest.raises(InvalidInputError):
             run_check("newton", RunContext(n=5), n=5)
+
+
+def _fields(out):
+    """Every field of a result, floats at full precision; an error by type and message."""
+    if isinstance(out, Exception):
+        return (type(out).__name__, str(out))
+    return repr(dataclasses.asdict(out))
+
+
+def _exhausting_sampler(monkeypatch, exhaust):
+    """A sampler named "test_exhaust" that runs out of draws where `exhaust(P)` holds."""
+
+    def sampler(P, rng, B):
+        if exhaust(P):
+            raise SamplingExhaustedError("test budget spent", {"test_constraint": 7})
+        return rng.standard_normal((B, P["n"])), {}
+
+    monkeypatch.setitem(registry._SAMPLERS, "test_exhaust", sampler)
+    return "test_exhaust"
+
+
+class TestWorkerCount:
+    """Sweep points run on a pool of workers; results do not depend on how many."""
+
+    def assert_same(self, requests):
+        serial = run_checks(requests, jobs=1)
+        parallel = run_checks(requests, jobs=2)
+        assert [_fields(o) for o in parallel] == [_fields(o) for o in serial]
+        return serial
+
+    def test_catalog_checks(self):
+        ctx = RunContext(n=5, samples=200, seed=3)
+        out = self.assert_same(
+            [("S7_case_key", ctx), ("C3_1_key", ctx), ("maclaurin", ctx), ("L6_4_H", ctx)]
+        )
+        assert len(out[0].details["K_grid"]) == 4 and out[0].details["points"]
+        assert out[2].details["k_values"] == [2, 3, 4, 5]
+        assert all(o.witness is not None for o in out)
+
+    def test_closure_rows(self, monkeypatch):
+        offset = -0.25
+
+        def rows(X, aux, P):
+            return np.where(np.arange(X.shape[0]) % 3 == 0, np.nan, X[:, 0] * 0.0 + offset)
+
+        for kind, ks in (("INEQUALITY", (2, 3)), ("ASYMPTOTIC", (2,))):
+            cid = _local_check(monkeypatch, kind, rows, k_values=lambda n, k, ks=ks: ks)
+            (res,) = self.assert_same([(cid, RunContext(n=5, samples=60, seed=1))])
+            assert res.min_slack == offset and res.details["nonfinite_rows"] > 0
+
+    def test_points_run_in_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        def rows(X, aux, P):
+            if os.getpid() == parent:
+                raise DomainError("evaluated in the parent process")
+            return np.zeros(X.shape[0])
+
+        request = (_local_check(monkeypatch, "ASYMPTOTIC", rows), RunContext(n=5, samples=20, seed=0))
+        assert run_checks([request], jobs=2)[0].verdict == "THRESHOLD"
+        assert "parent" in str(run_checks([request], jobs=1)[0])
+        # No fork while another thread runs: the points stay in this process.
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(30,))
+        other.start()
+        try:
+            assert "parent" in str(run_checks([request], jobs=2)[0])
+        finally:
+            stop.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+
+    def test_one_job_starts_no_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a child process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        res = run_checks([("S7_case_key", RunContext(n=5, samples=40, seed=0))], jobs=1)[0]
+        assert res.verdict == "THRESHOLD"
+
+    def test_exhaustion_in_the_middle_of_the_plan(self, monkeypatch):
+        sampler = _exhausting_sampler(monkeypatch, lambda P: P["k"] == 3 or P["kappa1"] == 1e3)
+        zero = _fill_rows(0.0)
+        fixed = LemmaCheck("test_fixed", "INEQUALITY", "exhausts at k=3", sampler, zero, lambda n, k: (2, 3, 4))
+        sweep = LemmaCheck("test_sweep", "ASYMPTOTIC", "exhausts at kappa_1=1e3", sampler, zero, lambda n, k: (2,))
+        for check in (fixed, sweep):
+            monkeypatch.setitem(registry.REGISTRY, check.id, check)
+        ctx = RunContext(n=5, samples=90, seed=2)
+        a, b, c = self.assert_same([("newton", ctx), ("test_fixed", ctx), ("test_sweep", ctx)])
+        assert a.verdict == "PASS"
+        assert b.verdict == "ERROR" and b.samples == 30  # the k=2 rows before the exhausted k=3
+        assert b.details["rejections"] == {"test_constraint": 7}
+        assert c.verdict == "THRESHOLD" and c.kappa1_star == 1e4
+        bad = [p for p in c.details["points"] if p["exhausted"] is not None]
+        assert [p["kappa1"] for p in bad] == [1e3]
+        assert bad[0]["rejections"] == {"test_constraint": 7}
+
+    def test_domain_error_in_a_worker(self, monkeypatch, tmp_path):
+        def rows(X, aux, P):
+            if P["kappa1"] == 1e4:
+                raise DomainError("test domain error at kappa_1=1e4")
+            return np.zeros(X.shape[0])
+
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", rows)
+        ctx = RunContext(n=5, samples=20, seed=0)
+        err, ok = self.assert_same([(cid, ctx), ("newton", ctx)])
+        assert isinstance(err, DomainError) and ok.verdict == "PASS"
+        with pytest.raises(DomainError, match="kappa_1=1e4"):
+            run_check(cid, ctx)
+        out = tmp_path / "r.jsonl"
+        argv = ["verify", "--only", f"{cid},newton", "--n", "5", "--samples", "20", "--jobs", "2", "--out", str(out)]
+        assert cli_main(argv) == 2
+        results = [r for r in map(json.loads, out.read_text().splitlines()) if r["record"] == "result"]
+        assert results[0]["verdict"] == "ERROR" and "kappa_1=1e4" in results[0]["details"]["error"]
+        assert results[1]["verdict"] == "PASS"
+
+    def test_invalid_jobs(self):
+        for jobs in (0, -3):
+            with pytest.raises(InvalidInputError):
+                run_checks([("newton", RunContext(n=5, samples=10))], jobs=jobs)
+
+
+class TestExhaustedFixedResult:
+    """An exhausted fixed check reports the same fields as its other results."""
+
+    @pytest.mark.parametrize("ks", [(3,), (2, 3)], ids=["single-k", "multi-k"])
+    def test_fields(self, monkeypatch, ks):
+        sampler = _exhausting_sampler(monkeypatch, lambda P: P["k"] == 3)
+        k_values = lambda n, k: ks if k is None else (k,)
+        cid = _local_check(monkeypatch, "INEQUALITY", _fill_rows(0.0), sampler=sampler, k_values=k_values)
+        err = run_check(cid, n=5, samples=40, seed=0)
+        ok = run_check(cid, n=5, samples=40, seed=0, k=2)
+        assert err.verdict == "ERROR"
+        assert err.k == (3 if len(ks) == 1 else None)
+        assert set(err.details) == set(ok.details) | {"error", "rejections"}
+        assert err.details["k_values"] == list(ks) and err.details["rejections"] == {"test_constraint": 7}
