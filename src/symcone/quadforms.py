@@ -104,8 +104,14 @@ class TestFnTerms:
 
 
 def key_matrix_batch(X: np.ndarray, k: int, i0: int, K: float) -> np.ndarray:
+    return key_matrix_from_table(X, batch_excl1_table(X), k, i0, K)
+
+
+def key_matrix_from_table(X: np.ndarray, T1: np.ndarray, k: int, i0: int, K: float) -> np.ndarray:
+    """The key matrix from the rows X and their single-exclusion table
+    T1 = batch_excl1_table(X), for callers that already hold the table."""
     n = X.shape[1]
-    v = order(batch_excl1_table(X), k - 1)  # sigma_k^{jj}
+    v = order(T1, k - 1)  # sigma_k^{jj}
     S = batch_excl2_table(X, (k - 2,))[k - 2]  # sigma_k^{pp,qq}, zero diagonal
     ki = X[:, i0]
     M = K * ki[:, None, None] * (v[:, :, None] * v[:, None, :])
@@ -191,9 +197,10 @@ def lemma41_gap_batch(X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq:
     PSD iff  keyform >= (1/sigma_k^{ii}) [alpha A + sigma_k B + C - c D].
     """
     n = X.shape[1]
-    s_ii = batch_coeffs_excl(X, (i0,))[:, k - 1]
+    T1 = batch_excl1_table(X)
+    s_ii = T1[:, i0, k - 1]
     mult = X[:, i0] * K * s_ii**2 - s_ii
-    lhs = mult[:, None, None] * key_matrix_batch(X, k, i0, K)
+    lhs = mult[:, None, None] * key_matrix_from_table(X, T1, k, i0, K)
     rhs = embed_reduced(rhs_combination_batch(X, k, i0, K, with_kappa_i_sq), n, i0)
     return lhs - rhs
 

@@ -52,7 +52,7 @@ from .quadforms import (
     divdiff_exp_scaled,
     divdiff_ratio,
     h_matrix_batch,
-    key_matrix_batch,
+    key_matrix_from_table,
     lemma41_gap_batch,
 )
 from .symfun import batch_coeffs, batch_coeffs_excl, batch_excl1_table, batch_excl2_table, order
@@ -919,9 +919,10 @@ def _rows_s602(X, aux, P):
 
 
 def _key_rows(X, k, i0, K):
-    s_ii = order(batch_coeffs_excl(X, (i0,)), k - 1)
+    T1 = batch_excl1_table(X)
+    s_ii = order(T1[:, i0], k - 1)
     ok = K * X[:, i0] * s_ii > 1.0
-    lam = _relmin(key_matrix_batch(X, k, i0, K))
+    lam = _relmin(key_matrix_from_table(X, T1, k, i0, K))
     return np.where(ok, lam, np.inf)
 
 

@@ -8,10 +8,11 @@ because the window is far too thin at large scales for rejection or penalty
 methods to stay inside it.  Constraint violations return +inf, which
 Nelder-Mead treats as a wall.
 
-All restarts of a search advance in lockstep, so each objective call is one
-batch of rows.  Per restart the iterates are those of the classic scalar
-Nelder-Mead (the coefficients, initial simplex, tie order and stopping rule
-of scipy's `_minimize_neldermead`), so batching changes no result.
+All restarts of a search advance in lockstep, and each step evaluates every
+candidate point of every restart in one batched objective call.  Per restart
+the iterates are those of the classic scalar Nelder-Mead (the coefficients,
+initial simplex, tie order and stopping rule of scipy's
+`_minimize_neldermead`), so batching changes no result.
 
 Any negative finding is re-evaluated on the key matrix computed exactly,
 by the same builder run on `Fraction` entries and rounded once to float, so
@@ -33,9 +34,9 @@ import numpy as np
 
 from .cones import SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, make_rng, sample_batch
 from .errors import InvalidInputError, SamplingExhaustedError
-from .quadforms import _relmin, key_matrix_batch
+from .quadforms import _relmin, key_matrix_batch, key_matrix_from_table
 from .registry import run_check
-from .symfun import batch_coeffs
+from .symfun import batch_coeffs, batch_excl1_table
 
 _EPS = np.finfo(float).eps
 
@@ -68,6 +69,10 @@ class SearchConfig:
             raise InvalidInputError(f"need restarts >= 1, got {self.restarts}")
         if not self.kappa1 > 0:
             raise InvalidInputError(f"need kappa1 > 0, got {self.kappa1}")
+        if not self.K > 0:
+            raise InvalidInputError(f"need K > 0, got {self.K}")
+        if self.maxiter < 1:
+            raise InvalidInputError(f"need maxiter >= 1, got {self.maxiter}")
 
     def resolved_k(self) -> int:
         k = self.k if self.k is not None else self.n - 2
@@ -100,14 +105,17 @@ class SearchResult:
     config: SearchConfig
     best: Optional[SearchWitness]
     ranked: List[SearchWitness] = field(default_factory=list)
-    evaluations: int = 0
+    evaluations: int = 0  # the objective evaluations scalar Nelder-Mead makes
     restarts_used: int = 0
     runs: List[SearchRun] = field(default_factory=list)  # one per restart, in restart order
+    objective_calls: int = 0  # batched objective calls
+    objective_rows: int = 0  # rows those calls computed, the unused speculative points included
 
 
-def _assemble(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _assemble(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full vectors from rows of free coordinates, each row with its own
-    sigma_k target, and the mask of the feasible rows."""
+    sigma_k target, the mask of the feasible rows, and the vectors'
+    single-exclusion table `batch_excl1_table(kap)` for the key builder."""
     n = cfg.n
     kap = np.empty((U.shape[0], n))
     kap[:, 0] = cfg.kappa1
@@ -120,28 +128,29 @@ def _assemble(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> T
         ok = (denom > 0) & np.all(np.isfinite(kap), axis=1)
         ok &= ~np.any(kap[:, 1:] > kap[:, :1], axis=1)  # kappa_1 must stay the top entry
         ok &= kap[:, cfg.i - 1] > kap[:, 0] - np.sqrt(kap[:, 0]) / n
-        c = batch_coeffs(kap)
-        ok &= np.all(c[:, 1:k] > 0.0, axis=1)
+        # sigma_1..sigma_k of kap: the last step of the coefficient DP
+        full = c[:, 1 : k + 1] + kap[:, n - 1 :] * c[:, :k]
+        ok &= np.all(full[:, : k - 1] > 0.0, axis=1)
         # sigma_k equals the solved target up to representation noise; at
         # large scales the recomputed value quantizes in ULPs of the absolute
         # term sum and its exact sign is meaningless.
         noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * batch_coeffs(np.abs(kap))[:, k]
-        ok &= c[:, k] > -noise
-        s_ii = batch_coeffs(np.delete(kap, cfg.i - 1, axis=1))[:, k - 1]
-        ok &= cfg.K * kap[:, cfg.i - 1] * s_ii > 1.0
-    return kap, ok
+        ok &= full[:, k - 1] > -noise
+        T1 = batch_excl1_table(kap)
+        ok &= cfg.K * kap[:, cfg.i - 1] * T1[:, cfg.i - 1, k - 1] > 1.0
+    return kap, ok, T1
 
 
 def _objective(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> np.ndarray:
     """lambda_min / frobenius of the key form for each row; +inf when infeasible."""
-    kap, ok = _assemble(U, cfg, k, target)
+    kap, ok, T1 = _assemble(U, cfg, k, target)
     f = np.full(U.shape[0], np.inf)
     if ok.any():
-        f[ok] = _relmin(key_matrix_batch(kap[ok], k, cfg.i - 1, cfg.K))
+        f[ok] = _relmin(key_matrix_from_table(kap[ok], T1[ok], k, cfg.i - 1, cfg.K))
     return f
 
 
-def _exact_key(kap: np.ndarray, cfg: SearchConfig, k: int) -> np.ndarray:
+def _exact_key(kap: List[float], cfg: SearchConfig, k: int) -> np.ndarray:
     """The key matrix computed in exact rational arithmetic from the float
     entries of kap, each entry then rounded once to float."""
     X = np.array([[Fraction(float(v)) for v in kap]], dtype=object)
@@ -158,14 +167,18 @@ def _nelder_mead(
     """Nelder-Mead from each row of x0 (R, N), all problems in lockstep.
 
     func(U, r) returns the values of the rows of U, row j being a point of
-    problem r[j].  Each step makes at most three calls: the reflections,
-    the one expansion or contraction point each restart needs, and the
-    shrunk vertices.  Per problem every expression, the tie order of the
+    problem r[j]; a row's value must not depend on the other rows.  Each
+    step makes one call on every candidate point of every active problem
+    (the reflection, the expansion and both contractions), and a second
+    call on the shrunk vertices of the problems that shrink.  Per problem
+    every expression, the choice among the candidates, the tie order of the
     sort and the stopping rule are those of scipy's `_minimize_neldermead`
     (not adaptive, no bounds), so the iterates are the same bits.
 
     Returns the best vertex (R, N), the iteration and evaluation counts, and
-    whether the tolerance test stopped the problem (else maxiter did).
+    whether the tolerance test stopped the problem (else maxiter did).  The
+    evaluation counts are scipy's: a candidate point counts only where
+    scipy evaluates it.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
@@ -198,24 +211,24 @@ def _nelder_mead(
 
         xbar = np.add.reduce(s[:, :-1], 1) / N
         worst = s[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = func(xr, act)
-        nfev[act] += 1
+        cand = np.stack(
+            [
+                (1 + rho) * xbar - rho * worst,  # reflection
+                (1 + rho * chi) * xbar - rho * chi * worst,  # expansion
+                (1 + psi * rho) * xbar - psi * rho * worst,  # outside contraction
+                (1 - psi) * xbar + psi * worst,  # inside contraction
+            ]
+        )
+        fcand = func(cand.reshape(-1, N), np.tile(act, 4)).reshape(4, -1)
+        xr, fxr = cand[0], fcand[0]
 
         expand = fxr < fs[:, 0]
         accept = ~expand & (fxr < fs[:, -2])
         outside = ~expand & ~accept & (fxr < fs[:, -1])
         inside = ~expand & ~accept & ~outside
-        x2 = np.where(
-            expand[:, None],
-            (1 + rho * chi) * xbar - rho * chi * worst,
-            np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst, (1 - psi) * xbar + psi * worst),
-        )
-        f2 = np.full(act.size, np.nan)
-        need = ~accept
-        if need.any():
-            f2[need] = func(x2[need], act[need])
-            nfev[act[need]] += 1
+        second = (np.where(expand, 1, np.where(outside, 2, 3)), np.arange(act.size))
+        x2, f2 = cand[second], fcand[second]
+        nfev[act] += 1 + ~accept
         take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fs[:, -1]))
         take_r = accept | (expand & ~take2)
         shrink = (outside | inside) & ~take2
@@ -266,16 +279,22 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
         return SearchResult(config=cfg, best=None)
 
     feasible = np.isfinite(_objective(U0, cfg, k, target))
+    calls, rows = 1, len(U0)
     runs = [SearchRun(start_feasible=bool(f), nfev=1, nit=0, status="infeasible_start") for f in feasible]
     candidates: List[SearchWitness] = []
     run = np.flatnonzero(feasible)
     if run.size:
         t = target[run]
-        x, nit, nfev, converged = _nelder_mead(
-            lambda U, r: _objective(U, cfg, k, t[r]), U0[run], cfg.maxiter, 1e-10 * cfg.kappa1, 1e-14
-        )
-        kap, ok = _assemble(x, cfg, k, t)
-        M = key_matrix_batch(kap[ok], k, cfg.i - 1, cfg.K)
+
+        def objective(U: np.ndarray, r: np.ndarray) -> np.ndarray:
+            nonlocal calls, rows
+            calls += 1
+            rows += len(U)
+            return _objective(U, cfg, k, t[r])
+
+        x, nit, nfev, converged = _nelder_mead(objective, U0[run], cfg.maxiter, 1e-10 * cfg.kappa1, 1e-14)
+        kap, ok, T1 = _assemble(x, cfg, k, t)
+        M = key_matrix_from_table(kap[ok], T1[ok], k, cfg.i - 1, cfg.K)
         value = np.full(run.size, np.nan)
         vecs = np.full((run.size, cfg.n, cfg.n), np.nan)
         value[ok] = _relmin(M)
@@ -294,18 +313,22 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
                 value=rec.value,
                 xi=[float(v) for v in vecs[j, :, 0]],
             )
-            if wit.value < 0.0:
-                wit.refined_value = float(_relmin(_exact_key(kap[j], cfg, k))[0])
             candidates.append(wit)
 
     candidates.sort(key=lambda w: w.value)
+    ranked = candidates[:10]
+    for wit in ranked:  # only the reported witnesses pay for the exact key matrix
+        if wit.value < 0.0:
+            wit.refined_value = float(_relmin(_exact_key(wit.kappa, cfg, k))[0])
     return SearchResult(
         config=cfg,
-        best=candidates[0] if candidates else None,
-        ranked=candidates[:10],
+        best=ranked[0] if ranked else None,
+        ranked=ranked,
         evaluations=sum(rec.nfev for rec in runs),
         restarts_used=len(candidates),
         runs=runs,
+        objective_calls=calls,
+        objective_rows=rows,
     )
 
 

@@ -124,6 +124,8 @@ class TestSearchCommand:
         assert result["best"] is not None
         assert len(result["runs"]) == 5
         assert sum(run["nfev"] for run in result["runs"]) == result["evaluations"]
+        assert result["objective_rows"] > result["evaluations"]
+        assert 1 <= result["objective_calls"] < result["objective_rows"]
         assert records[-1]["negative_found"] is False
 
     def test_roundoff_negative_is_not_a_failure(self, tmp_path):
@@ -140,8 +142,8 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--i", "9"], ["--i", "0"], ["--restarts", "0"], ["--kappa1", "-5"]],
-        ids=["i-above-n", "i-zero", "no-restarts", "negative-kappa1"],
+        [["--i", "9"], ["--i", "0"], ["--restarts", "0"], ["--kappa1", "-5"], ["--K", "-1"], ["--K", "nan"]],
+        ids=["i-above-n", "i-zero", "no-restarts", "negative-kappa1", "negative-K", "nan-K"],
     )
     def test_invalid_config_exits_2(self, flags, tmp_path, capsys):
         out = tmp_path / "s.jsonl"

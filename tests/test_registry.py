@@ -29,6 +29,8 @@ from symcone import (
 )
 from symcone.cli import main as cli_main
 from symcone.errors import SamplingExhaustedError
+from symcone.quadforms import _relmin, key_matrix_batch
+from symcone.symfun import batch_coeffs_excl
 
 KINDS = {"IDENTITY", "INEQUALITY", "PSD", "ASYMPTOTIC"}
 
@@ -105,6 +107,17 @@ class TestRunCheck:
         assert len(res.details["points"]) == 1
         assert res.verdict == "THRESHOLD"
         assert res.kappa1_star == 1e4
+
+    def test_key_rows_guard_is_sigma_k_minus_1_without_i(self):
+        X = -np.sort(-np.random.default_rng(0).uniform(0.5, 3.0, size=(50, 5)), axis=1)
+        k, i0 = 3, 1
+        s_ii = batch_coeffs_excl(X, (i0,))[:, k - 1]
+        K = 1.0 / np.median(X[:, i0] * s_ii)  # about half the rows pass
+        ok = K * X[:, i0] * s_ii > 1.0
+        out = registry._key_rows(X, k, i0, K)
+        assert 0 < ok.sum() < ok.size
+        assert np.array_equal(np.isinf(out), ~ok)
+        assert out[ok].tobytes() == _relmin(key_matrix_batch(X[ok], k, i0, K)).tobytes()
 
     def test_tolerance_override_can_fail_a_check(self):
         res = run_check("L4_2_id1", n=6, samples=500, seed=0, tol=0.0)

@@ -24,7 +24,7 @@ from symcone import (
 )
 from symcone.cones import SIGMA_RANGE_NOISE_FACTOR
 from symcone.quadforms import _relmin, key_matrix_batch
-from symcone.symfun import batch_coeffs
+from symcone.symfun import batch_coeffs, batch_excl1_table
 
 
 def small_cfg(**kw):
@@ -87,7 +87,21 @@ class TestMinimizeLambda:
         with pytest.raises(InvalidInputError):
             minimize_lambda(SearchConfig(n=5, k=1)).config
 
-    @pytest.mark.parametrize("kw", [dict(i=0), dict(i=6), dict(restarts=0), dict(kappa1=-5.0), dict(kappa1=math.nan)])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(i=0),
+            dict(i=6),
+            dict(restarts=0),
+            dict(kappa1=-5.0),
+            dict(kappa1=math.nan),
+            dict(K=-1.0),
+            dict(K=0.0),
+            dict(K=math.nan),
+            dict(maxiter=0),
+            dict(maxiter=-4),
+        ],
+    )
     def test_invalid_config(self, kw):
         with pytest.raises(InvalidInputError):
             SearchConfig(n=5, **kw)
@@ -114,6 +128,22 @@ class TestMinimizeLambda:
         assert res.best is None and res.ranked == [] and res.restarts_used == 0
         assert [(r.status, r.nfev, r.nit, r.value) for r in res.runs] == [("infeasible_end", 8, 3, None)] * 3
         assert res.evaluations == 24
+        assert (res.objective_calls, res.objective_rows) == (1, 3)  # the start-point check only
+
+    def test_objective_accounting(self):
+        cfg = small_cfg(seed=0, restarts=6)
+        counted = []
+        real = search._objective
+
+        def spy(U, *args):
+            counted.append(len(U))
+            return real(U, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_objective", spy)
+            res = minimize_lambda(cfg)
+        assert (res.objective_calls, res.objective_rows) == (len(counted), sum(counted))
+        assert res.objective_rows > res.evaluations  # the unused speculative points
 
 
 def _objective_of(cfg):
@@ -190,19 +220,52 @@ class TestLockstepNelderMead:
             assert [a[r] for a in together[1:]] == [a[0] for a in alone[1:]]
 
     def test_batch_count_per_step(self):
-        # reflections, one second point per restart, shrinks: at most three
-        # calls per step, plus one for the first simplices
+        # One call for the first simplices; then per step one call on the
+        # four candidate points of every active problem, and a second call
+        # only on the N shrunk vertices of the problems that shrink.  With
+        # N in {2, 3} a shrink call cannot look like the next step's call.
+        valley = np.random.default_rng(2).uniform(-1.5, 1.5, size=(6, 2))
+        valley[1] = 3.0  # an all-+inf simplex
         cfg = small_cfg(restarts=8)
         U0, f = _objective_of(cfg)
+        for X0, func, args in (
+            (valley, _walled_rosenbrock, (120, 1e-8, 1e-10)),
+            (U0, f, (cfg.maxiter, 1e-10 * cfg.kappa1, 1e-14)),
+        ):
+            self._check_step_calls(X0, func, args)
+
+    @staticmethod
+    def _check_step_calls(X0, func, args):
+        R, N = X0.shape
         calls = []
 
         def counted(U, r):
-            calls.append(len(U))
-            return f(U, r)
+            calls.append(r.copy())
+            return func(U, r)
 
-        _, nit, nfev, _ = search._nelder_mead(counted, U0, cfg.maxiter, 1e-10 * cfg.kappa1, 1e-14)
-        assert sum(calls) == nfev.sum()
-        assert len(calls) <= 1 + 3 * (nit.max() - 1)
+        _, nit, nfev, _ = search._nelder_mead(counted, X0, *args)
+        assert np.array_equal(calls[0], np.repeat(np.arange(R), N + 1))
+        steps, shrink_calls, shrunk, j = 0, 0, np.zeros(R, dtype=int), 1
+        while j < len(calls):
+            steps += 1
+            active = np.flatnonzero(nit > steps)  # a problem stopped at nit = m made m - 1 steps
+            assert np.array_equal(calls[j], np.tile(active, 4))
+            j += 1
+            if j < len(calls) and not np.array_equal(calls[j], np.tile(np.flatnonzero(nit > steps + 1), 4)):
+                sh = calls[j][::N]
+                assert sh.size and np.isin(sh, active).all()
+                assert np.array_equal(calls[j], np.repeat(sh, N))
+                shrunk[sh] += 1
+                shrink_calls += 1
+                j += 1
+        assert steps == nit.max() - 1
+        assert shrink_calls > 0
+        assert len(calls) == 1 + steps + shrink_calls <= 1 + 2 * (nit.max() - 1)
+        assert sum(len(c) for c in calls) == (N + 1) * R + 4 * (nit - 1).sum() + N * shrunk.sum()
+        # scipy's count per problem: the reflection, a second point unless
+        # the reflection is accepted, and the shrunk vertices
+        seconds = nfev - (N + 1) - (nit - 1) - N * shrunk
+        assert np.all((0 <= seconds) & (seconds <= nit - 1))
 
 
 @np.errstate(all="ignore")
@@ -254,8 +317,12 @@ class TestAssemble:
         U = np.array([u for u, _ in rows])
         t = np.array([tt for _, tt in rows])
         seen = set()
-        for c in (cfg, small_cfg(K=1e-9)):
-            kap, ok = search._assemble(U, c, 3, t)
+        _, kap0 = _assemble_row(U0[0], cfg, 3, target[0])
+        K_edge = 2.0 / (kap0[1] * batch_coeffs(np.delete(kap0, 1)[None, :])[0, 2])  # row 0 passes by a factor 2
+        for c in (cfg, small_cfg(K=1e-9), small_cfg(K=K_edge)):
+            kap, ok, T1 = search._assemble(U, c, 3, t)
+            with np.errstate(all="ignore"):
+                assert np.array_equal(T1.view(np.uint64), batch_excl1_table(kap).view(np.uint64))
             for j, (u, tt) in enumerate(rows):
                 reason, ref = _assemble_row(u, c, 3, tt)
                 seen.add(reason)
@@ -267,7 +334,7 @@ class TestAssemble:
     def test_objective_is_inf_exactly_where_infeasible(self):
         cfg = small_cfg(seed=0, restarts=6)
         U0, target = search._starts(cfg, 3)
-        _, ok = search._assemble(U0, cfg, 3, target)
+        _, ok, _ = search._assemble(U0, cfg, 3, target)
         f = search._objective(U0, cfg, 3, target)
         assert not ok.all()
         assert np.array_equal(np.isinf(f), ~ok)
