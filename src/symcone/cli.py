@@ -172,8 +172,8 @@ def _environment() -> dict:
 
 def _cmd_verify(args) -> int:
     jobs = resolve_jobs(args.jobs)
-    writer = _Writer(args.out)
     if args.list:
+        writer = _Writer(args.out)
         for check in registry_list():
             writer.emit(
                 {
@@ -209,6 +209,7 @@ def _cmd_verify(args) -> int:
         if n >= REGISTRY[cid].min_n
     ]
 
+    writer = _Writer(args.out)
     writer.emit(
         {
             "record": "manifest",

@@ -171,9 +171,13 @@ def embed_reduced(M: np.ndarray, n: int, i0: int) -> np.ndarray:
     return out
 
 
-def rhs_combination_batch(X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq: bool) -> np.ndarray:
+def rhs_combination_batch(
+    X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq: bool, s_ii: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """s_ii = sigma_{k-1}(kappa|i) of each row, computed when not given."""
     A, Bm, C, D = abcd_batch(X, k, i0)
-    s_ii = batch_coeffs_excl(X, (i0,))[:, k - 1]
+    if s_ii is None:
+        s_ii = batch_coeffs_excl(X, (i0,))[:, k - 1]
     sk = batch_coeffs(X)[:, k]
     denom = K * X[:, i0] * s_ii - 1.0
     if np.any(denom <= 0):
@@ -189,19 +193,23 @@ def rhs_combination_batch(X: np.ndarray, k: int, i0: int, K: float, with_kappa_i
     return denom[:, None, None] * comb
 
 
-def lemma41_gap_batch(X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq: bool) -> np.ndarray:
+def lemma41_gap_batch(
+    X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq: bool, T1: Optional[np.ndarray] = None
+) -> np.ndarray:
     """LHS - RHS of the section-4 matrix inequality, in consistently scaled form.
 
     Both sides are multiplied by kappa_i K (sigma_k^{ii})^2 - sigma_k^{ii}
     (positive whenever c > 0), matching the proof's final line; the result is
     PSD iff  keyform >= (1/sigma_k^{ii}) [alpha A + sigma_k B + C - c D].
+    T1 = batch_excl1_table(X), computed when not given, serves both sides.
     """
     n = X.shape[1]
-    T1 = batch_excl1_table(X)
+    if T1 is None:
+        T1 = batch_excl1_table(X)
     s_ii = T1[:, i0, k - 1]
     mult = X[:, i0] * K * s_ii**2 - s_ii
     lhs = mult[:, None, None] * key_matrix_from_table(X, T1, k, i0, K)
-    rhs = embed_reduced(rhs_combination_batch(X, k, i0, K, with_kappa_i_sq), n, i0)
+    rhs = embed_reduced(rhs_combination_batch(X, k, i0, K, with_kappa_i_sq, s_ii), n, i0)
     return lhs - rhs
 
 

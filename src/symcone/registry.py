@@ -934,11 +934,11 @@ def _rows_gap(X, aux, P):
     k = P["k"]
     i0 = P["i0"]
     K = P["K"]
-    s_ii = order(batch_coeffs_excl(X, (i0,)), k - 1)
-    ok = K * X[:, i0] * s_ii > 1.0
+    T1 = batch_excl1_table(X)
+    ok = K * X[:, i0] * T1[:, i0, k - 1] > 1.0
     out = np.full(X.shape[0], np.inf)
     if np.any(ok):
-        G = lemma41_gap_batch(X[ok], k, i0, K, P["with_kappa_i_sq"])
+        G = lemma41_gap_batch(X[ok], k, i0, K, P["with_kappa_i_sq"], T1[ok])
         out[ok] = _relmin(G)
     return out
 
@@ -1069,6 +1069,10 @@ class RunContext:
     i: int = 2  # 1-based near-top index for regime samplers
     tol: float = INEQUALITY_TOL
     psd_eps: float = PSD_EPS
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise InvalidInputError(f"need samples >= 1, got {self.samples}")
 
 
 @dataclass

@@ -15,9 +15,9 @@ initial simplex, tie order and stopping rule of scipy's
 `_minimize_neldermead`), so batching changes no result.
 
 Any negative finding is re-evaluated on the key matrix computed exactly,
-by the same builder run on `Fraction` entries and rounded once to float, so
-that a rounding artifact of the float kernels is not mistaken for a
-counterexample.
+by the same builder run on integer-scaled entries and rounded once to
+float, so that a rounding artifact of the float kernels is not mistaken for
+a counterexample.
 
 `threshold_bisect` locates the smallest top-curvature scale at which a named
 registry check passes, by bisection on a log grid.
@@ -125,17 +125,20 @@ def _assemble(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> T
         c = batch_coeffs(kap[:, : n - 1])
         denom = c[:, k - 1]
         kap[:, n - 1] = (target - c[:, k]) / denom
-        ok = (denom > 0) & np.all(np.isfinite(kap), axis=1)
-        ok &= ~np.any(kap[:, 1:] > kap[:, :1], axis=1)  # kappa_1 must stay the top entry
+        ok = (denom > 0) & np.isfinite(kap).all(1)
+        ok &= ~(kap[:, 1:] > kap[:, :1]).any(1)  # kappa_1 must stay the top entry
         ok &= kap[:, cfg.i - 1] > kap[:, 0] - np.sqrt(kap[:, 0]) / n
         # sigma_1..sigma_k of kap: the last step of the coefficient DP
         full = c[:, 1 : k + 1] + kap[:, n - 1 :] * c[:, :k]
-        ok &= np.all(full[:, : k - 1] > 0.0, axis=1)
+        ok &= (full[:, : k - 1] > 0.0).all(1)
         # sigma_k equals the solved target up to representation noise; at
         # large scales the recomputed value quantizes in ULPs of the absolute
-        # term sum and its exact sign is meaningless.
-        noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * batch_coeffs(np.abs(kap))[:, k]
-        ok &= full[:, k - 1] > -noise
+        # term sum and its exact sign is meaningless.  The margin is >= 0,
+        # so it can decide only the rows with sigma_k <= 0 (or NaN).
+        low = ok & ~(full[:, k - 1] > 0.0)
+        if low.any():
+            noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * batch_coeffs(np.abs(kap[low]))[:, k]
+            ok[low] = full[low, k - 1] > -noise
         T1 = batch_excl1_table(kap)
         ok &= cfg.K * kap[:, cfg.i - 1] * T1[:, cfg.i - 1, k - 1] > 1.0
     return kap, ok, T1
@@ -152,9 +155,17 @@ def _objective(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> 
 
 def _exact_key(kap: List[float], cfg: SearchConfig, k: int) -> np.ndarray:
     """The key matrix computed in exact rational arithmetic from the float
-    entries of kap, each entry then rounded once to float."""
-    X = np.array([[Fraction(float(v)) for v in kap]], dtype=object)
-    return key_matrix_batch(X, k, cfg.i - 1, Fraction(cfg.K)).astype(float)
+    entries of kap, each entry then rounded once to float.
+
+    Every float is a dyadic rational, so with D the largest denominator the
+    entries kap*D are integers.  The key matrix is homogeneous, M(D kap,
+    K D^-k) = D^(k-1) M(kap, K), so the builder runs on integers (only the
+    K term is a Fraction) and one division recovers the same rationals."""
+    q = [Fraction(float(v)) for v in kap]
+    D = max(f.denominator for f in q)
+    X = np.array([[f.numerator * (D // f.denominator) for f in q]], dtype=object)
+    M = key_matrix_batch(X, k, cfg.i - 1, Fraction(cfg.K) / D**k)
+    return (M / D ** (k - 1)).astype(float)
 
 
 def _nelder_mead(
@@ -183,70 +194,69 @@ def _nelder_mead(
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
     R, N = x0.shape
-    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    s = np.repeat(x0[:, None, :], N + 1, axis=1)
     j = np.arange(N)
-    sim[:, j + 1, j] = np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt)
-    fsim = func(sim.reshape(-1, N), np.repeat(np.arange(R), N + 1)).reshape(R, N + 1)
-    nfev = np.full(R, N + 1)
+    s[:, j + 1, j] = np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt)
+    ar = np.arange(R)
+    fs = func(s.reshape(-1, N), np.repeat(ar, N + 1)).reshape(R, N + 1)
     for _ in range(2):  # scipy sorts the first simplex twice; ties among +inf can move
-        ind = np.argsort(fsim, axis=1)
-        sim = np.take_along_axis(sim, ind[:, :, None], 1)
-        fsim = np.take_along_axis(fsim, ind, 1)
-    nit = np.ones(R, dtype=int)
-    converged = np.zeros(R, dtype=bool)
-
-    while True:
-        act = np.flatnonzero(~converged & (nit < maxiter))
-        if not act.size:
-            break
-        s, fs = sim[act], fsim[act]
-        with np.errstate(invalid="ignore"):  # inf - inf at the walls
-            done = (np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol) & (
-                np.max(np.abs(fs[:, :1] - fs[:, 1:]), axis=1) <= fatol
-            )
-        converged[act[done]] = True
-        act, s, fs = act[~done], s[~done], fs[~done]
-        if not act.size:
-            break
-
-        xbar = np.add.reduce(s[:, :-1], 1) / N
-        worst = s[:, -1]
-        cand = np.stack(
-            [
-                (1 + rho) * xbar - rho * worst,  # reflection
-                (1 + rho * chi) * xbar - rho * chi * worst,  # expansion
-                (1 + psi * rho) * xbar - psi * rho * worst,  # outside contraction
-                (1 - psi) * xbar + psi * worst,  # inside contraction
-            ]
-        )
-        fcand = func(cand.reshape(-1, N), np.tile(act, 4)).reshape(4, -1)
-        xr, fxr = cand[0], fcand[0]
-
-        expand = fxr < fs[:, 0]
-        accept = ~expand & (fxr < fs[:, -2])
-        outside = ~expand & ~accept & (fxr < fs[:, -1])
-        inside = ~expand & ~accept & ~outside
-        second = (np.where(expand, 1, np.where(outside, 2, 3)), np.arange(act.size))
-        x2, f2 = cand[second], fcand[second]
-        nfev[act] += 1 + ~accept
-        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fs[:, -1]))
-        take_r = accept | (expand & ~take2)
-        shrink = (outside | inside) & ~take2
-        s[take_r, -1], fs[take_r, -1] = xr[take_r], fxr[take_r]
-        s[take2, -1], fs[take2, -1] = x2[take2], f2[take2]
-        if shrink.any():
-            sh = s[shrink]
-            sh[:, 1:] = sh[:, :1] + sigma * (sh[:, 1:] - sh[:, :1])
-            s[shrink] = sh
-            fs[shrink, 1:] = func(sh[:, 1:].reshape(-1, N), np.repeat(act[shrink], N)).reshape(-1, N)
-            nfev[act[shrink]] += N
-
-        nit[act] += 1
         ind = np.argsort(fs, axis=1)
-        sim[act] = np.take_along_axis(s, ind[:, :, None], 1)
-        fsim[act] = np.take_along_axis(fs, ind, 1)
+        s, fs = s[ar[:, None], ind], fs[ar[:, None], ind]
 
-    return sim[:, 0], nit, nfev, converged
+    # s, fs and nf hold the active problems act only; a problem's results
+    # are written out when it stops.  Active problems share their iteration
+    # count, so only convergence can shrink the active set.
+    x, nit, nfev = np.empty((R, N)), np.full(R, maxiter), np.empty(R, dtype=int)
+    converged = np.zeros(R, dtype=bool)
+    act, nf, r4 = ar, np.full(R, N + 1), np.tile(ar, 4)
+    with np.errstate(invalid="ignore"):  # inf - inf at the walls
+        for it in range(1, maxiter):
+            done = np.maximum.reduce(np.abs(fs[:, :1] - fs[:, 1:]), axis=1) <= fatol
+            if done.any():  # the vertex test only where the value test holds
+                done[done] = np.maximum.reduce(np.abs(s[done, 1:] - s[done, :1]), axis=(1, 2)) <= xatol
+                if done.any():
+                    stop = act[done]
+                    converged[stop], nit[stop], x[stop], nfev[stop] = True, it, s[done, 0], nf[done]
+                    act, s, fs, nf = act[~done], s[~done], fs[~done], nf[~done]
+                    if not act.size:
+                        break
+                    ar, r4 = np.arange(act.size), np.tile(act, 4)
+
+            xbar = np.add.reduce(s[:, :-1], 1) / N
+            worst = s[:, -1]
+            cand = np.empty((4,) + xbar.shape)
+            np.subtract((1 + rho) * xbar, rho * worst, out=cand[0])  # reflection
+            np.subtract((1 + rho * chi) * xbar, rho * chi * worst, out=cand[1])  # expansion
+            np.subtract((1 + psi * rho) * xbar, psi * rho * worst, out=cand[2])  # outside contraction
+            np.add((1 - psi) * xbar, psi * worst, out=cand[3])  # inside contraction
+            fcand = func(cand.reshape(-1, N), r4).reshape(4, -1)
+            fxr = fcand[0]
+
+            expand = fxr < fs[:, 0]
+            accept = ~expand & (fxr < fs[:, -2])
+            outside = ~expand & ~accept & (fxr < fs[:, -1])
+            inside = ~expand & ~accept & ~outside
+            second = np.where(expand, 1, np.where(outside, 2, 3))
+            f2 = fcand[second, ar]
+            nf += 1 + ~accept
+            take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fs[:, -1]))
+            shrink = (outside | inside) & ~take2
+            # The worst vertex becomes the second point or else the
+            # reflection, except where the simplex shrinks.
+            new = np.where(take2, second, 0)
+            s[:, -1] = np.where(shrink[:, None], worst, cand[new, ar])
+            fs[:, -1] = np.where(shrink, fs[:, -1], fcand[new, ar])
+            if shrink.any():
+                sh = s[shrink]
+                sh[:, 1:] = sh[:, :1] + sigma * (sh[:, 1:] - sh[:, :1])
+                s[shrink] = sh
+                fs[shrink, 1:] = func(sh[:, 1:].reshape(-1, N), np.repeat(act[shrink], N)).reshape(-1, N)
+                nf[shrink] += N
+
+            ind = np.argsort(fs, axis=1)
+            s, fs = s[ar[:, None], ind], fs[ar[:, None], ind]
+    x[act], nfev[act] = s[:, 0], nf
+    return x, nit, nfev, converged
 
 
 def _starts(cfg: SearchConfig, k: int) -> Tuple[np.ndarray, np.ndarray]:

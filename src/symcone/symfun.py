@@ -228,9 +228,18 @@ def order(T: np.ndarray, t: int) -> np.ndarray:
 
 
 def batch_coeffs(X: np.ndarray) -> np.ndarray:
-    """sigma_m for every row: X (B, n) -> (B, n+1)."""
-    n = X.shape[1]
-    return np.ascontiguousarray(_dp(X, np.arange(n)[None, :], n)[:, 0, :].T)
+    """sigma_m for every row: X (B, n) -> (B, n+1).
+
+    `_dp` over the one set of all columns, without its per-step gather of
+    the kept columns: the same multiply-adds in the same order, so the same
+    bits."""
+    B, n = X.shape
+    c = np.zeros((n + 1, B), dtype=X.dtype)
+    c[0] = 1  # an int, as in `_dp`
+    XT = np.ascontiguousarray(X.T)
+    for t in range(n):
+        c[1 : t + 2] += XT[t] * c[: t + 1]
+    return np.ascontiguousarray(c.T)
 
 
 def batch_coeffs_excl(X: np.ndarray, cols) -> np.ndarray:

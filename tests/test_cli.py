@@ -100,6 +100,14 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: need jobs >= 1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("check", ["newton", "C3_1_key"])  # a fixed and an asymptotic check
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    def test_samples_below_one_exits_2(self, check, samples, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", "--only", check, "--n", "5", "--samples", samples, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: need samples >= 1")
+        assert not out.exists()
+
     def test_float_round_trip(self, tmp_path):
         out = tmp_path / "r.jsonl"
         main(["verify", "--only", "newton", "--n", "6", "--samples", "300", "--out", str(out)])
@@ -170,6 +178,14 @@ class TestThresholdCommand:
     def test_unknown_check(self, tmp_path):
         out = tmp_path / "t.jsonl"
         assert main(["threshold", "--check", "bogus", "--n", "5", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    def test_samples_below_one_exits_2(self, samples, tmp_path):
+        out = tmp_path / "t.jsonl"
+        assert main(["threshold", "--check", "L3_2", "--n", "5", "--samples", samples, "--out", str(out)]) == 2
+        records = read_jsonl(out)
+        assert records[-1] == {"record": "summary", "error": f"need samples >= 1, got {samples}"}
+        assert not any(r["record"] == "result" for r in records)
 
 
 @pytest.mark.parametrize(

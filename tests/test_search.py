@@ -70,6 +70,21 @@ class TestMinimizeLambda:
             M = key_matrix_batch(F, 3, cfg.i - 1, Fraction(cfg.K)).astype(float)
             assert w.refined_value == _relmin(M)[0]
 
+    @pytest.mark.parametrize("K", [1e3, 0.1])  # 0.1 has the denominator 2**55
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_exact_key_on_integers_is_the_fraction_builder(self, n, K):
+        # The integer-scaled builder against the Fraction one, on start
+        # points and on a row whose entries span 1e4 down to 1e-300.
+        for k in (n - 2, n - 1):
+            cfg = SearchConfig(n=n, k=k, K=K, kappa1=1e4, restarts=2, seed=n)
+            U0, target = search._starts(cfg, k)
+            kap, _, _ = search._assemble(U0, cfg, k, target)
+            wide = [1e4, 9999.5, 3.0, -2.5, 1e-300, 0.1, 7.0, -0.0, 1.0 / 3.0][:n]
+            for row in [*kap.tolist(), wide]:
+                F = np.array([[Fraction(v) for v in row]], dtype=object)
+                want = key_matrix_batch(F, k, cfg.i - 1, Fraction(K)).astype(float)
+                assert np.array_equal(search._exact_key(row, cfg, k).view(np.uint64), want.view(np.uint64))
+
     def test_deterministic(self):
         a = minimize_lambda(small_cfg(seed=4))
         b = minimize_lambda(small_cfg(seed=4))
@@ -303,9 +318,12 @@ class TestAssemble:
         U0, target = search._starts(cfg, 3)
         s, p = -8000.0, 1.0 - 999000.0 + 1999.0 * 8000.0  # sigma_2 of the first four is 1, sigma_1 < 0
         d = math.sqrt(s * s - 4.0 * p)
+        _, kap0 = _assemble_row(U0[0], cfg, 3, target[0])
+        margin = SIGMA_RANGE_NOISE_FACTOR * np.finfo(float).eps * batch_coeffs(np.abs(kap0)[None, :])[0, 3]
         rows = [
             (U0[0], target[0]),
             (U0[1], target[1]),
+            (U0[0], -0.25 * margin),  # sigma_k <= 0, feasible only through the noise margin
             (np.zeros(3), 2.0),
             (np.array([999.0, np.nan, 1.0]), 2.0),
             (np.array([999.0, 1e300, 1e300]), 2.0),
@@ -317,7 +335,8 @@ class TestAssemble:
         U = np.array([u for u, _ in rows])
         t = np.array([tt for _, tt in rows])
         seen = set()
-        _, kap0 = _assemble_row(U0[0], cfg, 3, target[0])
+        reason, ref = _assemble_row(rows[2][0], cfg, 3, rows[2][1])
+        assert reason == "feasible" and batch_coeffs(ref[None, :])[0, 3] <= 0.0
         K_edge = 2.0 / (kap0[1] * batch_coeffs(np.delete(kap0, 1)[None, :])[0, 2])  # row 0 passes by a factor 2
         for c in (cfg, small_cfg(K=1e-9), small_cfg(K=K_edge)):
             kap, ok, T1 = search._assemble(U, c, 3, t)

@@ -312,6 +312,30 @@ class TestBatchTables:
                         assert np.array_equal(_bits(P[t][:, p, q]), _bits(ref[:, t]))
                         assert np.array_equal(_bits(P[t][:, q, p]), _bits(ref[:, t]))
 
+    def test_coeffs_single_set_path_is_the_kernel(self):
+        # batch_coeffs skips the kernel's gather; the bits must not move,
+        # signed zeros, infinities and NaNs included.
+        X = _rows(6, 40)
+        X[0] = [0.0, -0.0, 1.0, -0.0, 2.0, -3.0]
+        X[1] = -0.0
+        X[2] = [np.inf, 0.0, 1.0, -1.0, 2.0, 3.0]
+        X[3] = [-np.inf, np.inf, 1.0, 0.0, -0.0, 1.0]
+        X[4] = [np.nan, 1.0, 2.0, 3.0, 4.0, 5.0]
+        X[5] = [1.0, 2.0, -0.0, np.nan, np.inf, -np.inf]
+        with np.errstate(all="ignore"):
+            ref = symfun._dp(X, np.arange(6)[None, :], 6)[:, 0, :].T
+            assert np.array_equal(_bits(batch_coeffs(X)), _bits(ref))
+
+    def test_coeffs_single_set_path_on_objects(self):
+        ints = np.array([[3, -1, 0, 7, 2], [0, 0, 5, -4, 1]], dtype=object)
+        for X in (ints, _fraction_rows(5, 3)):
+            c = batch_coeffs(X)
+            ref = symfun._dp(X, np.arange(5)[None, :], 5)[:, 0, :].T
+            assert c.dtype == object and c.shape == ref.shape
+            assert [type(e) for e in c.flat] == [type(e) for e in ref.flat]
+            assert (c == ref).all()
+        assert all(type(e) is int for e in batch_coeffs(ints).flat)
+
     def test_order_slices_last_axis_and_zero_fills(self):
         T = batch_excl1_table(_rows(5, 4))
         assert np.array_equal(order(T, 2), T[:, :, 2])
