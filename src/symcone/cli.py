@@ -208,6 +208,9 @@ def _cmd_verify(args) -> int:
         for cid in ids
         if n >= REGISTRY[cid].min_n
     ]
+    if not requests:
+        print(f"error: no requested check applies to n={','.join(map(str, args.n))}", file=sys.stderr)
+        return 2
 
     writer = _Writer(args.out)
     writer.emit(

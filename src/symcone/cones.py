@@ -31,7 +31,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, SamplingExhaustedError
-from .symfun import _as_vector, batch_coeffs, sigma
+from .symfun import _as_vector, batch_coeffs, batch_coeffs_t, sigma
 
 __all__ = [
     "ConeVariant",
@@ -134,6 +134,13 @@ def normalize_sigma_k(kappa, k: int, target: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _descending(X: np.ndarray) -> np.ndarray:
+    """Sort the rows of the C-contiguous X descending, in place; -sort(-X)."""
+    np.negative(X, out=X)
+    X.sort(axis=1)
+    return np.negative(X, out=X)
+
+
 def _candidates(
     rng: np.random.Generator,
     B: int,
@@ -143,34 +150,32 @@ def _candidates(
     near_top: Optional[int],
     solve_range: Optional[Tuple[float, float]],
 ) -> np.ndarray:
-    """One batch of candidate vectors, sorted descending (feasibility unchecked)."""
-    X = np.empty((B, n))
-    X[:, 0] = kappa1 * (1.0 + rng.uniform(-0.005, 0.005, B))
-    sq = np.sqrt(X[:, 0]) / n
+    """One batch of candidate vectors, sorted descending (feasibility unchecked).
+
+    Entries are drawn column by column into the rows of a (n, B) block."""
+    XT = np.empty((n, B))
+    np.multiply(kappa1, 1.0 + rng.uniform(-0.005, 0.005, B), out=XT[0])
+    sq = np.sqrt(XT[0]) / n
     lo_scale = kappa1 / n
     for j in range(1, n - 1 if solve_range is not None else n):
         if near_top is not None and j < near_top:
             # pin positions 2..i strictly inside (kappa1 - sqrt(kappa1)/n, kappa1)
-            X[:, j] = X[:, 0] - rng.uniform(0.0, 1.0, B) * sq
+            np.subtract(XT[0], rng.uniform(0.0, 1.0, B) * sq, out=XT[j])
         elif j < k or solve_range is not None:
-            X[:, j] = np.exp(rng.uniform(math.log(lo_scale), math.log(kappa1 * 0.9), B))
+            np.exp(rng.uniform(math.log(lo_scale), math.log(kappa1 * 0.9), B), out=XT[j])
             if j >= k:  # a quarter of the solved draw's tail entries turn negative
-                flip = rng.uniform(size=B) < 0.25
-                X[flip, j] = -0.3 * X[flip, j]
+                XT[j] *= np.where(rng.uniform(size=B) < 0.25, -0.3, 1.0)
         else:
-            X[:, j] = rng.uniform(-0.95 * (n - k) * kappa1 / k, kappa1, B)
+            XT[j] = rng.uniform(-0.95 * (n - k) * kappa1 / k, kappa1, B)
     if solve_range is not None:
         lo, hi = solve_range
         target = np.exp(rng.uniform(math.log(lo), math.log(hi), B))
-        pre = X[:, : n - 1]
-        c = batch_coeffs(pre)
-        denom = c[:, k - 1].copy()
-        bad = denom <= 0
-        denom[bad] = 1.0
-        X[:, n - 1] = (target - c[:, k]) / denom
-        X[bad, n - 1] = np.inf  # rejected downstream as unsorted/non-member
-    X = -np.sort(-X, axis=1)
-    return X
+        c = batch_coeffs_t(XT[: n - 1])
+        bad = c[k - 1] <= 0
+        # a row without a positive slope gets an infinite last entry, which
+        # the finite check of `_feasible_mask` rejects
+        XT[n - 1] = np.where(bad, np.inf, (target - c[k]) / np.where(bad, 1.0, c[k - 1]))
+    return _descending(np.ascontiguousarray(XT.T))
 
 
 def _feasible_mask(
@@ -180,29 +185,49 @@ def _feasible_mask(
     near_top: Optional[int],
     sigma_range: Optional[Tuple[float, float]],
     counts: dict,
+    predicate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
+    """Keep-mask of the rows of X that meet every constraint, with each
+    rejection counted under the first constraint that fails it.
+
+    The constraints run on the columns of X.T, one contiguous elementwise op
+    each.  The sigma_k(|kappa|) noise margin can only decide a live row whose
+    sigma_k lies outside the window, so its DP runs on those rows alone.
+    `predicate`, if given, gets the surviving columns and their sigma table
+    (see `sample_batch`).
+    """
     B, n = X.shape
-    ok = np.all(np.isfinite(X), axis=1)
-    counts["finite"] += int(B - ok.sum())
-    c = batch_coeffs(np.where(ok[:, None], X, 0.0))
-    member = np.all(c[:, 1 : k + 1] > 0.0, axis=1)
-    counts["gamma_k"] += int((ok & ~member).sum())
-    ok &= member
-    m = np.abs(X[:, 0] - kappa1) <= 0.01 * kappa1
-    counts["kappa1_target"] += int((ok & ~m).sum())
+    XT = np.ascontiguousarray(X.T)
+    ok = np.isfinite(XT).all(axis=0)
+    live = int(np.count_nonzero(ok))
+    counts["finite"] += B - live
+    c = batch_coeffs_t(XT if live == B else np.where(ok, XT, 0.0))
+    m = (c[1 : k + 1] > 0.0).all(axis=0)
+    counts["gamma_k"] += int(np.count_nonzero(ok & ~m))
+    ok &= m
+    m = np.abs(XT[0] - kappa1) <= 0.01 * kappa1
+    counts["kappa1_target"] += int(np.count_nonzero(ok & ~m))
     ok &= m
     if near_top is not None:
         with np.errstate(invalid="ignore"):  # rows already rejected as non-finite
-            m = X[:, near_top - 1] > X[:, 0] - np.sqrt(np.maximum(X[:, 0], 0.0)) / n
-        m &= ok
-        counts["near_top"] += int((ok & ~m).sum())
+            m = XT[near_top - 1] > XT[0] - np.sqrt(np.maximum(XT[0], 0.0)) / n
+        counts["near_top"] += int(np.count_nonzero(ok & ~m))
         ok &= m
     if sigma_range is not None:
         lo, hi = sigma_range
-        noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * batch_coeffs(np.abs(X))[:, k]
-        m = (c[:, k] >= lo - noise) & (c[:, k] <= hi + noise)
-        counts["sigma_k_range"] += int((ok & ~m).sum())
+        sk = c[k]
+        m = (sk >= lo) & (sk <= hi)
+        out = np.flatnonzero(ok & ~m)
+        if out.size:
+            noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * batch_coeffs_t(np.abs(XT[:, out]), k)[k]
+            m[out] = (sk[out] >= lo - noise) & (sk[out] <= hi + noise)
+        counts["sigma_k_range"] += int(np.count_nonzero(ok & ~m))
         ok &= m
+    if predicate is not None and ok.any():
+        rows = np.flatnonzero(ok)
+        m = predicate(XT[:, rows], c[:, rows])
+        counts["predicate"] += rows.size - int(np.count_nonzero(m))
+        ok[rows] = m
     return ok
 
 
@@ -250,13 +275,14 @@ def sample_batch(
     kappa1: float,
     near_top_index: Optional[int] = None,
     sigma_k_range: Optional[Tuple[float, float]] = None,
-    predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    predicate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     max_attempts: int = 100_000,
 ) -> np.ndarray:
     """Draw `count` feasible vectors (rows sorted descending) or raise.
 
-    `predicate`, if given, maps a (B, n) block of feasible rows to a boolean
-    keep-mask (used for case conditioning by the lemma registry).
+    `predicate`, if given, maps a block of feasible vectors, as the columns
+    of XT (n, B), and their sigma table c (n + 1, B), c[m] = sigma_m, to a
+    boolean keep-mask (used for case conditioning by the lemma registry).
     """
     counts = {
         "finite": 0,
@@ -269,12 +295,7 @@ def sample_batch(
 
     def draw(B: int) -> np.ndarray:
         X = _candidates(rng, B, n, k, kappa1, near_top_index, sigma_k_range)
-        X = X[_feasible_mask(X, k, kappa1, near_top_index, sigma_k_range, counts)]
-        if predicate is not None and X.shape[0]:
-            keep = predicate(X)
-            counts["predicate"] += int(X.shape[0] - keep.sum())
-            X = X[keep]
-        return X
+        return X[_feasible_mask(X, k, kappa1, near_top_index, sigma_k_range, counts, predicate)]
 
     return rejection_sample(
         draw, count, lambda left, room: min(_BATCH, max(64, 4 * left), room), max_attempts, counts, "sampling"

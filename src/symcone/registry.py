@@ -18,7 +18,8 @@ min slack >= -psd_eps (matrix checks, default 1e-8).  A sampler that cannot
 realize its hypothesis reports ERROR with the rejection breakdown.  A
 fixed-kind check also reports ERROR when no row was evaluated or any slack
 is NaN; NaN rows are counted in `details["nonfinite_rows"]`, and in an
-asymptotic sweep a NaN fails its grid point.
+asymptotic sweep a NaN fails its grid point.  A sweep whose top point
+evaluated no row at all reports ERROR as well.
 
 Rows whose sample falls outside a check's stated hypothesis (for example the
 derived constant c requires K kappa_i sigma_{k-1}(kappa|i) > 1) are excluded
@@ -44,7 +45,15 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from .cones import SIGMA_K_WINDOW, make_rng, rejection_sample, sample_bar_batch, sample_batch
+from .cones import (
+    SIGMA_K_WINDOW,
+    _descending,
+    _feasible_mask,
+    make_rng,
+    rejection_sample,
+    sample_bar_batch,
+    sample_batch,
+)
 from .errors import DomainError, InvalidInputError, SamplingExhaustedError, SymconeError
 from .quadforms import (
     _relmin,
@@ -55,7 +64,7 @@ from .quadforms import (
     key_matrix_from_table,
     lemma41_gap_batch,
 )
-from .symfun import batch_coeffs, batch_coeffs_excl, batch_excl1_table, batch_excl2_table, order
+from .symfun import batch_coeffs, batch_coeffs_excl, batch_coeffs_t, batch_excl1_table, batch_excl2_table, order
 
 __all__ = [
     "CaseLabel",
@@ -132,16 +141,24 @@ def classify_masks(X: np.ndarray, i0: int) -> Dict[str, np.ndarray]:
     delta_0 = 1/(32 n (n-2)).  The seam sigma_{n-2}(kappa|i) = 0 belongs to C.
     B1 and B2 may overlap; membership is reported for all of them.
     """
-    B, n = X.shape
-    cb = batch_coeffs_excl(X, (i0,))
-    sbar = order(cb, n - 2)
-    s3bar = order(cb, n - 3)
-    sk = batch_coeffs(X)[:, n - 2]
+    XT = np.ascontiguousarray(X.T)
+    return _case_masks(XT, batch_coeffs_t(XT), i0)
+
+
+def _case_masks(XT: np.ndarray, c: np.ndarray, i0: int) -> Dict[str, np.ndarray]:
+    """`classify_masks` on the columns of XT (n, B), given their sigma table c."""
+    n = XT.shape[0]
+    cb = batch_coeffs_t(np.delete(XT, i0, axis=0))
+    sbar, s3bar = cb[n - 2], cb[n - 3]
+    sk = c[n - 2]
     d0 = 1.0 / (32.0 * n * (n - 2))
-    A = (sbar <= 0.0) & (X[:, n - 2] <= 0.0)
-    Breg = (sbar <= 0.0) & (X[:, n - 1] < 0.0) & (X[:, n - 2] > 0.0)
-    b1 = X[:, i0] * s3bar >= (1.0 + d0) * sk
-    b2 = np.prod(X[:, : n - 2], axis=1) >= 2.0 * (n - 2) * sk
+    top = XT[0].copy()
+    for j in range(1, n - 2):
+        top *= XT[j]
+    A = (sbar <= 0.0) & (XT[n - 2] <= 0.0)
+    Breg = (sbar <= 0.0) & (XT[n - 1] < 0.0) & (XT[n - 2] > 0.0)
+    b1 = XT[i0] * s3bar >= (1.0 + d0) * sk
+    b2 = top >= 2.0 * (n - 2) * sk
     return {
         "A": A,
         "B1": Breg & b1,
@@ -168,11 +185,13 @@ def classify_case(kappa, i: int) -> CaseLabel:
 
 
 def _case_predicate(i0: int, cases: Tuple[str, ...]):
-    def pred(X: np.ndarray) -> np.ndarray:
-        masks = classify_masks(X, i0)
-        keep = np.zeros(X.shape[0], dtype=bool)
-        for c in cases:
-            keep |= masks[c]
+    """A `sample_batch` predicate keeping the columns that fall in any of `cases`."""
+
+    def pred(XT: np.ndarray, c: np.ndarray) -> np.ndarray:
+        masks = _case_masks(XT, c, i0)
+        keep = np.zeros(XT.shape[1], dtype=bool)
+        for name in cases:
+            keep |= masks[name]
         return keep
 
     return pred
@@ -196,11 +215,11 @@ def _draw_gamma(rng, B: int, n: int, k: int, force_neg: int = 0, barred: bool = 
         else:
             X[:, n - 1] = rng.uniform(-0.5, 1.0, blk) * top
         X = -np.sort(-X, axis=1)
-        c = batch_coeffs(X)
+        c = batch_coeffs_t(np.ascontiguousarray(X.T))
         if barred:
-            keep = np.all(c[:, 1:k] > 0.0, axis=1) & (c[:, k] >= 0.0)
+            keep = (c[1:k] > 0.0).all(axis=0) & (c[k] >= 0.0)
         else:
-            keep = np.all(c[:, 1 : k + 1] > 0.0, axis=1)
+            keep = (c[1 : k + 1] > 0.0).all(axis=0)
         counts["membership"] += int(blk - keep.sum())
         return X[keep]
 
@@ -244,14 +263,20 @@ def _sampler_l59(P, rng, B):
         X[:, 0] = 10.0 ** rng.uniform(0.5, 4.0, blk)
         X[:, 1:] = rng.uniform(-0.95 * 2.0 / (n - 2), 1.0, (blk, n - 1)) * X[:, :1]
         X = -np.sort(-X, axis=1)
-        c = batch_coeffs(X)
-        member = np.all(c[:, 1 : k + 1] > 0.0, axis=1)
+        c = batch_coeffs_t(np.ascontiguousarray(X.T))
+        member = (c[1 : k + 1] > 0.0).all(axis=0)
         counts["membership"] += int(blk - member.sum())
         hyp = (-X[:, n - 1] >= 0.1 * X[:, 0]) | (X[:, n - 2] >= 0.1 * X[:, 0])
         counts["hypothesis"] += int((member & ~hyp).sum())
         return X[member & hyp]
 
     return rejection_sample(draw, B, lambda left, room: _BLOCK, _SAMPLER_BUDGET, counts, "scale sampler"), {}
+
+
+def _uniform(u: np.ndarray, low, high) -> np.ndarray:
+    """`Generator.uniform(low, high)` on the standard draws u of `rng.random`:
+    numpy computes low + (high - low) * u, so the bits are the same."""
+    return low + (high - low) * u
 
 
 def _sampler_tail_cases(P, rng, B):
@@ -265,8 +290,6 @@ def _sampler_tail_cases(P, rng, B):
     then roots of a quadratic.  Draws with a negative discriminant or a
     failed feasibility re-check are rejected.
     """
-    from .cones import _feasible_mask  # local import to avoid cycle at module load
-
     n = P["n"]
     k = n - 2
     k1 = P["kappa1"]
@@ -277,49 +300,54 @@ def _sampler_tail_cases(P, rng, B):
         "finite": 0, "gamma_k": 0, "kappa1_target": 0, "near_top": 0,
         "sigma_k_range": 0, "predicate": 0, "discriminant": 0,
     }
+    nm = n - 4
+    log_st = tuple(map(math.log, SIGMA_K_WINDOW))
+    log_mid = math.log(0.9 * k1)
+    lo_e = min(-12.0, -3.0 * math.log10(k1) - 2.0)
+    hi_e = math.log10(d0)
 
     def draw(blk):
-        kap1 = k1 * (1.0 + rng.uniform(-0.005, 0.005, blk))
-        ki = kap1 - rng.uniform(0.0, 1.0, blk) * np.sqrt(kap1) / n
-        nm = n - 4
-        st = np.exp(rng.uniform(*map(math.log, SIGMA_K_WINDOW), blk))  # sigma_k target
+        # One `rng.random` fill per block, read in draw order: the kappa_1
+        # jitter, the kappa_i offset, the sigma_k target, the (draw, entry)
+        # middle magnitudes and then their signs, the sign of T1, its magnitude.
+        u = rng.random((5 + 2 * nm, blk))
+        kap1 = k1 * (1.0 + _uniform(u[0], -0.005, 0.005))
+        ki = kap1 - u[1] * np.sqrt(kap1) / n  # uniform(0, 1) is u itself
+        st = np.exp(_uniform(u[2], *log_st))  # sigma_k target
         # The discriminant of the root quadratic is only nonnegative when the
         # middle entries are O(sigma_k / kappa_1^2) and (for positive targets)
         # |T1| = O(sigma_k^2 / kappa_1^3); span those windows in log scale.
         lo_m = np.log(st * 1e-4 / (k1 * k1))
-        mids = np.exp(rng.uniform(lo_m[:, None], math.log(0.9 * k1), (blk, nm)))
-        flip = rng.uniform(size=(blk, nm)) < 0.5
-        mids[flip] *= -1.0
-        pre = np.concatenate([kap1[:, None], mids], axis=1)  # reduced prefix, n-3 entries
-        cp = batch_coeffs(pre)
-        s5, s4, s3 = order(cp, n - 5), order(cp, n - 4), order(cp, n - 3)
-        sgn = np.where(rng.uniform(size=blk) < 0.5, 1.0, -1.0)
-        lo_e = min(-12.0, -3.0 * math.log10(k1) - 2.0)
-        T1 = sgn * st * 10.0 ** rng.uniform(lo_e, math.log10(d0), blk)
+        mids = np.exp(_uniform(u[3 : 3 + nm].reshape(blk, nm), lo_m[:, None], log_mid))
+        mids *= np.where(u[3 + nm : 3 + 2 * nm].reshape(blk, nm) < 0.5, -1.0, 1.0)
+        pre = np.empty((n - 3, blk))  # reduced prefix, one column per draw
+        pre[0] = kap1
+        pre[1:] = mids.T
+        cp = batch_coeffs_t(pre)
+        s5, s4, s3 = cp[n - 5], cp[n - 4], cp[n - 3]
+        sgn = np.where(u[3 + 2 * nm] < 0.5, 1.0, -1.0)
+        T1 = sgn * st * 10.0 ** _uniform(u[4 + 2 * nm], lo_e, hi_e)
         T2 = (st - T1) / ki
         det = s4 * s4 - s5 * s3
         safe = np.abs(det) > 0.0
         det = np.where(safe, det, 1.0)
-        u = (s4 * (T2 - s3) - s5 * (T1 - order(cp, n - 2))) / det
-        v = (s4 * (T1 - order(cp, n - 2)) - s3 * (T2 - s3)) / det
-        disc = u * u - 4.0 * v
+        # x + y and x y; sigma_{n-2} of the n-3 prefix entries is zero
+        xs = (s4 * (T2 - s3) - s5 * T1) / det
+        xp = (s4 * T1 - s3 * (T2 - s3)) / det
+        disc = xs * xs - 4.0 * xp
         safe &= disc >= 0.0
-        counts["discriminant"] += int(blk - safe.sum())
-        r = np.sqrt(np.where(safe, disc, 0.0))
-        X = np.concatenate(
-            [pre, ((u + r) / 2.0)[:, None], ((u - r) / 2.0)[:, None], ki[:, None]], axis=1
-        )
-        X = -np.sort(-X, axis=1)
-        X = X[safe]
-        if not X.shape[0]:
-            return X
-        ok = _feasible_mask(X, k, k1, i0 + 1, SIGMA_K_WINDOW, counts)
-        X = X[ok]
-        if X.shape[0]:
-            keep = pred(X)
-            counts["predicate"] += int(X.shape[0] - keep.sum())
-            X = X[keep]
-        return X
+        rows = np.flatnonzero(safe)
+        counts["discriminant"] += blk - rows.size
+        if not rows.size:
+            return np.empty((0, n))
+        xs, r = xs[rows], np.sqrt(disc[rows])
+        XT = np.empty((n, rows.size))
+        XT[: n - 3] = pre[:, rows]
+        XT[n - 3] = (xs + r) / 2.0
+        XT[n - 2] = (xs - r) / 2.0
+        XT[n - 1] = ki[rows]
+        X = _descending(np.ascontiguousarray(XT.T))
+        return X[_feasible_mask(X, k, k1, i0 + 1, SIGMA_K_WINDOW, counts, pred)]
 
     return rejection_sample(draw, B, lambda left, room: 4096, _SAMPLER_BUDGET, counts, "tail-case sampler"), {}
 
@@ -1073,6 +1101,8 @@ class RunContext:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise InvalidInputError(f"need samples >= 1, got {self.samples}")
+        if not 1 <= self.i <= self.n:
+            raise InvalidInputError(f"need 1 <= i <= n, got i={self.i}, n={self.n}")
 
 
 @dataclass
@@ -1207,6 +1237,10 @@ def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
     check = REGISTRY[check_id]
     if ctx.n < check.min_n:
         raise InvalidInputError(f"{check.id} requires n >= {check.min_n}, got n={ctx.n}")
+    ks = check.k_values(ctx.n, ctx.k)
+    for k in ks:
+        if k is not None and not 1 <= k <= ctx.n:
+            raise InvalidInputError(f"k={k} out of range for n={ctx.n}")
     points = []
     if check.kind == "ASYMPTOTIC":
         k, grid, Ks = _sweep(check, ctx)
@@ -1215,11 +1249,8 @@ def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
                 P = {**_base_params(check, ctx, k), "kappa1": g, "K": Kv}
                 points.append(_Point(check, P, _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}|{g}|{Kv}"), ctx.samples))
         return points
-    ks = check.k_values(ctx.n, ctx.k)
     per_k = max(1, -(-ctx.samples // len(ks)))
     for k in ks:
-        if k is not None and not 1 <= k <= ctx.n:
-            raise InvalidInputError(f"k={k} out of range for n={ctx.n}")
         P = _base_params(check, ctx, k)
         if check.default_kappa1 is not None and P["kappa1"] is None:
             P["kappa1"] = check.default_kappa1
@@ -1371,23 +1402,25 @@ def _fold_asymptotic(check: LemmaCheck, ctx: RunContext, outcomes: list) -> Chec
         if all(p["passed"] for p in points[a:]):
             star_idx = a
             break
+    details = {
+        "points": points, "K_grid": [Kv for Kv in Ks], "tol": tol,
+        "nonfinite_rows": nonfinite_total, "excluded_rows": excluded_total,
+    }
+    kappa1_star = None
     if star_idx is not None:
         verdict = "THRESHOLD"
         kappa1_star = grid[star_idx]
-    elif points and points[-1]["exhausted"] is not None:
+    elif points[-1]["exhausted"] is not None:
         verdict = "ERROR"
-        kappa1_star = None
+    elif not points[-1]["samples"] and not points[-1]["nonfinite_rows"]:
+        verdict = "ERROR"
+        details["error"] = "no row was evaluated at the top point: every sample fell outside the hypothesis"
     else:
         verdict = "FAIL"
-        kappa1_star = None
     return CheckResult(
         id=check.id, kind=check.kind, n=ctx.n, k=k, samples=used_total,
-        min_slack=best, verdict=verdict, seed=ctx.seed, witness=wit,
-        kappa1_star=kappa1_star,
-        details={
-            "points": points, "K_grid": [Kv for Kv in Ks], "tol": tol,
-            "nonfinite_rows": nonfinite_total, "excluded_rows": excluded_total,
-        },
+        min_slack=best if used_total else math.nan, verdict=verdict, seed=ctx.seed, witness=wit,
+        kappa1_star=kappa1_star, details=details,
     )
 
 

@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -172,25 +173,33 @@ def sigma_fsum(k: int, kappa) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dp(X: np.ndarray, keep: np.ndarray, top: int) -> np.ndarray:
-    """c[t, s, b] = sigma_t(X[b, keep[s]]) for t = 0..min(top, m): one
-    coefficient DP over every kept-column set at once.
+def batch_coeffs_t(XT: np.ndarray, top: Optional[int] = None) -> np.ndarray:
+    """c[t] = sigma_t of every column of XT, t = 0..min(top, m): (m, ...) -> (top+1, ...).
 
-    keep is (sets, m) with ascending 0-based columns.  The table is
-    coefficient-major so each step updates contiguous (sets, B) planes, and
-    it stops at order `top` since no order feeds a lower one.  Each entry
-    goes through the same multiply-adds in the same order as the row-wise
-    recurrence, so the values are bit-identical to it.
+    The one coefficient DP of the batched kernels.  It is coefficient-major:
+    each step is one elementwise multiply-add on contiguous planes, and each
+    entry goes through the same multiply-adds in the same order as the
+    row-wise recurrence, so the values are bit-identical to it.  It stops at
+    order `top` (default m), since no order feeds a lower one.
     """
-    sets, m = keep.shape
-    top = min(top, m)
-    c = np.zeros((top + 1, sets, X.shape[0]), dtype=X.dtype)
+    m = XT.shape[0]
+    top = m if top is None else min(top, m)
+    c = np.zeros((top + 1,) + XT.shape[1:], dtype=XT.dtype)
     c[0] = 1  # an int, not 1.0: a float would turn Fraction products into floats
-    XT = X.T
     for t in range(m):
         hi = min(t + 1, top)
-        c[1 : hi + 1] += XT[keep[:, t]] * c[:hi]
+        c[1 : hi + 1] += XT[t] * c[:hi]
     return c
+
+
+def _dp(X: np.ndarray, keep: np.ndarray, top: int) -> np.ndarray:
+    """c[t, s, b] = sigma_t(X[b, keep[s]]) for t = 0..min(top, m):
+    `batch_coeffs_t` over every kept-column set at once.
+
+    keep is (sets, m) with ascending 0-based columns; the kept columns are
+    gathered once into an (m, sets, B) block.
+    """
+    return batch_coeffs_t(np.ascontiguousarray(X.T)[keep.T], top)
 
 
 def _kept(n: int, excluded: np.ndarray) -> np.ndarray:
@@ -228,18 +237,8 @@ def order(T: np.ndarray, t: int) -> np.ndarray:
 
 
 def batch_coeffs(X: np.ndarray) -> np.ndarray:
-    """sigma_m for every row: X (B, n) -> (B, n+1).
-
-    `_dp` over the one set of all columns, without its per-step gather of
-    the kept columns: the same multiply-adds in the same order, so the same
-    bits."""
-    B, n = X.shape
-    c = np.zeros((n + 1, B), dtype=X.dtype)
-    c[0] = 1  # an int, as in `_dp`
-    XT = np.ascontiguousarray(X.T)
-    for t in range(n):
-        c[1 : t + 2] += XT[t] * c[: t + 1]
-    return np.ascontiguousarray(c.T)
+    """sigma_m for every row: X (B, n) -> (B, n+1); `batch_coeffs_t` on X.T."""
+    return np.ascontiguousarray(batch_coeffs_t(np.ascontiguousarray(X.T)).T)
 
 
 def batch_coeffs_excl(X: np.ndarray, cols) -> np.ndarray:

@@ -108,6 +108,27 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: need samples >= 1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("i", ["0", "9"])
+    def test_near_top_index_out_of_range_exits_2(self, i, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        argv = ["verify", "--n", "5", "--i", i, "--only", "C3_1_key", "--kappa1", "1e3", "--K", "1e3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: need 1 <= i <= n")
+        assert not out.exists()
+
+    def test_no_applicable_check_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", "--n", "4", "--only", "C3_1_key", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: no requested check applies to n=4")
+        assert not out.exists()
+
+    def test_asymptotic_top_point_without_rows_exits_2(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        argv = ["verify", "--n", "5", "--only", "C3_1_key", "--K", "1e-30", "--samples", "20", "--out", str(out)]
+        assert main(argv) == 2
+        rec = [r for r in read_jsonl(out) if r["record"] == "result"][0]
+        assert rec["verdict"] == "ERROR" and rec["samples"] == 0 and rec["min_slack"] == "nan"
+
     def test_float_round_trip(self, tmp_path):
         out = tmp_path / "r.jsonl"
         main(["verify", "--only", "newton", "--n", "6", "--samples", "300", "--out", str(out)])

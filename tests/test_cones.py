@@ -168,7 +168,7 @@ class TestSampleBatch:
 
     def test_predicate_filtering(self):
         rng = make_rng(8)
-        pred = lambda X: X[:, -1] < 0.0
+        pred = lambda XT, c: XT[-1] < 0.0  # the columns of XT are the rows
         X = sample_batch(rng, 50, 6, 4, 1e3, predicate=pred)
         assert np.all(X[:, -1] < 0.0)
 

@@ -119,6 +119,17 @@ class TestRunCheck:
         assert np.array_equal(np.isinf(out), ~ok)
         assert out[ok].tobytes() == _relmin(key_matrix_batch(X[ok], k, i0, K)).tobytes()
 
+    @pytest.mark.parametrize("i", [0, 6, 9])
+    def test_near_top_index_out_of_range(self, i):
+        with pytest.raises(InvalidInputError, match="need 1 <= i <= n"):
+            RunContext(n=5, i=i)
+
+    @pytest.mark.parametrize("check_id", ["newton", "C3_1_key"])  # a fixed and an asymptotic check
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_level_out_of_range(self, check_id, k):
+        with pytest.raises(InvalidInputError, match=f"k={k} out of range"):
+            run_check(check_id, n=5, k=k, samples=10)
+
     def test_tolerance_override_can_fail_a_check(self):
         res = run_check("L4_2_id1", n=6, samples=500, seed=0, tol=0.0)
         assert res.verdict == "FAIL"
@@ -176,6 +187,14 @@ class TestNonFiniteRows:
         assert res.kappa1_star is None
         assert not any(p["passed"] for p in res.details["points"])
         assert res.details["nonfinite_rows"] == 50 * len(res.details["points"])
+
+    def test_asymptotic_all_excluded_top_point_is_error(self, monkeypatch):
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", _fill_rows(np.inf))
+        res = run_check(cid, n=5, samples=50, seed=0)
+        assert res.verdict == "ERROR" and res.kappa1_star is None
+        assert res.samples == 0 and np.isnan(res.min_slack)
+        assert "no row was evaluated" in res.details["error"]
+        assert res.details["excluded_rows"] == 50 * len(res.details["points"])
 
     def test_asymptotic_excluded_rows_counted_per_point(self, monkeypatch):
         def rows(X, aux, P):
