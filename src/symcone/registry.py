@@ -30,7 +30,7 @@ All randomness flows from one integer seed through counter-based child
 streams, so every result - including witnesses - is bit-reproducible.  Each
 point of a check (one k of a fixed check, one (kappa_1, K) of a sweep) has
 its own stream, so `run_checks` plans the points of many checks, evaluates
-them on a pool of worker processes and folds each check's outcomes in plan
+them on forked worker processes and folds each check's outcomes in plan
 order; the result does not depend on the number of workers.
 """
 
@@ -1266,19 +1266,6 @@ def _evaluate(point: _Point):
         return exc
 
 
-# The plan a pool worker evaluates, inherited through fork; None in the parent.
-_WORKER_POINTS: Optional[Sequence[_Point]] = None
-
-
-def _worker_init(points: Sequence[_Point]) -> None:
-    global _WORKER_POINTS
-    _WORKER_POINTS = points
-
-
-def _evaluate_index(j: int):
-    return _evaluate(_WORKER_POINTS[j])
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: `jobs`, or by default the CPUs this process may run on."""
     if jobs is None:
@@ -1289,25 +1276,148 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _evaluate_all(points: Sequence[_Point], jobs: int) -> list:
-    """Outcomes of `points` in order, on a fork pool of min(jobs, points) workers.
+# True in a forked worker, so that a nested run_checks stays in process.
+_IN_WORKER = False
 
-    Workers read the points from memory inherited through fork, so only
-    indices and outcomes are pickled, and test-local checks with closure
-    rows work.  Runs in this process with one worker, inside a worker,
-    without the fork start method, or while other threads run (a fork
-    could copy a lock one of them holds).
+
+class _Raised(NamedTuple):
+    """An exception other than SymconeError that a point raised in a worker."""
+
+    exc: BaseException
+    trace: str  # the worker's formatted traceback
+
+
+def _keep_worker_heap() -> None:
+    """Keep freed row blocks in this process's heap; a no-op without glibc's mallopt.
+
+    With both thresholds raised, the row-block temporaries a worker frees are
+    reused for its next block instead of being unmapped and faulted in again.
+    Raising only one of them turns off glibc's dynamic threshold and faults
+    more, not less.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+def _work(points: Sequence[_Point], counter, lock, pipe: Tuple[int, int]) -> None:
+    """Body of a forked worker: claim points until none is left, send one message, exit."""
+    global _IN_WORKER
+    code = 1
+    try:
+        import pickle
+        import traceback
+
+        os.close(pipe[0])
+        _IN_WORKER = True
+        _keep_worker_heap()
+        done = []
+        while True:
+            with lock:
+                j = counter.value
+                counter.value = j + 1
+            if j >= len(points):
+                break
+            try:
+                done.append((j, _evaluate(points[j])))
+            except Exception as exc:
+                done.append((j, _Raised(exc, traceback.format_exc())))
+        with os.fdopen(pipe[1], "wb") as fh:
+            fh.write(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _fork_join(points: Sequence[_Point], workers: int, ctx) -> list:
+    """Outcomes of `points` in order, from `workers` children forked from this process.
+
+    The children inherit the plan, claim point indices from a shared counter
+    and each write one pickled list of (index, outcome) to its own pipe.
+    This process never evaluates a point and never tunes its own allocator.
+    However this function exits, every child still running is killed, and
+    every child is reaped.
+    """
+    import pickle
+    import select
+    import signal
+
+    counter = ctx.RawValue("q", 0)
+    lock = ctx.Lock()
+    pids: Dict[int, int] = {}  # read end of a child's pipe -> its pid, until reaped
+    try:
+        for _ in range(workers):
+            pipe = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(pipe[0])
+                os.close(pipe[1])
+                raise
+            if pid == 0:
+                _work(points, counter, lock, pipe)
+            pids[pipe[0]] = pid
+            os.close(pipe[1])
+        chunks: Dict[int, List[bytes]] = {r: [] for r in pids}
+        poller = select.poll()
+        for r in pids:
+            poller.register(r, select.POLLIN)
+        while pids:
+            for r, _ in poller.poll():
+                data = os.read(r, 1 << 20)
+                if data:
+                    chunks[r].append(data)
+                    continue
+                poller.unregister(r)
+                status = os.waitstatus_to_exitcode(os.waitpid(pids[r], 0)[1])
+                del pids[r]
+                os.close(r)
+                if status:
+                    raise RuntimeError(f"a check worker exited with status {status}")
+    finally:
+        for r, pid in pids.items():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+            os.close(r)
+    outcomes = [None] * len(points)
+    for parts in chunks.values():
+        for j, out in pickle.loads(b"".join(parts)):
+            outcomes[j] = out
+    return outcomes
+
+
+def _evaluate_all(points: Sequence[_Point], jobs: int) -> list:
+    """Outcomes of `points` in order, on min(jobs, points) forked workers.
+
+    Runs in this process with one worker, inside a worker, without the
+    fork start method, or while other threads run (a fork could copy a
+    lock one of them holds).  An exception other than SymconeError that a
+    point raises propagates; the first in plan order wins, as in process.
     """
     workers = min(jobs, len(points))
-    if workers > 1 and _WORKER_POINTS is None and threading.active_count() == 1:
+    if workers > 1 and not _IN_WORKER and threading.active_count() == 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_worker_init, initargs=(points,)) as pool:
-                return list(pool.map(_evaluate_index, range(len(points))))
+            outcomes = _fork_join(points, workers, multiprocessing.get_context("fork"))
+            for out in outcomes:
+                if isinstance(out, _Raised):
+                    raise out.exc from RuntimeError(f"in a check worker:\n{out.trace}")
+            return outcomes
     return [_evaluate(p) for p in points]
 
 

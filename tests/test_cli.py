@@ -3,10 +3,14 @@
 import json
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import symcone
+from symcone import registry_list
 from symcone.cli import main
 
 
@@ -24,6 +28,16 @@ class TestVerify:
         for rec in records:
             assert rec["record"] == "catalog"
             assert rec["id"] and rec["kind"]
+
+    def test_python_dash_m(self):
+        src = os.path.dirname(os.path.dirname(symcone.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "symcone", "verify", "--list"], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [(r["record"], r["id"]) for r in records] == [("catalog", c.id) for c in registry_list()]
 
     def test_single_check_report(self, tmp_path):
         out = tmp_path / "r.jsonl"

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -142,8 +144,8 @@ def _fill_rows(value):
     return rows
 
 
-def _local_check(monkeypatch, kind, rows, sampler="real", k_values=lambda n, k: (None,)):
-    check = LemmaCheck("test_local", kind, "test-local check", sampler, rows, k_values)
+def _local_check(monkeypatch, kind, rows, sampler="real", k_values=lambda n, k: (None,), **fields):
+    check = LemmaCheck("test_local", kind, "test-local check", sampler, rows, k_values, **fields)
     monkeypatch.setitem(registry.REGISTRY, check.id, check)
     return check.id
 
@@ -298,6 +300,12 @@ def _fields(out):
     return repr(dataclasses.asdict(out))
 
 
+def assert_no_child_left():
+    """This process has no child, running or zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _exhausting_sampler(monkeypatch, exhaust):
     """A sampler named "test_exhaust" that runs out of draws where `exhaust(P)` holds."""
 
@@ -348,7 +356,11 @@ class TestWorkerCount:
             return np.zeros(X.shape[0])
 
         request = (_local_check(monkeypatch, "ASYMPTOTIC", rows), RunContext(n=5, samples=20, seed=0))
-        assert run_checks([request], jobs=2)[0].verdict == "THRESHOLD"
+        threads = threading.active_count()
+        for _ in range(2):  # a thread left behind by the first call would keep the second in process
+            assert run_checks([request], jobs=2)[0].verdict == "THRESHOLD"
+            assert threading.active_count() == threads
+            assert_no_child_left()
         assert "parent" in str(run_checks([request], jobs=1)[0])
         # No fork while another thread runs: the points stay in this process.
         stop = threading.Event()
@@ -404,6 +416,81 @@ class TestWorkerCount:
         results = [r for r in map(json.loads, out.read_text().splitlines()) if r["record"] == "result"]
         assert results[0]["verdict"] == "ERROR" and "kappa_1=1e4" in results[0]["details"]["error"]
         assert results[1]["verdict"] == "PASS"
+
+    def test_every_point_is_claimed_once(self, monkeypatch, tmp_path):
+        log = tmp_path / "points.log"
+
+        def rows(X, aux, P):
+            with open(log, "a") as fh:  # one short O_APPEND write per point
+                fh.write(f"{P['kappa1']:g} {P['K']:g}\n")
+            return np.zeros(X.shape[0])
+
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", rows, uses_K=True)
+        requests = [(cid, RunContext(n=5, samples=8, seed=s)) for s in range(10)]
+        out = run_checks(requests, jobs=5)  # 240 points on more workers than CPUs
+        assert all(o.verdict == "THRESHOLD" for o in out)
+        points = [f"{g:g} {K:g}" for g in registry.ASYM_KAPPA1_GRID for K in registry.ASYM_K_GRID]
+        assert sorted(log.read_text().splitlines()) == sorted(points * 10)
+
+    def test_worker_exit_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def rows(X, aux, P):
+            if os.getpid() != parent:
+                if P["kappa1"] == 1e3:
+                    os._exit(3)
+                if P["kappa1"] == 1e6:
+                    time.sleep(30)  # the other worker is still busy when the first one dies
+            return np.zeros(X.shape[0])
+
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", rows)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            run_checks([(cid, RunContext(n=5, samples=20, seed=0))], jobs=2)
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
+
+    def test_first_exception_in_plan_order_wins(self, monkeypatch):
+        def rows(X, aux, P):
+            if P["kappa1"] == 1e3:
+                time.sleep(0.2)  # let the later point raise first at jobs=2
+            if P["kappa1"] in (1e3, 1e5):
+                raise ValueError(f"test error at kappa_1={P['kappa1']:g}")
+            return np.zeros(X.shape[0])
+
+        ctx = RunContext(n=5, samples=20, seed=0)
+        requests = [("newton", ctx), (_local_check(monkeypatch, "ASYMPTOTIC", rows), ctx)]
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match=r"^test error at kappa_1=1000$") as info:
+                run_checks(requests, jobs=jobs)
+            assert not isinstance(info.value, registry.SymconeError)
+        assert "in rows" in str(info.value.__cause__)  # the worker's traceback
+        assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        def rows(X, aux, P):
+            if os.getpid() != parent:
+                if P["kappa1"] == 1e1:
+                    time.sleep(0.5)  # a signal during os.fork's own hooks would be swallowed there
+                    os.kill(parent, signal.SIGUSR1)
+                time.sleep(30)
+            return np.zeros(X.shape[0])
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", rows)
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                run_checks([(cid, RunContext(n=5, samples=20, seed=0))], jobs=2)
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
 
     def test_invalid_jobs(self):
         for jobs in (0, -3):
