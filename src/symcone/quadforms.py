@@ -24,7 +24,6 @@ from .errors import DomainError, InvalidInputError, SingularDenominatorError
 from .symfun import (
     _as_vector,
     batch_coeffs,
-    batch_coeffs_excl,
     batch_excl1_table,
     batch_excl2_table,
     order,
@@ -74,7 +73,7 @@ class KeyParams:
         _check_k(k, arr.size)
         if not 1 <= i <= arr.size:
             raise InvalidInputError(f"i={i} out of range [1, {arr.size}]")
-        s_ii = float(batch_coeffs_excl(arr[None, :], (i - 1,))[0, k - 1])
+        s_ii = float(batch_coeffs(np.delete(arr, i - 1)[None, :])[0, k - 1])
         denom = K * arr[i - 1] * s_ii - 1.0
         if not denom > 0:
             raise DomainError(
@@ -177,7 +176,7 @@ def rhs_combination_batch(
     """s_ii = sigma_{k-1}(kappa|i) of each row, computed when not given."""
     A, Bm, C, D = abcd_batch(X, k, i0)
     if s_ii is None:
-        s_ii = batch_coeffs_excl(X, (i0,))[:, k - 1]
+        s_ii = batch_coeffs(np.delete(X, i0, axis=1))[:, k - 1]
     sk = batch_coeffs(X)[:, k]
     denom = K * X[:, i0] * s_ii - 1.0
     if np.any(denom <= 0):
@@ -231,8 +230,9 @@ def _check_i(i: int, n: int) -> int:
 
 def key_matrix(kappa, params: KeyParams) -> QuadForm:
     arr = _as_vector(kappa)
+    _check_k(params.k, arr.size)
     i0 = _check_i(params.i, arr.size)
-    s_ii = float(batch_coeffs_excl(arr[None, :], (i0,))[0, params.k - 1])
+    s_ii = float(batch_coeffs(np.delete(arr, i0)[None, :])[0, params.k - 1])
     if not params.K * arr[i0] * s_ii > 1.0:
         raise DomainError("KeyParams invariant K*kappa_i*sigma_(k-1)(kappa|i) > 1 violated")
     M = key_matrix_batch(arr[None, :], params.k, i0, params.K)[0]
@@ -241,6 +241,7 @@ def key_matrix(kappa, params: KeyParams) -> QuadForm:
 
 def abcd_matrices(kappa, k: int, i: int):
     arr = _as_vector(kappa)
+    _check_k(k, arr.size)
     i0 = _check_i(i, arr.size)
     A, B, C, D = abcd_batch(arr[None, :], k, i0)
     m = arr.size - 1
@@ -254,6 +255,7 @@ def abcd_matrices(kappa, k: int, i: int):
 
 def rhs_combination(kappa, params: KeyParams, with_kappa_i_sq: bool) -> QuadForm:
     arr = _as_vector(kappa)
+    _check_k(params.k, arr.size)
     i0 = _check_i(params.i, arr.size)
     raw = rhs_combination_batch(arr[None, :], params.k, i0, params.K, with_kappa_i_sq)[0]
     # rhs_combination proper is (1/c)[...]; the batch helper returns it
@@ -263,6 +265,7 @@ def rhs_combination(kappa, params: KeyParams, with_kappa_i_sq: bool) -> QuadForm
 
 def lemma41_gap(kappa, params: KeyParams, with_kappa_i_sq: bool) -> QuadForm:
     arr = _as_vector(kappa)
+    _check_k(params.k, arr.size)
     i0 = _check_i(params.i, arr.size)
     G = lemma41_gap_batch(arr[None, :], params.k, i0, params.K, with_kappa_i_sq)[0]
     return QuadForm(n=arr.size, entries=G, label="LHS_MINUS_RHS")

@@ -64,7 +64,7 @@ from .quadforms import (
     key_matrix_from_table,
     lemma41_gap_batch,
 )
-from .symfun import batch_coeffs, batch_coeffs_excl, batch_coeffs_t, batch_excl1_table, batch_excl2_table, order
+from .symfun import batch_coeffs, batch_coeffs_t, batch_excl1_table, batch_excl2_table, order
 
 __all__ = [
     "CaseLabel",
@@ -393,18 +393,16 @@ _SAMPLERS = {
 def _rows_id1(X, aux, P):
     k = P["k"]
     K = aux["K"]
-    ci = batch_coeffs_excl(X, (0,))
-    cj = batch_coeffs_excl(X, (1,))
-    cij = batch_coeffs_excl(X, (0, 1))
-    s_ii = order(ci, k - 1)
-    s_jj = order(cj, k - 1)
+    v = order(batch_excl1_table(X), k - 1)
+    s_ii, s_jj = v[:, 0], v[:, 1]
+    cij = batch_coeffs(X[:, 2:])
     s2 = order(cij, k - 2)
     s1 = order(cij, k - 1)
     ki = X[:, 0]
     kj = X[:, 1]
     aj = s_jj + (ki + kj) * s2
-    invc = K * ki * s_ii - 1.0
-    t1 = ki * K * s_ii * s_jj * (-s_jj + 2.0 * ki * s2)
+    invc = K * ki * s_ii - 1
+    t1 = ki * K * s_ii * s_jj * (-s_jj + 2 * ki * s2)
     t2 = -(ki**2) * s2**2
     t3 = aj * invc * s_ii
     r1 = invc * (s_ii + s_jj) * (ki + kj) * s2
@@ -414,47 +412,40 @@ def _rows_id1(X, aux, P):
 
 def _rows_id2(X, aux, P):
     k = P["k"]
-    ci = batch_coeffs_excl(X, (0,))
-    cp = batch_coeffs_excl(X, (1,))
-    cq = batch_coeffs_excl(X, (2,))
-    cip = batch_coeffs_excl(X, (0, 1))
-    ciq = batch_coeffs_excl(X, (0, 2))
-    cpq = batch_coeffs_excl(X, (1, 2))
-    s_ii, s_pp, s_qq = order(ci, k - 1), order(cp, k - 1), order(cq, k - 1)
-    s_iipp, s_iiqq, s_ppqq = order(cip, k - 2), order(ciq, k - 2), order(cpq, k - 2)
+    v = order(batch_excl1_table(X), k - 1)
+    two = batch_excl2_table(X, (k - 2, k - 1))
+    s_ii, s_pp, s_qq = v[:, 0], v[:, 1], v[:, 2]
+    s_iipp, s_iiqq, s_ppqq = two[k - 2][:, 0, 1], two[k - 2][:, 0, 2], two[k - 2][:, 1, 2]
     ki = X[:, 0]
     u1 = ki * (s_pp * s_iiqq + s_qq * s_iipp - s_ii * s_ppqq)
     u2 = -s_pp * s_qq
     u3 = -(ki**2) * s_iipp * s_iiqq
     u4 = ki * s_ii * s_ppqq
-    v1 = -order(cip, k - 1) * order(ciq, k - 1)
+    v1 = -two[k - 1][:, 0, 1] * two[k - 1][:, 0, 2]
     return _iden((u1 + u2 + u3 + u4) - v1, u1, u2, u3, u4, v1)
 
 
 def _rows_id3(X, aux, P):
     k = P["k"]
     c = batch_coeffs(X)
-    ci = batch_coeffs_excl(X, (0,))
-    cj = batch_coeffs_excl(X, (1,))
-    cij = batch_coeffs_excl(X, (0, 1))
+    v = order(batch_excl1_table(X), k - 1)
+    cij = batch_coeffs(X[:, 2:])
     ki, kj = X[:, 0], X[:, 1]
-    lhs = (order(ci, k - 1) + order(cj, k - 1)) * (ki + kj)
-    r1 = 2.0 * order(c, k)
-    r2 = -2.0 * order(cij, k)
+    lhs = (v[:, 0] + v[:, 1]) * (ki + kj)
+    r1 = 2 * order(c, k)
+    r2 = -2 * order(cij, k)
     r3 = (ki**2 + kj**2) * order(cij, k - 2)
     return _iden(lhs - (r1 + r2 + r3), lhs, r1, r2, r3)
 
 
 def _rows_id4(X, aux, P):
     k = P["k"]
-    ci = batch_coeffs_excl(X, (0,))
-    cq = batch_coeffs_excl(X, (2,))
-    cip = batch_coeffs_excl(X, (0, 1))
-    cpq = batch_coeffs_excl(X, (1, 2))
-    c3 = batch_coeffs_excl(X, (0, 1, 2))
+    v = order(batch_excl1_table(X), k - 1)
+    two = batch_excl2_table(X, (k - 2,))[k - 2]
+    c3 = batch_coeffs(X[:, 3:])
     ki, kq = X[:, 0], X[:, 2]
-    w1 = order(cq, k - 1) * order(cip, k - 2)
-    w2 = -order(ci, k - 1) * order(cpq, k - 2)
+    w1 = v[:, 2] * two[:, 0, 1]
+    w2 = -v[:, 0] * two[:, 1, 2]
     t2, t1, t3 = order(c3, k - 2), order(c3, k - 1), order(c3, k - 3)
     z1 = ki * t2**2
     z2 = -ki * t1 * t3
@@ -466,9 +457,9 @@ def _rows_id4(X, aux, P):
 def _rows_id5(X, aux, P):
     k = P["k"]
     c = batch_coeffs(X)
-    cp = batch_coeffs_excl(X, (1,))
-    ciq = batch_coeffs_excl(X, (0, 2))
-    c3 = batch_coeffs_excl(X, (0, 1, 2))
+    cp = batch_coeffs(np.delete(X, 1, axis=1))
+    ciq = batch_coeffs(np.delete(X, (0, 2), axis=1))
+    c3 = batch_coeffs(X[:, 3:])
     ki, kq = X[:, 0], X[:, 2]
     lhs = order(cp, k - 1) * order(ciq, k - 1)
     t0, t1, t2, t3 = order(c3, k), order(c3, k - 1), order(c3, k - 2), order(c3, k - 3)
@@ -490,7 +481,7 @@ def _rows_l51(X, aux, P):
         terms = [c2[:, k]]
         rhs = c2[:, k].copy()
         for i in range(1, k + 1):
-            t = 2.0 * (-1.0) ** (i + 1) * order(c, k + i) * c[:, k - i]
+            t = 2 * (-1) ** (i + 1) * order(c, k + i) * c[:, k - i]
             rhs += t
             terms.append(t)
         best = np.minimum(best, _iden(lhs - rhs, lhs, *terms))
@@ -504,11 +495,9 @@ def _rows_l54(X, aux, P):
     best = np.full(X.shape[0], np.inf)
     for s in range(1, n + 1):
         prods = T[:, :, n - s] * T[:, :, n - 1]
-        lhs = prods.sum(axis=1)
         r1 = c[:, n - s] * c[:, n - 1]
-        r2 = -(s + 1.0) * c[:, n] * order(c, n - s - 1)
-        mag = 1.0 + np.abs(prods).sum(axis=1) + np.abs(r1) + np.abs(r2)
-        best = np.minimum(best, -np.abs(lhs - (r1 + r2)) / mag)
+        r2 = -(s + 1) * c[:, n] * order(c, n - s - 1)
+        best = np.minimum(best, _iden(prods.sum(axis=1) - (r1 + r2), np.abs(prods).sum(axis=1), r1, r2))
     return best
 
 
@@ -518,14 +507,12 @@ def _rows_l55(X, aux, P):
     P4 = batch_excl2_table(X, (n - 4,))[n - 4]
     best = np.full(X.shape[0], np.inf)
     for j in range(n):
-        lhs_terms = P4[:, j, :] ** 2
-        lhs = lhs_terms.sum(axis=1)
-        r1 = 3.0 * order(T, n - 4)[:, j] ** 2
-        r2 = -2.0 * order(T, n - 5)[:, j] * order(T, n - 3)[:, j]
-        r3 = -4.0 * order(T, n - 6)[:, j] * order(T, n - 2)[:, j]
-        r4 = -6.0 * order(T, n - 7)[:, j] * order(T, n - 1)[:, j]
-        mag = 1.0 + lhs_terms.sum(axis=1) + np.abs(r1) + np.abs(r2) + np.abs(r3) + np.abs(r4)
-        best = np.minimum(best, -np.abs(lhs - (r1 + r2 + r3 + r4)) / mag)
+        lhs = (P4[:, j, :] ** 2).sum(axis=1)
+        r1 = 3 * order(T, n - 4)[:, j] ** 2
+        r2 = -2 * order(T, n - 5)[:, j] * order(T, n - 3)[:, j]
+        r3 = -4 * order(T, n - 6)[:, j] * order(T, n - 2)[:, j]
+        r4 = -6 * order(T, n - 7)[:, j] * order(T, n - 1)[:, j]
+        best = np.minimum(best, _iden(lhs - (r1 + r2 + r3 + r4), lhs, r1, r2, r3, r4))
     return best
 
 
@@ -628,7 +615,7 @@ def _rows_l24a(X, aux, P):
 def _rows_l24b(X, aux, P):
     n = X.shape[1]
     k = P["k"]
-    cpq = batch_coeffs_excl(X, (n - 2, n - 1))
+    cpq = batch_coeffs(X[:, : n - 2])
     d = order(cpq, k - 1)
     guard = (d > 0.0) & (X[:, n - 2] <= 0.0)
     val = (2.0 * order(cpq, k) / np.where(guard, d, 1.0) + X[:, n - 1] + X[:, n - 2]) / (
@@ -675,7 +662,7 @@ def _rows_l58(X, aux, P):
 
 def _rows_l59(X, aux, P):
     n = X.shape[1]
-    cb = batch_coeffs_excl(X, (0,))
+    cb = batch_coeffs(X[:, 1:])
     ratio = order(cb, n - 3) / X[:, 0] ** (n - 3)
     best = np.full(X.shape[0], np.inf)
     for delta in (0.1, 0.3):
@@ -916,7 +903,7 @@ def _rows_s601(X, aux, P):
     n = X.shape[1]
     i0 = P["i0"]
     A, _, C, _ = abcd_batch(X, n - 2, i0)
-    pen = (1.0 / 20.0) * order(batch_coeffs_excl(X, (i0,)), n - 3) ** 2
+    pen = (1.0 / 20.0) * order(batch_coeffs(np.delete(X, i0, axis=1)), n - 3) ** 2
     m = n - 1
     idx = np.arange(m)
     G = (8.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * A + C
@@ -930,7 +917,7 @@ def _rows_s602(X, aux, P):
     K = P["K"]
     A, Bm, _, D = abcd_batch(X, n - 2, i0)
     c = batch_coeffs(X)
-    s_ii = order(batch_coeffs_excl(X, (i0,)), n - 3)
+    s_ii = order(batch_coeffs(np.delete(X, i0, axis=1)), n - 3)
     denom = K * X[:, i0] * s_ii - 1.0
     ok = denom > 0.0
     cc = 1.0 / np.where(ok, denom, 1.0)
@@ -1307,14 +1294,17 @@ def _keep_worker_heap() -> None:
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-def _work(points: Sequence[_Point], counter, lock, pipe: Tuple[int, int]) -> None:
-    """Body of a forked worker: claim points until none is left, send one message, exit."""
+def _work(points: Sequence[_Point], counter, lock, pipe: Tuple[int, int], sigint) -> None:
+    """Body of a forked worker: put back the SIGINT handler `sigint`, claim
+    points until none is left, send one message, exit."""
     global _IN_WORKER
     code = 1
     try:
         import pickle
+        import signal
         import traceback
 
+        signal.signal(signal.SIGINT, sigint)
         os.close(pipe[0])
         _IN_WORKER = True
         _keep_worker_heap()
@@ -1348,6 +1338,13 @@ def _fork_join(points: Sequence[_Point], workers: int, ctx) -> list:
     This process never evaluates a point and never tunes its own allocator.
     However this function exits, every child still running is killed, and
     every child is reaped.
+
+    A SIGINT that arrives while os.fork runs its at-fork hooks would be
+    raised inside a hook, where Python only reports it and the run goes on.
+    So each fork runs under a SIGINT handler that only records the signal.
+    The child puts the previous handler back before it starts work; this
+    process puts it back once the child is in `pids`, then acts on a
+    recorded signal as that handler would have.
     """
     import pickle
     import select
@@ -1359,16 +1356,23 @@ def _fork_join(points: Sequence[_Point], workers: int, ctx) -> list:
     try:
         for _ in range(workers):
             pipe = os.pipe()
+            held = []
+            prev = signal.signal(signal.SIGINT, lambda signum, frame: held.append(signum))
             try:
                 pid = os.fork()
+                if pid == 0:
+                    _work(points, counter, lock, pipe, prev)
+                pids[pipe[0]] = pid
             except BaseException:
                 os.close(pipe[0])
-                os.close(pipe[1])
                 raise
-            if pid == 0:
-                _work(points, counter, lock, pipe)
-            pids[pipe[0]] = pid
-            os.close(pipe[1])
+            finally:
+                os.close(pipe[1])
+                signal.signal(signal.SIGINT, prev)
+            if held and prev == signal.SIG_DFL:
+                os.kill(os.getpid(), signal.SIGINT)
+            elif held and callable(prev):
+                prev(signal.SIGINT, None)
         chunks: Dict[int, List[bytes]] = {r: [] for r in pids}
         poller = select.poll()
         for r in pids:

@@ -1,6 +1,6 @@
 """Elementary symmetric functions, exclusion variants, and derivatives.
 
-Everything is built on the coefficient dynamic program for
+Everything is built on one coefficient dynamic program, `batch_coeffs_t`, for
 
     prod_i (1 + kappa_i t) = sum_m sigma_m(kappa) t^m,
 
@@ -51,16 +51,6 @@ def _as_vector(kappa) -> np.ndarray:
     return arr
 
 
-def _coeffs(arr: np.ndarray) -> np.ndarray:
-    """Coefficients c[m] = sigma_m(arr), m = 0..n."""
-    n = arr.size
-    c = np.zeros(n + 1)
-    c[0] = 1.0
-    for t in range(n):
-        c[1 : t + 2] = c[1 : t + 2] + arr[t] * c[0 : t + 1]
-    return c
-
-
 @dataclass(frozen=True)
 class SymTable:
     """All sigma_0..sigma_n of one vector, immutable."""
@@ -77,7 +67,7 @@ class SymTable:
 
 def sigma_all(kappa) -> SymTable:
     arr = _as_vector(kappa)
-    c = _coeffs(arr)
+    c = batch_coeffs_t(arr)
     return SymTable(base=tuple(arr.tolist()), n=arr.size, values=tuple(c.tolist()))
 
 
@@ -87,7 +77,7 @@ def sigma(k: int, kappa) -> float:
         return 1.0
     if k < 0 or k > arr.size:
         return 0.0
-    return float(_coeffs(arr)[k])
+    return float(batch_coeffs_t(arr)[k])
 
 
 def _validate_excl(excl, n: int) -> tuple:
@@ -114,7 +104,7 @@ def sigma_excl(k: int, kappa, excl) -> float:
         return 0.0
     keep = np.ones(arr.size, dtype=bool)
     keep[[j - 1 for j in idx]] = False
-    return float(_coeffs(arr[keep])[k])
+    return float(batch_coeffs_t(arr[keep])[k])
 
 
 def sigma_d1(k: int, kappa, p: int) -> float:
@@ -239,14 +229,6 @@ def order(T: np.ndarray, t: int) -> np.ndarray:
 def batch_coeffs(X: np.ndarray) -> np.ndarray:
     """sigma_m for every row: X (B, n) -> (B, n+1); `batch_coeffs_t` on X.T."""
     return np.ascontiguousarray(batch_coeffs_t(np.ascontiguousarray(X.T)).T)
-
-
-def batch_coeffs_excl(X: np.ndarray, cols) -> np.ndarray:
-    """sigma_m(row | cols) for every row; cols are 0-based column indices."""
-    keep = np.ones(X.shape[1], dtype=bool)
-    for j in cols:
-        keep[j] = False
-    return batch_coeffs(X[:, keep])
 
 
 def batch_excl1_table(X: np.ndarray) -> np.ndarray:

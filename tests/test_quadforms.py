@@ -284,6 +284,20 @@ class TestRhsAndGap:
         assert c2 < c1
         assert c2 == pytest.approx(c1 / 2, rel=0.05)
 
+    @pytest.mark.parametrize("k", [0, -1, 6])
+    def test_level_out_of_range(self, k):
+        kappa = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+        params = KeyParams(k=k, i=1, K=1e3, c=0.5)  # built directly, not checked
+        with pytest.raises(InvalidInputError, match=f"k={k} out of range"):
+            key_matrix(kappa, params)
+        for with_kappa_i_sq in (True, False):
+            with pytest.raises(InvalidInputError, match=f"k={k} out of range"):
+                rhs_combination(kappa, params, with_kappa_i_sq)
+            with pytest.raises(InvalidInputError, match=f"k={k} out of range"):
+                lemma41_gap(kappa, params, with_kappa_i_sq)
+        with pytest.raises(InvalidInputError, match=f"k={k} out of range"):
+            abcd_matrices(kappa, k, 1)
+
 
 class TestMinEig:
     def test_identity(self):

@@ -6,6 +6,7 @@ import os
 import signal
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from symcone import (
 from symcone.cli import main as cli_main
 from symcone.errors import SamplingExhaustedError
 from symcone.quadforms import _relmin, key_matrix_batch
-from symcone.symfun import batch_coeffs_excl
+from symcone.symfun import batch_coeffs
 
 KINDS = {"IDENTITY", "INEQUALITY", "PSD", "ASYMPTOTIC"}
 
@@ -66,6 +67,28 @@ class TestCatalog:
             "D_gram", "A_psd", "B_psd",
         }
         assert expected <= ids
+
+
+def _fraction_rows(rng, shape):
+    num = rng.integers(-60, 61, shape)
+    den = rng.integers(1, 12, shape)
+    return np.vectorize(lambda a, b: Fraction(int(a), int(b)), otypes=[object])(num, den)
+
+
+class TestExactIdentities:
+    """Every identity row is a polynomial identity in kappa: on rational rows
+    its residual, and so its slack, is exactly zero."""
+
+    @pytest.mark.parametrize("cid", [c.id for c in registry_list() if c.kind == "IDENTITY"])
+    def test_zero_slack_on_fractions(self, cid):
+        check = registry.REGISTRY[cid]
+        rng = np.random.default_rng(11)
+        for n in range(max(3, check.min_n), 8):
+            X = _fraction_rows(rng, (4, n))
+            aux = {"K": _fraction_rows(rng, (4,))} if check.aux_K else {}
+            for k in check.k_values(n, None):
+                slack = check.rows(X, aux, {"n": n, "k": k})
+                assert [s == 0 for s in slack] == [True] * 4, (n, k, slack)
 
 
 class TestRunCheck:
@@ -113,7 +136,7 @@ class TestRunCheck:
     def test_key_rows_guard_is_sigma_k_minus_1_without_i(self):
         X = -np.sort(-np.random.default_rng(0).uniform(0.5, 3.0, size=(50, 5)), axis=1)
         k, i0 = 3, 1
-        s_ii = batch_coeffs_excl(X, (i0,))[:, k - 1]
+        s_ii = batch_coeffs(np.delete(X, i0, axis=1))[:, k - 1]
         K = 1.0 / np.median(X[:, i0] * s_ii)  # about half the rows pass
         ok = K * X[:, i0] * s_ii > 1.0
         out = registry._key_rows(X, k, i0, K)
@@ -490,6 +513,29 @@ class TestWorkerCount:
         finally:
             signal.signal(signal.SIGUSR1, previous)
         assert time.monotonic() - start < 10
+        assert_no_child_left()
+
+    def test_interrupt_during_fork_is_not_lost(self, monkeypatch):
+        armed = [os.getpid()]
+
+        def interrupt_parent():
+            if armed and os.getpid() == armed[0]:
+                armed.clear()
+                os.kill(os.getpid(), signal.SIGINT)
+
+        def rows(X, aux, P):
+            time.sleep(1.0)
+            return np.zeros(X.shape[0])
+
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", rows)  # six points, about 1 s each
+        os.register_at_fork(before=interrupt_parent)  # cannot be unregistered: it fires once
+        try:
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                run_checks([(cid, RunContext(n=5, samples=20, seed=0))], jobs=2)
+            assert time.monotonic() - start < 1.0
+        finally:
+            armed.clear()
         assert_no_child_left()
 
     def test_invalid_jobs(self):

@@ -37,7 +37,7 @@ def _same(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _coeffs(X):
+def _rowwise_coeffs(X):
     """sigma_m of every row, the row-wise coefficient DP: (B, n) -> (B, n+1)."""
     B, n = X.shape
     c = np.zeros((B, n + 1))
@@ -49,9 +49,9 @@ def _coeffs(X):
 
 def _masks(X, i0):
     B, n = X.shape
-    cb = _coeffs(np.delete(X, i0, axis=1))
+    cb = _rowwise_coeffs(np.delete(X, i0, axis=1))
     sbar, s3bar = cb[:, n - 2], cb[:, n - 3]
-    sk = _coeffs(X)[:, n - 2]
+    sk = _rowwise_coeffs(X)[:, n - 2]
     d0 = 1.0 / (32.0 * n * (n - 2))
     A = (sbar <= 0.0) & (X[:, n - 2] <= 0.0)
     Breg = (sbar <= 0.0) & (X[:, n - 1] < 0.0) & (X[:, n - 2] > 0.0)
@@ -89,7 +89,7 @@ def _candidates(rng, B, n, k, kappa1, near_top, solve_range):
     if solve_range is not None:
         lo, hi = solve_range
         target = np.exp(rng.uniform(math.log(lo), math.log(hi), B))
-        c = _coeffs(X[:, : n - 1])
+        c = _rowwise_coeffs(X[:, : n - 1])
         denom = c[:, k - 1].copy()
         bad = denom <= 0
         denom[bad] = 1.0
@@ -102,7 +102,7 @@ def _feasible(X, k, kappa1, near_top, sigma_range, counts):
     B, n = X.shape
     ok = np.all(np.isfinite(X), axis=1)
     counts["finite"] += int(B - ok.sum())
-    c = _coeffs(np.where(ok[:, None], X, 0.0))
+    c = _rowwise_coeffs(np.where(ok[:, None], X, 0.0))
     member = np.all(c[:, 1 : k + 1] > 0.0, axis=1)
     counts["gamma_k"] += int((ok & ~member).sum())
     ok &= member
@@ -118,7 +118,7 @@ def _feasible(X, k, kappa1, near_top, sigma_range, counts):
     if sigma_range is not None:
         lo, hi = sigma_range
         with np.errstate(invalid="ignore"):  # inf * 0 on the rows already rejected as non-finite
-            noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * _coeffs(np.abs(X))[:, k]
+            noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * _rowwise_coeffs(np.abs(X))[:, k]
         m = (c[:, k] >= lo - noise) & (c[:, k] <= hi + noise)
         counts["sigma_k_range"] += int((ok & ~m).sum())
         ok &= m
@@ -165,7 +165,7 @@ def _tail_cases(P, rng, B, budget=400_000):
         flip = rng.uniform(size=(blk, nm)) < 0.5
         mids[flip] *= -1.0
         pre = np.concatenate([kap1[:, None], mids], axis=1)
-        cp = _coeffs(pre)
+        cp = _rowwise_coeffs(pre)
         s5, s4, s3 = cp[:, n - 5], cp[:, n - 4], cp[:, n - 3]
         s2 = np.zeros(blk)  # sigma_{n-2} of the n-3 prefix entries
         sgn = np.where(rng.uniform(size=blk) < 0.5, 1.0, -1.0)
@@ -258,13 +258,13 @@ def test_sigma_window_noise_margin_both_ways(seen_counts):
     ref, counts = _sample_batch(make_rng(11), 300, *args, near_top_index=2, sigma_k_range=SIGMA_K_WINDOW)
     _same(X, ref)
     _assert_counts(seen_counts[-1], counts)
-    sk = _coeffs(X)[:, 5]
+    sk = _rowwise_coeffs(X)[:, 5]
     assert np.all((sk < 1.0) | (sk > 10.0))
     # A window just above the largest sigma_k of moderate-scale rows: that
     # row and its close neighbours are inside the margin, the rest beyond it.
     X = sample_batch(make_rng(12), 300, 6, 4, 1e4, near_top_index=2, sigma_k_range=SIGMA_K_WINDOW)
-    sk = _coeffs(X)[:, 4]
-    noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * _coeffs(np.abs(X))[:, 4]
+    sk = _rowwise_coeffs(X)[:, 4]
+    noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * _rowwise_coeffs(np.abs(X))[:, 4]
     j = int(np.argmax(sk))
     window = (sk[j] + noise[j] / 2, 2 * sk[j])
     got, want = _counts(), _counts()
@@ -352,7 +352,7 @@ def test_coefficient_major_dp_matches_rows():
     X[1] = [np.inf, 0.0, 1.0, -1.0, 2.0, 3.0]
     X[2] = [np.nan, 1.0, 2.0, 3.0, 4.0, 5.0]
     with np.errstate(all="ignore"):
-        ref = _coeffs(X)
+        ref = _rowwise_coeffs(X)
         XT = np.ascontiguousarray(X.T)
         _same(batch_coeffs_t(XT), ref.T)
         for top in (0, 2, 6, 9):

@@ -21,7 +21,7 @@ from symcone import (
     sigma_fsum,
 )
 from symcone import symfun
-from symcone.symfun import batch_coeffs, batch_coeffs_excl, batch_excl1_table, batch_excl2_table, order
+from symcone.symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
 
 RTOL = 1e-10
 
@@ -288,7 +288,7 @@ class TestBatchTables:
         assert T.shape == (B, n, n)
         assert T.flags.c_contiguous
         for i in range(n):
-            assert np.array_equal(_bits(T[:, i, :]), _bits(batch_coeffs_excl(X, (i,))))
+            assert np.array_equal(_bits(T[:, i, :]), _bits(_rowwise_coeffs(np.delete(X, i, axis=1))))
 
     @pytest.mark.parametrize("n", range(3, 10))
     @pytest.mark.parametrize("B", [1, 5, 2048])
@@ -306,11 +306,27 @@ class TestBatchTables:
                 assert not P[t].any()
         for p in range(n):
             for q in range(p + 1, n):
-                ref = batch_coeffs_excl(X, (p, q))
+                ref = _rowwise_coeffs(np.delete(X, (p, q), axis=1))
                 for t in orders:
                     if 0 <= t <= n - 2:
                         assert np.array_equal(_bits(P[t][:, p, q]), _bits(ref[:, t]))
                         assert np.array_equal(_bits(P[t][:, q, p]), _bits(ref[:, t]))
+
+    def test_scalar_api_is_the_rowwise_recurrence(self):
+        # sigma_all, sigma and sigma_excl run the batched kernel on one
+        # vector; the bits must be the recurrence's, signed zeros included.
+        rows = list(_rows(6, 20)) + [
+            np.array([0.0, -0.0, 1.0, -0.0, 2.0, -3.0]),
+            np.array([-0.0] * 6),
+            np.array([-1.0, 0.0, 1.0, -0.0, 1.0, -1.0]),
+        ]
+        for kappa in rows:
+            ref = _rowwise_coeffs(kappa[None, :])[0]
+            assert np.array_equal(_bits(np.array(sigma_all(kappa).values)), _bits(ref))
+            assert np.array_equal(_bits(np.array([sigma(k, kappa) for k in range(7)])), _bits(ref))
+            rest = _rowwise_coeffs(np.delete(kappa, (1, 4))[None, :])[0]
+            got = [sigma_excl(k, kappa, (2, 5)) for k in range(5)]
+            assert np.array_equal(_bits(np.array(got)), _bits(rest))
 
     def test_coeffs_single_set_path_is_the_kernel(self):
         # batch_coeffs skips the kernel's gather; the bits must not move,
