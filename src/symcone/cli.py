@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .errors import SymconeError
+from .errors import InvalidInputError, SymconeError
 from .registry import PSD_EPS, REGISTRY, RunContext, registry_list, resolve_jobs, run_checks
 from .search import SearchConfig, minimize_lambda, threshold_bisect
 
@@ -70,7 +70,10 @@ def _jdump(obj) -> str:
 class _Writer:
     def __init__(self, path: Optional[str]):
         self.path = path
-        self.fh = open(path, "w") if path else sys.stdout
+        try:
+            self.fh = open(path, "w") if path else sys.stdout
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from exc
 
     def emit(self, record: dict) -> None:
         self.fh.write(_jdump(record) + "\n")

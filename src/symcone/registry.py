@@ -1,7 +1,8 @@
 """Named-check registry: every verified statement as a reproducible check.
 
-Each check has a stable id, a kind, a hypothesis sampler, and a row-parallel
-slack function.  The slack conventions are uniform across the catalog:
+Each check has a stable id and a kind; what it checks is a row-parallel slack
+function, a named hypothesis sampler and its default levels k.  The slack
+conventions are uniform across the catalog:
 
   IDENTITY    slack = -|lhs - rhs| / (1 + sum of |term| magnitudes).
               Magnitude (not value) normalization: identities whose sides
@@ -36,6 +37,7 @@ order; the result does not depend on the number of workers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -198,7 +200,8 @@ def _case_predicate(i0: int, cases: Tuple[str, ...]):
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis samplers.  Each returns (X, aux) with exactly B rows.
+# Hypothesis samplers.  Each returns (X, aux) with exactly B rows; its
+# options are keyword arguments, bound per variant in `_SAMPLERS`.
 # ---------------------------------------------------------------------------
 
 
@@ -226,19 +229,19 @@ def _draw_gamma(rng, B: int, n: int, k: int, force_neg: int = 0, barred: bool = 
     return rejection_sample(draw, B, lambda left, room: _BLOCK, _SAMPLER_BUDGET, counts, "gamma sampler")
 
 
-def _sampler_real(P, rng, B):
+def _sampler_real(P, rng, B, *, aux_K=False):
     n = P["n"]
     X = rng.normal(0.0, 1.0, (B, n)) * 10.0 ** rng.uniform(-1.0, 2.0, (B, 1))
     aux = {}
-    if P.get("aux_K"):
+    if aux_K:
         aux["K"] = 10.0 ** rng.uniform(0.0, 3.0, B)
     return X, aux
 
 
-def _sampler_cone(P, rng, B):
-    X = _draw_gamma(rng, B, P["n"], P["k"], force_neg=P.get("force_neg", 0))
+def _sampler_cone(P, rng, B, *, force_neg=0, aux_xi=False):
+    X = _draw_gamma(rng, B, P["n"], P["k"], force_neg=force_neg)
     aux = {}
-    if P.get("aux_xi"):
+    if aux_xi:
         aux["xi"] = rng.normal(0.0, 1.0, (B, P["n"]))
     return X, aux
 
@@ -279,7 +282,7 @@ def _uniform(u: np.ndarray, low, high) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _sampler_tail_cases(P, rng, B):
+def _sampler_tail_cases(P, rng, B, *, cases=("B3", "C")):
     """Constructive draw for the tail cases B3 / C at any scale.
 
     Both cases pin sigma_{n-2}(kappa|i) to a near-zero value T1 while
@@ -295,7 +298,7 @@ def _sampler_tail_cases(P, rng, B):
     k1 = P["kappa1"]
     i0 = P["i0"]
     d0 = 1.0 / (32.0 * n * (n - 2))
-    pred = _case_predicate(i0, P.get("cases") or ("B3", "C"))
+    pred = _case_predicate(i0, cases)
     counts = {
         "finite": 0, "gamma_k": 0, "kappa1_target": 0, "near_top": 0,
         "sigma_k_range": 0, "predicate": 0, "discriminant": 0,
@@ -352,10 +355,9 @@ def _sampler_tail_cases(P, rng, B):
     return rejection_sample(draw, B, lambda left, room: 4096, _SAMPLER_BUDGET, counts, "tail-case sampler"), {}
 
 
-def _sampler_main(P, rng, B):
+def _sampler_main(P, rng, B, *, cases=None, aux_h=False):
     """The conjecture-regime sampler: kappa_1 pinned, index i near the top,
     sigma_k in SIGMA_K_WINDOW; optional case conditioning."""
-    cases = P.get("cases")
     pred = _case_predicate(P["i0"], cases) if cases else None
     X = sample_batch(
         rng,
@@ -368,18 +370,24 @@ def _sampler_main(P, rng, B):
         predicate=pred,
     )
     aux = {}
-    if P.get("aux_h"):
+    if aux_h:
         aux["h"] = rng.normal(0.0, 1.0, (B, P["n"]))
     return X, aux
 
 
 _SAMPLERS = {
     "real": _sampler_real,
+    "real_K": functools.partial(_sampler_real, aux_K=True),
     "cone": _sampler_cone,
+    "cone_xi": functools.partial(_sampler_cone, aux_xi=True),
+    "cone_neg1": functools.partial(_sampler_cone, force_neg=1),
+    "cone_neg2": functools.partial(_sampler_cone, force_neg=2),
     "bar": _sampler_bar,
     "bark": _sampler_bark,
     "l59": _sampler_l59,
     "main": _sampler_main,
+    "main_h": functools.partial(_sampler_main, aux_h=True),
+    "main_abb2": functools.partial(_sampler_main, cases=("A", "B1", "B2")),
     "tail_cases": _sampler_tail_cases,
 }
 
@@ -945,7 +953,7 @@ def _rows_key(X, aux, P):
     return _key_rows(X, P["k"], P["i0"], P["K"])
 
 
-def _rows_gap(X, aux, P):
+def _rows_gap(X, aux, P, *, with_kappa_i_sq):
     k = P["k"]
     i0 = P["i0"]
     K = P["K"]
@@ -953,17 +961,9 @@ def _rows_gap(X, aux, P):
     ok = K * X[:, i0] * T1[:, i0, k - 1] > 1.0
     out = np.full(X.shape[0], np.inf)
     if np.any(ok):
-        G = lemma41_gap_batch(X[ok], k, i0, K, P["with_kappa_i_sq"], T1[ok])
+        G = lemma41_gap_batch(X[ok], k, i0, K, with_kappa_i_sq, T1[ok])
         out[ok] = _relmin(G)
     return out
-
-
-def _rows_gap_main(X, aux, P):
-    return _rows_gap(X, aux, {**P, "with_kappa_i_sq": True})
-
-
-def _rows_gap_alt(X, aux, P):
-    return _rows_gap(X, aux, {**P, "with_kappa_i_sq": False})
 
 
 # ---------------------------------------------------------------------------
@@ -971,26 +971,21 @@ def _rows_gap_alt(X, aux, P):
 # ---------------------------------------------------------------------------
 
 
-def _kv_single(default_fn):
-    def kv(n, k):
-        return ((k if k is not None else default_fn(n)),)
-
-    return kv
+# Default levels of a check at dimension n; `--k` replaces them, except for a
+# k-free check, whose rows cover every level themselves.
 
 
-def _kv_range(lo, hi_off):
-    """k in [lo, n + hi_off] unless overridden."""
-
-    def kv(n, k):
-        if k is not None:
-            return (k,)
-        return tuple(range(lo, n + hi_off + 1))
-
-    return kv
+def _k_free(n):
+    return (None,)
 
 
-_KV_NM2 = _kv_single(lambda n: n - 2)
-_KV_ID = _kv_single(lambda n: n - 2 if n >= 4 else 2)
+def _k_top(n):
+    return (max(2, n - 2),)
+
+
+def _k_range(lo, hi_off):
+    """k in [lo, n + hi_off]."""
+    return lambda n: tuple(range(lo, n + hi_off + 1))
 
 
 @dataclass(frozen=True)
@@ -999,66 +994,61 @@ class LemmaCheck:
     kind: str  # IDENTITY | INEQUALITY | PSD | ASYMPTOTIC
     description: str
     sampler: str
-    rows: Callable
-    k_values: Callable
+    rows: Callable  # rows(X, aux, P) -> (B,) slacks
+    k_values: Callable  # k_values(n) -> default levels
     min_n: int = 3
     uses_K: bool = False
     psd_scaled: bool = False  # tolerance: psd_eps instead of tol
-    cases: Optional[Tuple[str, ...]] = None
-    aux_K: bool = False
-    aux_xi: bool = False
-    aux_h: bool = False
     default_kappa1: Optional[float] = None  # fixed-scale case checks
-    force_neg: int = 0
 
 
 _CATALOG = (
     # -- identities ---------------------------------------------------------
-    LemmaCheck("L4_2_id1", "IDENTITY", "diagonal entry identity for the reduced key form", "real", _rows_id1, _KV_ID, aux_K=True),
-    LemmaCheck("L4_2_id2", "IDENTITY", "off-diagonal product identity for the reduced key form", "real", _rows_id2, _KV_ID, min_n=3),
-    LemmaCheck("L4_2_id3", "IDENTITY", "pair-sum expansion of (s^ii + s^jj)(kappa_i + kappa_j)", "real", _rows_id3, _KV_ID),
-    LemmaCheck("L4_2_id4", "IDENTITY", "triple-exclusion expansion of s^qq s^{ii,pp} - s^ii s^{pp,qq}", "real", _rows_id4, _KV_ID, min_n=3),
-    LemmaCheck("L4_2_id5", "IDENTITY", "triple-exclusion expansion of s^pp sigma_{k-1}(kappa|iq)", "real", _rows_id5, _KV_ID, min_n=3),
-    LemmaCheck("L5_1_identity", "IDENTITY", "square of sigma_k versus sigma_k of squares with cross terms", "real", _rows_l51, _kv_single(lambda n: None)),
-    LemmaCheck("L5_4_identity", "IDENTITY", "sum over i of sigma_{n-s}(kappa|i) sigma_{n-1}(kappa|i)", "real", _rows_l54, _kv_single(lambda n: None)),
-    LemmaCheck("L5_5_identity", "IDENTITY", "sum of squared double exclusions at order n-4", "real", _rows_l55, _kv_single(lambda n: None)),
+    LemmaCheck("L4_2_id1", "IDENTITY", "diagonal entry identity for the reduced key form", "real_K", _rows_id1, _k_top),
+    LemmaCheck("L4_2_id2", "IDENTITY", "off-diagonal product identity for the reduced key form", "real", _rows_id2, _k_top, min_n=3),
+    LemmaCheck("L4_2_id3", "IDENTITY", "pair-sum expansion of (s^ii + s^jj)(kappa_i + kappa_j)", "real", _rows_id3, _k_top),
+    LemmaCheck("L4_2_id4", "IDENTITY", "triple-exclusion expansion of s^qq s^{ii,pp} - s^ii s^{pp,qq}", "real", _rows_id4, _k_top, min_n=3),
+    LemmaCheck("L4_2_id5", "IDENTITY", "triple-exclusion expansion of s^pp sigma_{k-1}(kappa|iq)", "real", _rows_id5, _k_top, min_n=3),
+    LemmaCheck("L5_1_identity", "IDENTITY", "square of sigma_k versus sigma_k of squares with cross terms", "real", _rows_l51, _k_free),
+    LemmaCheck("L5_4_identity", "IDENTITY", "sum over i of sigma_{n-s}(kappa|i) sigma_{n-1}(kappa|i)", "real", _rows_l54, _k_free),
+    LemmaCheck("L5_5_identity", "IDENTITY", "sum of squared double exclusions at order n-4", "real", _rows_l55, _k_free),
     # -- inequalities -------------------------------------------------------
-    LemmaCheck("newton", "INEQUALITY", "normalized log-concavity of the sigma_k sequence on R^n", "real", _rows_newton, _kv_single(lambda n: None)),
-    LemmaCheck("maclaurin", "INEQUALITY", "monotonicity of normalized sigma_k roots on the cone", "cone", _rows_maclaurin, _kv_range(2, 0)),
-    LemmaCheck("gen_newton", "INEQUALITY", "shifted product comparison of normalized sigma values", "cone", _rows_gen_newton, _kv_range(2, 0)),
-    LemmaCheck("L2_1_guan", "INEQUALITY", "concavity-type quadratic comparison between levels l < k", "cone", _rows_l21, _kv_range(2, 0), min_n=4, aux_xi=True),
-    LemmaCheck("L2_2_theta", "INEQUALITY", "double exclusion dominated by Theta times single exclusion", "cone", _rows_l22, _kv_range(2, 0), min_n=4),
-    LemmaCheck("L2_3_ratio", "INEQUALITY", "kappa_1^s sigma_{k-s} / sigma_k bounded below by binomials", "cone", _rows_l23, _kv_range(2, 0)),
-    LemmaCheck("L2_4a", "INEQUALITY", "negative entry bounded by (n-k)/k times the top entry", "cone", _rows_l24a, _kv_range(2, -1), force_neg=1),
-    LemmaCheck("L2_4b", "INEQUALITY", "pairwise bound for the two most negative entries", "cone", _rows_l24b, _kv_range(2, -2), min_n=4, force_neg=2),
-    LemmaCheck("L2_5_product", "INEQUALITY", "sigma_s dominates the product of the s largest entries", "bark", _rows_l25, _kv_range(2, 0)),
-    LemmaCheck("L2_6_theta", "INEQUALITY", "single exclusion bounded below via theta = 1/(n^{n-k} C(n,k))", "cone", _rows_l26, _kv_range(2, 0)),
-    LemmaCheck("L5_8_sum", "INEQUALITY", "4 sigma_{n-4}^2 dominates the row sums of squared pair exclusions", "cone", _rows_l58, _KV_NM2, min_n=4),
-    LemmaCheck("L5_9_lower", "INEQUALITY", "scale-free lower bound for sigma_{n-3}(kappa|1)", "l59", _rows_l59, _KV_NM2, min_n=5),
+    LemmaCheck("newton", "INEQUALITY", "normalized log-concavity of the sigma_k sequence on R^n", "real", _rows_newton, _k_free),
+    LemmaCheck("maclaurin", "INEQUALITY", "monotonicity of normalized sigma_k roots on the cone", "cone", _rows_maclaurin, _k_range(2, 0)),
+    LemmaCheck("gen_newton", "INEQUALITY", "shifted product comparison of normalized sigma values", "cone", _rows_gen_newton, _k_range(2, 0)),
+    LemmaCheck("L2_1_guan", "INEQUALITY", "concavity-type quadratic comparison between levels l < k", "cone_xi", _rows_l21, _k_range(2, 0), min_n=4),
+    LemmaCheck("L2_2_theta", "INEQUALITY", "double exclusion dominated by Theta times single exclusion", "cone", _rows_l22, _k_range(2, 0), min_n=4),
+    LemmaCheck("L2_3_ratio", "INEQUALITY", "kappa_1^s sigma_{k-s} / sigma_k bounded below by binomials", "cone", _rows_l23, _k_range(2, 0)),
+    LemmaCheck("L2_4a", "INEQUALITY", "negative entry bounded by (n-k)/k times the top entry", "cone_neg1", _rows_l24a, _k_range(2, -1)),
+    LemmaCheck("L2_4b", "INEQUALITY", "pairwise bound for the two most negative entries", "cone_neg2", _rows_l24b, _k_range(2, -2), min_n=4),
+    LemmaCheck("L2_5_product", "INEQUALITY", "sigma_s dominates the product of the s largest entries", "bark", _rows_l25, _k_range(2, 0)),
+    LemmaCheck("L2_6_theta", "INEQUALITY", "single exclusion bounded below via theta = 1/(n^{n-k} C(n,k))", "cone", _rows_l26, _k_range(2, 0)),
+    LemmaCheck("L5_8_sum", "INEQUALITY", "4 sigma_{n-4}^2 dominates the row sums of squared pair exclusions", "cone", _rows_l58, _k_top, min_n=4),
+    LemmaCheck("L5_9_lower", "INEQUALITY", "scale-free lower bound for sigma_{n-3}(kappa|1)", "l59", _rows_l59, _k_top, min_n=5),
     # -- PSD ----------------------------------------------------------------
-    LemmaCheck("L5_2_psd", "PSD", "exclusion matrix of order s on the closed cone", "bar", _rows_l52, _kv_single(lambda n: None), psd_scaled=True),
-    LemmaCheck("L5_3_psd", "PSD", "2-diagonal minus off-diagonal form at order n-3, closed cone", "bar", _rows_l53, _kv_single(lambda n: None), psd_scaled=True),
-    LemmaCheck("L5_6_psd", "PSD", "squared-exclusion Gram-type form at level s", "cone", _rows_l56, _kv_range(2, 0), psd_scaled=True),
-    LemmaCheck("L5_7_psd", "PSD", "order n-3 form under the weaker level n-2 hypothesis", "cone", _rows_l53, _KV_NM2, min_n=4, psd_scaled=True),
-    LemmaCheck("D_gram", "PSD", "rank-one Gram matrix of single-exclusion derivatives", "cone", _rows_d_gram, _KV_NM2, min_n=4, psd_scaled=True),
-    LemmaCheck("A_psd", "PSD", "reduced quadratic form A on cone members", "cone", _rows_a_psd, _KV_NM2, min_n=4, psd_scaled=True),
-    LemmaCheck("B_psd", "PSD", "reduced quadratic form B on cone members", "cone", _rows_b_psd, _KV_NM2, min_n=4, psd_scaled=True),
-    LemmaCheck("L6_4_H", "PSD", "the H form on case A/B1/B2 samples at a fixed large scale", "main", _rows_l64, _KV_NM2, min_n=5, psd_scaled=True, cases=("A", "B1", "B2"), default_kappa1=1e4),
-    LemmaCheck("T6_1_s615", "PSD", "H minus its diagonal correction on case A/B1/B2 samples", "main", _rows_s615, _KV_NM2, min_n=5, psd_scaled=True, cases=("A", "B1", "B2"), default_kappa1=1e4),
+    LemmaCheck("L5_2_psd", "PSD", "exclusion matrix of order s on the closed cone", "bar", _rows_l52, _k_free, psd_scaled=True),
+    LemmaCheck("L5_3_psd", "PSD", "2-diagonal minus off-diagonal form at order n-3, closed cone", "bar", _rows_l53, _k_free, psd_scaled=True),
+    LemmaCheck("L5_6_psd", "PSD", "squared-exclusion Gram-type form at level s", "cone", _rows_l56, _k_range(2, 0), psd_scaled=True),
+    LemmaCheck("L5_7_psd", "PSD", "order n-3 form under the weaker level n-2 hypothesis", "cone", _rows_l53, _k_top, min_n=4, psd_scaled=True),
+    LemmaCheck("D_gram", "PSD", "rank-one Gram matrix of single-exclusion derivatives", "cone", _rows_d_gram, _k_top, min_n=4, psd_scaled=True),
+    LemmaCheck("A_psd", "PSD", "reduced quadratic form A on cone members", "cone", _rows_a_psd, _k_top, min_n=4, psd_scaled=True),
+    LemmaCheck("B_psd", "PSD", "reduced quadratic form B on cone members", "cone", _rows_b_psd, _k_top, min_n=4, psd_scaled=True),
+    LemmaCheck("L6_4_H", "PSD", "the H form on case A/B1/B2 samples at a fixed large scale", "main_abb2", _rows_l64, _k_top, min_n=5, psd_scaled=True, default_kappa1=1e4),
+    LemmaCheck("T6_1_s615", "PSD", "H minus its diagonal correction on case A/B1/B2 samples", "main_abb2", _rows_s615, _k_top, min_n=5, psd_scaled=True, default_kappa1=1e4),
     # -- asymptotic ---------------------------------------------------------
-    LemmaCheck("L3_2", "ASYMPTOTIC", "weighted second-derivative lower bound at large top scale", "main", _rows_l32, _KV_NM2, min_n=5),
-    LemmaCheck("L3_4", "ASYMPTOTIC", "divided-difference upper bound for the diagonal weights a_j", "main", _rows_l34, _KV_NM2, min_n=5),
-    LemmaCheck("L3_5_a", "ASYMPTOTIC", "first test-function inequality with the K-weighted square", "main", _rows_l35a, _KV_NM2, min_n=5, uses_K=True, aux_h=True),
-    LemmaCheck("L3_5_b", "ASYMPTOTIC", "second test-function inequality and its scalar sufficient bound", "main", _rows_l35b, _KV_NM2, min_n=5, aux_h=True),
-    LemmaCheck("L6_1_ratio", "ASYMPTOTIC", "ratio sigma_{n-3}/sigma_{n-5} of the reduced vector bounded", "main", _rows_l61, _KV_NM2, min_n=5, cases=("A", "B1", "B2")),
-    LemmaCheck("L6_2_bound", "ASYMPTOTIC", "(8/9) kappa_i^2 A dominates the ratio-weighted R form", "main", _rows_l62, _KV_NM2, min_n=5, psd_scaled=True, cases=("A", "B1", "B2")),
-    LemmaCheck("L6_3_bound", "ASYMPTOTIC", "scalar bound with the 1/40 product margin", "main", _rows_l63, _KV_NM2, min_n=5, cases=("A", "B1", "B2")),
-    LemmaCheck("T6_1_s601", "ASYMPTOTIC", "(8/9) kappa_i^2 A + C with the 1/20 penalty removed", "main", _rows_s601, _KV_NM2, min_n=5, psd_scaled=True, cases=("A", "B1", "B2")),
-    LemmaCheck("T6_1_s602", "ASYMPTOTIC", "(1/9) kappa_i^2 A + sigma_k B - c D with the 1/20 penalty added", "main", _rows_s602, _KV_NM2, min_n=5, uses_K=True, psd_scaled=True, cases=("A", "B1", "B2")),
-    LemmaCheck("C3_1_key", "ASYMPTOTIC", "the key curvature form itself on the conjecture regime", "main", _rows_key, _KV_NM2, min_n=5, uses_K=True, psd_scaled=True),
-    LemmaCheck("S7_case_key", "ASYMPTOTIC", "the key form on the remaining cases B3 and C", "tail_cases", _rows_key, _KV_NM2, min_n=5, uses_K=True, psd_scaled=True, cases=("B3", "C")),
-    LemmaCheck("L4_1_gap", "ASYMPTOTIC", "key form minus its reduced-form lower bound (tight variant)", "main", _rows_gap_main, _KV_NM2, min_n=5, uses_K=True, psd_scaled=True),
-    LemmaCheck("L4_1_gap_alt", "ASYMPTOTIC", "key form minus its reduced-form lower bound (weak variant)", "main", _rows_gap_alt, _KV_NM2, min_n=5, uses_K=True, psd_scaled=True),
+    LemmaCheck("L3_2", "ASYMPTOTIC", "weighted second-derivative lower bound at large top scale", "main", _rows_l32, _k_top, min_n=5),
+    LemmaCheck("L3_4", "ASYMPTOTIC", "divided-difference upper bound for the diagonal weights a_j", "main", _rows_l34, _k_top, min_n=5),
+    LemmaCheck("L3_5_a", "ASYMPTOTIC", "first test-function inequality with the K-weighted square", "main_h", _rows_l35a, _k_top, min_n=5, uses_K=True),
+    LemmaCheck("L3_5_b", "ASYMPTOTIC", "second test-function inequality and its scalar sufficient bound", "main_h", _rows_l35b, _k_top, min_n=5),
+    LemmaCheck("L6_1_ratio", "ASYMPTOTIC", "ratio sigma_{n-3}/sigma_{n-5} of the reduced vector bounded", "main_abb2", _rows_l61, _k_top, min_n=5),
+    LemmaCheck("L6_2_bound", "ASYMPTOTIC", "(8/9) kappa_i^2 A dominates the ratio-weighted R form", "main_abb2", _rows_l62, _k_top, min_n=5, psd_scaled=True),
+    LemmaCheck("L6_3_bound", "ASYMPTOTIC", "scalar bound with the 1/40 product margin", "main_abb2", _rows_l63, _k_top, min_n=5),
+    LemmaCheck("T6_1_s601", "ASYMPTOTIC", "(8/9) kappa_i^2 A + C with the 1/20 penalty removed", "main_abb2", _rows_s601, _k_top, min_n=5, psd_scaled=True),
+    LemmaCheck("T6_1_s602", "ASYMPTOTIC", "(1/9) kappa_i^2 A + sigma_k B - c D with the 1/20 penalty added", "main_abb2", _rows_s602, _k_top, min_n=5, uses_K=True, psd_scaled=True),
+    LemmaCheck("C3_1_key", "ASYMPTOTIC", "the key curvature form itself on the conjecture regime", "main", _rows_key, _k_top, min_n=5, uses_K=True, psd_scaled=True),
+    LemmaCheck("S7_case_key", "ASYMPTOTIC", "the key form on the remaining cases B3 and C", "tail_cases", _rows_key, _k_top, min_n=5, uses_K=True, psd_scaled=True),
+    LemmaCheck("L4_1_gap", "ASYMPTOTIC", "key form minus its reduced-form lower bound (tight variant)", "main", functools.partial(_rows_gap, with_kappa_i_sq=True), _k_top, min_n=5, uses_K=True, psd_scaled=True),
+    LemmaCheck("L4_1_gap_alt", "ASYMPTOTIC", "key form minus its reduced-form lower bound (weak variant)", "main", functools.partial(_rows_gap, with_kappa_i_sq=False), _k_top, min_n=5, uses_K=True, psd_scaled=True),
 )
 
 REGISTRY: Dict[str, LemmaCheck] = {c.id: c for c in _CATALOG}
@@ -1111,19 +1101,17 @@ def _tol_for(check: LemmaCheck, ctx: RunContext) -> float:
     return ctx.psd_eps if check.psd_scaled else ctx.tol
 
 
-def _base_params(check: LemmaCheck, ctx: RunContext, k: Optional[int]) -> dict:
-    return {
-        "n": ctx.n,
-        "k": k,
-        "i0": ctx.i - 1,
-        "K": ctx.K,
-        "kappa1": ctx.kappa1,
-        "cases": check.cases,
-        "aux_K": check.aux_K,
-        "aux_xi": check.aux_xi,
-        "aux_h": check.aux_h,
-        "force_neg": check.force_neg,
-    }
+def _levels(check: LemmaCheck, ctx: RunContext) -> Tuple[Optional[int], ...]:
+    """The levels k a run evaluates: `ctx.k` if set, else the check's defaults.
+    A k-free check (levels (None,)) keeps them whatever `ctx.k` is."""
+    ks = check.k_values(ctx.n)
+    return ks if ctx.k is None or ks == (None,) else (ctx.k,)
+
+
+def _params(ctx: RunContext, k: Optional[int], kappa1: Optional[float], K: Optional[float]) -> dict:
+    """The parameters P a rows function and its sampler see; `witness_slack`
+    rebuilds the same keys from a witness."""
+    return {"n": ctx.n, "k": k, "i0": ctx.i - 1, "K": K, "kappa1": kappa1}
 
 
 def _make_witness(check, P, X, aux, j, slack) -> dict:
@@ -1161,43 +1149,51 @@ def witness_slack(witness: dict) -> float:
     return float(check.rows(X, aux, P)[0])
 
 
-def _min_update(best, wit, check, P, X, aux, slacks):
-    """Fold one block into the running minimum.
+class _Tally(NamedTuple):
+    """Minimum slack, its witness and the row counts of some evaluated rows."""
 
-    Returns (min, witness, used, nan, excluded).  A +inf slack marks a row
-    outside the check's hypothesis and a NaN slack a row that could not be
-    evaluated; neither enters the minimum.  Both are counted: the caller
-    refuses to pass on NaN rows and reports the excluded ones.
+    best: float = math.inf
+    witness: Optional[dict] = None
+    used: int = 0
+    nonfinite: int = 0
+    excluded: int = 0
+
+    def merge(self, other: "_Tally") -> "_Tally":
+        """Both tallies in one; on a tie the minimum and witness of `self` stay."""
+        best, wit = (other.best, other.witness) if other.best < self.best else (self.best, self.witness)
+        return _Tally(
+            best, wit, self.used + other.used, self.nonfinite + other.nonfinite, self.excluded + other.excluded
+        )
+
+
+def _block_tally(check, P, X, aux, slacks) -> _Tally:
+    """The tally of one block of rows.
+
+    A +inf slack marks a row outside the check's hypothesis and a NaN slack
+    a row that could not be evaluated; neither enters the minimum.  Both are
+    counted: the folds refuse to pass on NaN rows and report the excluded ones.
     """
     nan = np.isnan(slacks)
     excluded = slacks == np.inf
     used = ~nan & ~excluded
+    best, wit = math.inf, None
     if np.any(used):
         j = int(np.argmin(np.where(used, slacks, np.inf)))
-        if slacks[j] < best:
-            best = float(slacks[j])
-            wit = _make_witness(check, P, X, aux, j, best)
-    return best, wit, int(used.sum()), int(nan.sum()), int(excluded.sum())
+        best = float(slacks[j])
+        wit = _make_witness(check, P, X, aux, j, best)
+    return _Tally(best, wit, int(used.sum()), int(nan.sum()), int(excluded.sum()))
 
 
-def _eval_point(check, P, rng, samples):
-    """Evaluate `samples` rows at fixed parameters; returns (min, witness, used, nan, excluded)."""
-    best = math.inf
-    wit = None
-    used = 0
-    nonfinite = 0
-    excluded = 0
+def _eval_point(check, P, rng, samples) -> _Tally:
+    """The tally of `samples` rows at fixed parameters."""
+    tally = _Tally()
     drawn = 0
     while drawn < samples:
         B = min(_BLOCK, samples - drawn)
         X, aux = _SAMPLERS[check.sampler](P, rng, B)
-        slacks = check.rows(X, aux, P)
-        best, wit, cnt, bad, out = _min_update(best, wit, check, P, X, aux, slacks)
-        used += cnt
-        nonfinite += bad
-        excluded += out
+        tally = tally.merge(_block_tally(check, P, X, aux, check.rows(X, aux, P)))
         drawn += B
-    return best, wit, used, nonfinite, excluded
+    return tally
 
 
 class _Point(NamedTuple):
@@ -1211,7 +1207,7 @@ class _Point(NamedTuple):
 
 def _sweep(check: LemmaCheck, ctx: RunContext):
     """(k, kappa_1 grid, K grid) of an asymptotic check."""
-    k = check.k_values(ctx.n, ctx.k)[0]
+    k = _levels(check, ctx)[0]
     grid = (ctx.kappa1,) if ctx.kappa1 is not None else ASYM_KAPPA1_GRID
     Ks = (ctx.K,) if ctx.K is not None else (ASYM_K_GRID if check.uses_K else (None,))
     return k, grid, Ks
@@ -1224,29 +1220,26 @@ def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
     check = REGISTRY[check_id]
     if ctx.n < check.min_n:
         raise InvalidInputError(f"{check.id} requires n >= {check.min_n}, got n={ctx.n}")
-    ks = check.k_values(ctx.n, ctx.k)
-    for k in ks:
-        if k is not None and not 1 <= k <= ctx.n:
-            raise InvalidInputError(f"k={k} out of range for n={ctx.n}")
-    points = []
+    if ctx.k is not None and not 1 <= ctx.k <= ctx.n:
+        raise InvalidInputError(f"k={ctx.k} out of range for n={ctx.n}")
     if check.kind == "ASYMPTOTIC":
         k, grid, Ks = _sweep(check, ctx)
-        for g in grid:
-            for Kv in Ks:
-                P = {**_base_params(check, ctx, k), "kappa1": g, "K": Kv}
-                points.append(_Point(check, P, _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}|{g}|{Kv}"), ctx.samples))
-        return points
+        return [
+            _Point(check, _params(ctx, k, g, Kv), _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}|{g}|{Kv}"), ctx.samples)
+            for g in grid
+            for Kv in Ks
+        ]
+    ks = _levels(check, ctx)
     per_k = max(1, -(-ctx.samples // len(ks)))
-    for k in ks:
-        P = _base_params(check, ctx, k)
-        if check.default_kappa1 is not None and P["kappa1"] is None:
-            P["kappa1"] = check.default_kappa1
-        points.append(_Point(check, P, _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}"), per_k))
-    return points
+    kappa1 = ctx.kappa1 if ctx.kappa1 is not None else check.default_kappa1
+    return [
+        _Point(check, _params(ctx, k, kappa1, ctx.K), _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}"), per_k)
+        for k in ks
+    ]
 
 
 def _evaluate(point: _Point):
-    """The 5-tuple of `_eval_point`, or the SymconeError it raised, as a value."""
+    """The tally of `_eval_point`, or the SymconeError it raised, as a value."""
     try:
         return _eval_point(point.check, point.P, make_rng(point.seed), point.rows)
     except SymconeError as exc:
@@ -1426,12 +1419,8 @@ def _evaluate_all(points: Sequence[_Point], jobs: int) -> list:
 
 
 def _fold_fixed(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResult:
-    ks = check.k_values(ctx.n, ctx.k)
-    best = math.inf
-    wit = None
-    used = 0
-    nonfinite = 0
-    excluded = 0
+    ks = _levels(check, ctx)
+    total = _Tally()
     failure = None
     for out in outcomes:
         if isinstance(out, SamplingExhaustedError):
@@ -1439,12 +1428,8 @@ def _fold_fixed(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResu
             break
         if isinstance(out, SymconeError):
             raise out
-        b, w, u, bad, ex = out
-        used += u
-        nonfinite += bad
-        excluded += ex
-        if b < best:
-            best, wit = b, w
+        total = total.merge(out)
+    best, wit, used, nonfinite, excluded = total
     tol = _tol_for(check, ctx)
     details = {"k_values": [k for k in ks], "tol": tol, "nonfinite_rows": nonfinite, "excluded_rows": excluded}
     if failure is not None:
@@ -1460,7 +1445,7 @@ def _fold_fixed(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResu
     else:
         verdict = "PASS" if best >= -tol else "FAIL"
     return CheckResult(
-        id=check.id, kind=check.kind, n=ctx.n, k=ctx.k if ctx.k is not None else (ks[0] if len(ks) == 1 else None),
+        id=check.id, kind=check.kind, n=ctx.n, k=ks[0] if len(ks) == 1 else None,
         samples=used, min_slack=best if used else math.nan, verdict=verdict, seed=ctx.seed, witness=wit,
         details=details,
     )
@@ -1470,16 +1455,9 @@ def _fold_asymptotic(check: LemmaCheck, ctx: RunContext, outcomes: list) -> Chec
     k, grid, Ks = _sweep(check, ctx)
     tol = _tol_for(check, ctx)
     points = []
-    best = math.inf
-    wit = None
-    used_total = 0
-    nonfinite_total = 0
-    excluded_total = 0
+    total = _Tally()
     for a, g in enumerate(grid):
-        pt_min = math.inf
-        pt_used = 0
-        pt_nonfinite = 0
-        pt_excluded = 0
+        pt = _Tally()
         exhausted = None
         for out in outcomes[a * len(Ks):(a + 1) * len(Ks)]:
             if isinstance(out, SamplingExhaustedError):
@@ -1487,24 +1465,15 @@ def _fold_asymptotic(check: LemmaCheck, ctx: RunContext, outcomes: list) -> Chec
                 continue
             if isinstance(out, SymconeError):
                 raise out
-            b, w, u, bad, ex = out
-            pt_used += u
-            pt_nonfinite += bad
-            pt_excluded += ex
-            if b < pt_min:
-                pt_min = b
-            if b < best:
-                best, wit = b, w
-        used_total += pt_used
-        nonfinite_total += pt_nonfinite
-        excluded_total += pt_excluded
-        passed = exhausted is None and pt_used > 0 and pt_nonfinite == 0 and pt_min >= -tol
+            pt = pt.merge(out)
+        total = total.merge(pt)
+        passed = exhausted is None and pt.used > 0 and pt.nonfinite == 0 and pt.best >= -tol
         point = {
             "kappa1": g,
-            "min_slack": None if not math.isfinite(pt_min) else pt_min,
-            "samples": pt_used,
-            "nonfinite_rows": pt_nonfinite,
-            "excluded_rows": pt_excluded,
+            "min_slack": None if not math.isfinite(pt.best) else pt.best,
+            "samples": pt.used,
+            "nonfinite_rows": pt.nonfinite,
+            "excluded_rows": pt.excluded,
             "passed": bool(passed),
             "exhausted": None if exhausted is None else str(exhausted),
         }
@@ -1518,7 +1487,7 @@ def _fold_asymptotic(check: LemmaCheck, ctx: RunContext, outcomes: list) -> Chec
             break
     details = {
         "points": points, "K_grid": [Kv for Kv in Ks], "tol": tol,
-        "nonfinite_rows": nonfinite_total, "excluded_rows": excluded_total,
+        "nonfinite_rows": total.nonfinite, "excluded_rows": total.excluded,
     }
     kappa1_star = None
     if star_idx is not None:
@@ -1532,8 +1501,8 @@ def _fold_asymptotic(check: LemmaCheck, ctx: RunContext, outcomes: list) -> Chec
     else:
         verdict = "FAIL"
     return CheckResult(
-        id=check.id, kind=check.kind, n=ctx.n, k=k, samples=used_total,
-        min_slack=best if used_total else math.nan, verdict=verdict, seed=ctx.seed, witness=wit,
+        id=check.id, kind=check.kind, n=ctx.n, k=k, samples=total.used,
+        min_slack=total.best if total.used else math.nan, verdict=verdict, seed=ctx.seed, witness=total.witness,
         kappa1_star=kappa1_star, details=details,
     )
 

@@ -73,12 +73,12 @@ class SearchConfig:
             raise InvalidInputError(f"need K > 0, got {self.K}")
         if self.maxiter < 1:
             raise InvalidInputError(f"need maxiter >= 1, got {self.maxiter}")
-
-    def resolved_k(self) -> int:
-        k = self.k if self.k is not None else self.n - 2
+        k = self.resolved_k()
         if not 2 <= k <= self.n - 1:
             raise InvalidInputError(f"need 2 <= k <= n-1, got k={k}, n={self.n}")
-        return k
+
+    def resolved_k(self) -> int:
+        return self.k if self.k is not None else self.n - 2
 
 
 @dataclass

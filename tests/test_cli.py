@@ -185,8 +185,11 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--i", "9"], ["--i", "0"], ["--restarts", "0"], ["--kappa1", "-5"], ["--K", "-1"], ["--K", "nan"]],
-        ids=["i-above-n", "i-zero", "no-restarts", "negative-kappa1", "negative-K", "nan-K"],
+        [
+            ["--i", "9"], ["--i", "0"], ["--restarts", "0"], ["--kappa1", "-5"], ["--K", "-1"], ["--K", "nan"],
+            ["--k", "5"], ["--k", "1"],
+        ],
+        ids=["i-above-n", "i-zero", "no-restarts", "negative-kappa1", "negative-K", "nan-K", "k-is-n", "k-one"],
     )
     def test_invalid_config_exits_2(self, flags, tmp_path, capsys):
         out = tmp_path / "s.jsonl"
@@ -223,7 +226,7 @@ class TestThresholdCommand:
         assert not any(r["record"] == "result" for r in records)
 
 
-@pytest.mark.parametrize(
+COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--only", "newton", "--n", "5", "--samples", "20"],
@@ -232,6 +235,9 @@ class TestThresholdCommand:
     ],
     ids=["verify", "search", "threshold"],
 )
+
+
+@COMMANDS
 def test_manifest_records_environment(argv, tmp_path):
     out = tmp_path / "m.jsonl"
     main(argv + ["--out", str(out)])
@@ -240,6 +246,14 @@ def test_manifest_records_environment(argv, tmp_path):
     assert env["numpy"] == np.__version__
     assert env["platform"] == platform.platform()
     assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+
+
+@COMMANDS
+def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.jsonl"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+    assert not out.parent.exists()
 
 
 class TestVersionFlag:

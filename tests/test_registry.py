@@ -85,8 +85,8 @@ class TestExactIdentities:
         rng = np.random.default_rng(11)
         for n in range(max(3, check.min_n), 8):
             X = _fraction_rows(rng, (4, n))
-            aux = {"K": _fraction_rows(rng, (4,))} if check.aux_K else {}
-            for k in check.k_values(n, None):
+            aux = {"K": _fraction_rows(rng, (4,))} if check.sampler == "real_K" else {}
+            for k in check.k_values(n):
                 slack = check.rows(X, aux, {"n": n, "k": k})
                 assert [s == 0 for s in slack] == [True] * 4, (n, k, slack)
 
@@ -149,6 +149,14 @@ class TestRunCheck:
         with pytest.raises(InvalidInputError, match="need 1 <= i <= n"):
             RunContext(n=5, i=i)
 
+    @pytest.mark.parametrize(
+        "check_id", ["L5_1_identity", "L5_4_identity", "L5_5_identity", "newton", "L5_2_psd", "L5_3_psd"]
+    )
+    def test_level_free_check_ignores_k(self, check_id):
+        pinned = run_check(check_id, n=5, k=3, samples=200, seed=0)
+        assert _fields(pinned) == _fields(run_check(check_id, n=5, samples=200, seed=0))
+        assert pinned.k is None and pinned.details["k_values"] == [None]
+
     @pytest.mark.parametrize("check_id", ["newton", "C3_1_key"])  # a fixed and an asymptotic check
     @pytest.mark.parametrize("k", [0, 9])
     def test_level_out_of_range(self, check_id, k):
@@ -167,7 +175,7 @@ def _fill_rows(value):
     return rows
 
 
-def _local_check(monkeypatch, kind, rows, sampler="real", k_values=lambda n, k: (None,), **fields):
+def _local_check(monkeypatch, kind, rows, sampler="real", k_values=lambda n: (None,), **fields):
     check = LemmaCheck("test_local", kind, "test-local check", sampler, rows, k_values, **fields)
     monkeypatch.setitem(registry.REGISTRY, check.id, check)
     return check.id
@@ -248,12 +256,36 @@ class TestDeterminismAndWitness:
         assert a.min_slack != b.min_slack
 
     @pytest.mark.parametrize(
-        "check_id", ["newton", "maclaurin", "L4_2_id3", "L5_2_psd", "L6_4_H", "C3_1_key"]
+        "check_id, samples",
+        [pytest.param(c, 300, id=c) for c in ("newton", "maclaurin", "L4_2_id3", "L5_2_psd", "L6_4_H", "C3_1_key")]
+        + [pytest.param("newton", 2 * registry._BLOCK + 1, id="newton-3-blocks")],  # tallies merged across blocks
     )
-    def test_witness_reproduces_min_slack(self, check_id):
-        res = run_check(check_id, n=6, samples=300, seed=5)
+    def test_witness_reproduces_min_slack(self, check_id, samples):
+        res = run_check(check_id, n=6, samples=samples, seed=5)
         assert res.witness is not None
         assert witness_slack(res.witness) == res.min_slack
+        if res.kind != "ASYMPTOTIC":  # a fixed check here evaluates every row it draws
+            assert res.samples == samples
+
+    def test_run_and_replay_see_the_same_params(self, monkeypatch):
+        seen = {"run": set(), "replay": set()}
+        phase = ["run"]
+        for check in registry_list():
+
+            def spy(X, aux, P, rows=check.rows):
+                seen[phase[0]].add(frozenset(P))
+                return rows(X, aux, P)
+
+            monkeypatch.setitem(registry.REGISTRY, check.id, dataclasses.replace(check, rows=spy))
+        ctx = RunContext(n=5, samples=8, seed=0)
+        results = run_checks([(c.id, ctx) for c in registry_list()], jobs=1)
+        phase[0] = "replay"
+        replayed = [r for r in results if isinstance(r, registry.CheckResult) and r.witness is not None]
+        assert len(replayed) > len(results) // 2
+        for res in replayed:
+            assert witness_slack(res.witness) == res.min_slack, res.id
+        keys = {frozenset({"n", "k", "i0", "K", "kappa1"})}
+        assert seen == {"run": keys, "replay": keys}
 
 
 class TestClassifyCase:
@@ -366,7 +398,7 @@ class TestWorkerCount:
             return np.where(np.arange(X.shape[0]) % 3 == 0, np.nan, X[:, 0] * 0.0 + offset)
 
         for kind, ks in (("INEQUALITY", (2, 3)), ("ASYMPTOTIC", (2,))):
-            cid = _local_check(monkeypatch, kind, rows, k_values=lambda n, k, ks=ks: ks)
+            cid = _local_check(monkeypatch, kind, rows, k_values=lambda n, ks=ks: ks)
             (res,) = self.assert_same([(cid, RunContext(n=5, samples=60, seed=1))])
             assert res.min_slack == offset and res.details["nonfinite_rows"] > 0
 
@@ -407,8 +439,8 @@ class TestWorkerCount:
     def test_exhaustion_in_the_middle_of_the_plan(self, monkeypatch):
         sampler = _exhausting_sampler(monkeypatch, lambda P: P["k"] == 3 or P["kappa1"] == 1e3)
         zero = _fill_rows(0.0)
-        fixed = LemmaCheck("test_fixed", "INEQUALITY", "exhausts at k=3", sampler, zero, lambda n, k: (2, 3, 4))
-        sweep = LemmaCheck("test_sweep", "ASYMPTOTIC", "exhausts at kappa_1=1e3", sampler, zero, lambda n, k: (2,))
+        fixed = LemmaCheck("test_fixed", "INEQUALITY", "exhausts at k=3", sampler, zero, lambda n: (2, 3, 4))
+        sweep = LemmaCheck("test_sweep", "ASYMPTOTIC", "exhausts at kappa_1=1e3", sampler, zero, lambda n: (2,))
         for check in (fixed, sweep):
             monkeypatch.setitem(registry.REGISTRY, check.id, check)
         ctx = RunContext(n=5, samples=90, seed=2)
@@ -550,7 +582,7 @@ class TestExhaustedFixedResult:
     @pytest.mark.parametrize("ks", [(3,), (2, 3)], ids=["single-k", "multi-k"])
     def test_fields(self, monkeypatch, ks):
         sampler = _exhausting_sampler(monkeypatch, lambda P: P["k"] == 3)
-        k_values = lambda n, k: ks if k is None else (k,)
+        k_values = lambda n: ks
         cid = _local_check(monkeypatch, "INEQUALITY", _fill_rows(0.0), sampler=sampler, k_values=k_values)
         err = run_check(cid, n=5, samples=40, seed=0)
         ok = run_check(cid, n=5, samples=40, seed=0, k=2)

@@ -229,7 +229,7 @@ def _params(n, kappa1, cases):
 def test_tail_cases_sampler(n, kappa1, seen_counts):
     P = _params(n, kappa1, ("B3", "C"))
     seed = 1000 * n + int(math.log10(kappa1))
-    X, aux = registry._sampler_tail_cases(P, make_rng(seed), 300)
+    X, aux = registry._sampler_tail_cases(P, make_rng(seed), 300, cases=P["cases"])
     ref, counts = _tail_cases(P, make_rng(seed), 300)
     _same(X, ref)
     assert aux == {}
@@ -243,7 +243,7 @@ def test_tail_cases_sampler(n, kappa1, seen_counts):
 def test_main_sampler(n, kappa1, cases, seen_counts):
     P = _params(n, kappa1, cases)
     seed = 2000 * n + int(math.log10(kappa1))
-    X, _ = registry._sampler_main(P, make_rng(seed), 200)
+    X, _ = registry._sampler_main(P, make_rng(seed), 200, cases=cases)
     pred = _pred(1, cases) if cases else None
     ref, counts = _sample_batch(make_rng(seed), 200, n, n - 2, kappa1, 2, SIGMA_K_WINDOW, pred)
     _same(X, ref)
@@ -318,7 +318,7 @@ def test_exhausted_tail_cases_counts(monkeypatch):
     monkeypatch.setattr(registry, "_SAMPLER_BUDGET", 3 * 4096)
     P = _params(6, 1e6, ("B3",))
     with pytest.raises(SamplingExhaustedError) as got:
-        registry._sampler_tail_cases(P, make_rng(3), 100_000)
+        registry._sampler_tail_cases(P, make_rng(3), 100_000, cases=P["cases"])
     with pytest.raises(SamplingExhaustedError) as want:
         _tail_cases(P, make_rng(3), 100_000, budget=3 * 4096)
     _assert_counts(got.value.rejection_counts, want.value.rejection_counts)
