@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInputError, SymconeError
-from .registry import PSD_EPS, REGISTRY, RunContext, registry_list, resolve_jobs, run_checks
+from .parallel import resolve_jobs
+from .registry import PSD_EPS, REGISTRY, RunContext, registry_list, run_checks
 from .search import SearchConfig, minimize_lambda, threshold_bisect
 
 SCHEMA_VERSION = 1

@@ -130,6 +130,27 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: need 1 <= i <= n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kappa1", "-5"], "need kappa1 > 0"),
+            (["--kappa1", "0"], "need kappa1 > 0"),
+            (["--kappa1", "nan"], "need kappa1 > 0"),
+            (["--K", "0"], "need K > 0"),
+            (["--K", "-1"], "need K > 0"),
+            (["--tol", "nan"], "need a finite tol >= 0"),
+            (["--tol=-1e-9"], "need a finite tol >= 0"),
+            (["--psd-eps", "nan"], "need a finite psd_eps >= 0"),
+            (["--psd-eps", "inf"], "need a finite psd_eps >= 0"),
+        ],
+        ids=["kappa1-neg", "kappa1-zero", "kappa1-nan", "K-zero", "K-neg", "tol-nan", "tol-neg", "eps-nan", "eps-inf"],
+    )
+    def test_invalid_scale_or_tolerance_exits_2(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", "--only", "C3_1_key", "--n", "5", "--samples", "20", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_no_applicable_check_exits_2(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         assert main(["verify", "--n", "4", "--only", "C3_1_key", "--out", str(out)]) == 2
@@ -223,6 +244,14 @@ class TestThresholdCommand:
         assert main(["threshold", "--check", "L3_2", "--n", "5", "--samples", samples, "--out", str(out)]) == 2
         records = read_jsonl(out)
         assert records[-1] == {"record": "summary", "error": f"need samples >= 1, got {samples}"}
+        assert not any(r["record"] == "result" for r in records)
+
+    @pytest.mark.parametrize("flags", [["--K", "0"], ["--K", "nan"]], ids=["K-zero", "K-nan"])
+    def test_invalid_K_exits_2(self, flags, tmp_path):
+        out = tmp_path / "t.jsonl"
+        assert main(["threshold", "--check", "L3_5_a", "--n", "5", "--samples", "20", *flags, "--out", str(out)]) == 2
+        records = read_jsonl(out)
+        assert records[-1]["record"] == "summary" and records[-1]["error"].startswith("need K > 0")
         assert not any(r["record"] == "result" for r in records)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import signal
 import threading
@@ -11,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import symcone.matrix_rows as matrix_rows
 import symcone.registry as registry
 
 from symcone import (
@@ -139,7 +141,7 @@ class TestRunCheck:
         s_ii = batch_coeffs(np.delete(X, i0, axis=1))[:, k - 1]
         K = 1.0 / np.median(X[:, i0] * s_ii)  # about half the rows pass
         ok = K * X[:, i0] * s_ii > 1.0
-        out = registry._key_rows(X, k, i0, K)
+        out = matrix_rows._key_rows(X, k, i0, K)
         assert 0 < ok.sum() < ok.size
         assert np.array_equal(np.isinf(out), ~ok)
         assert out[ok].tobytes() == _relmin(key_matrix_batch(X[ok], k, i0, K)).tobytes()
@@ -157,11 +159,43 @@ class TestRunCheck:
         assert _fields(pinned) == _fields(run_check(check_id, n=5, samples=200, seed=0))
         assert pinned.k is None and pinned.details["k_values"] == [None]
 
+    @pytest.mark.parametrize(
+        "check_id, n, own_k",
+        [
+            ("L5_8_sum", 6, 4),  # statements at level n - 2
+            ("B_psd", 6, 4),
+            ("L6_4_H", 6, 4),
+            ("L6_1_ratio", 6, 4),
+            ("L2_4a", 3, 2),  # statements whose range stops below n
+            ("L2_4b", 4, 2),
+        ],
+    )
+    def test_level_outside_the_statement_keeps_its_own(self, check_id, n, own_k):
+        pinned = run_check(check_id, n=n, k=3, samples=100, seed=0)
+        assert _fields(pinned) == _fields(run_check(check_id, n=n, samples=100, seed=0))
+        assert pinned.k == own_k and pinned.verdict in ("PASS", "THRESHOLD")
+
+    @pytest.mark.parametrize(
+        "check_id, n, k", [("L5_8_sum", 5, 3), ("maclaurin", 5, 3), ("L2_4a", 5, 4), ("C3_1_key", 5, 4), ("A_psd", 6, 3)]
+    )
+    def test_level_inside_the_statement_is_taken(self, check_id, n, k):
+        res = run_check(check_id, n=n, k=k, samples=100, seed=0, kappa1=1e4, K=1e3)
+        assert res.k == k and res.verdict in ("PASS", "THRESHOLD")
+
     @pytest.mark.parametrize("check_id", ["newton", "C3_1_key"])  # a fixed and an asymptotic check
     @pytest.mark.parametrize("k", [0, 9])
     def test_level_out_of_range(self, check_id, k):
         with pytest.raises(InvalidInputError, match=f"k={k} out of range"):
             run_check(check_id, n=5, k=k, samples=10)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"K": 0.0}, {"K": -1.0}, {"K": math.nan}, {"kappa1": 0.0}, {"kappa1": -5.0}, {"kappa1": math.nan},
+         {"tol": math.nan}, {"tol": -1e-12}, {"psd_eps": math.nan}, {"psd_eps": math.inf}],
+    )
+    def test_invalid_scale_or_tolerance(self, fields):
+        with pytest.raises(InvalidInputError, match=f"need (a finite )?{next(iter(fields))}"):
+            RunContext(n=5, **fields)
 
     def test_tolerance_override_can_fail_a_check(self):
         res = run_check("L4_2_id1", n=6, samples=500, seed=0, tol=0.0)

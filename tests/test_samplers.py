@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import symcone.cones as cones
-import symcone.registry as registry
+import symcone.hypotheses as hypotheses
 from symcone.cones import SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, make_rng, rejection_sample, sample_batch
 from symcone.errors import SamplingExhaustedError
 from symcone.registry import ASYM_KAPPA1_GRID, classify_masks
@@ -211,7 +211,7 @@ def seen_counts(monkeypatch):
         return rejection_sample(draw, count, block, budget, counts, what)
 
     monkeypatch.setattr(cones, "rejection_sample", spy)
-    monkeypatch.setattr(registry, "rejection_sample", spy)
+    monkeypatch.setattr(hypotheses, "rejection_sample", spy)
     return seen
 
 
@@ -229,7 +229,7 @@ def _params(n, kappa1, cases):
 def test_tail_cases_sampler(n, kappa1, seen_counts):
     P = _params(n, kappa1, ("B3", "C"))
     seed = 1000 * n + int(math.log10(kappa1))
-    X, aux = registry._sampler_tail_cases(P, make_rng(seed), 300, cases=P["cases"])
+    X, aux = hypotheses._sampler_tail_cases(P, make_rng(seed), 300, cases=P["cases"])
     ref, counts = _tail_cases(P, make_rng(seed), 300)
     _same(X, ref)
     assert aux == {}
@@ -243,7 +243,7 @@ def test_tail_cases_sampler(n, kappa1, seen_counts):
 def test_main_sampler(n, kappa1, cases, seen_counts):
     P = _params(n, kappa1, cases)
     seed = 2000 * n + int(math.log10(kappa1))
-    X, _ = registry._sampler_main(P, make_rng(seed), 200, cases=cases)
+    X, _ = hypotheses._sampler_main(P, make_rng(seed), 200, cases=cases)
     pred = _pred(1, cases) if cases else None
     ref, counts = _sample_batch(make_rng(seed), 200, n, n - 2, kappa1, 2, SIGMA_K_WINDOW, pred)
     _same(X, ref)
@@ -315,10 +315,10 @@ def test_exhausted_sample_batch_counts():
 
 
 def test_exhausted_tail_cases_counts(monkeypatch):
-    monkeypatch.setattr(registry, "_SAMPLER_BUDGET", 3 * 4096)
+    monkeypatch.setattr(hypotheses, "_SAMPLER_BUDGET", 3 * 4096)
     P = _params(6, 1e6, ("B3",))
     with pytest.raises(SamplingExhaustedError) as got:
-        registry._sampler_tail_cases(P, make_rng(3), 100_000, cases=P["cases"])
+        hypotheses._sampler_tail_cases(P, make_rng(3), 100_000, cases=P["cases"])
     with pytest.raises(SamplingExhaustedError) as want:
         _tail_cases(P, make_rng(3), 100_000, budget=3 * 4096)
     _assert_counts(got.value.rejection_counts, want.value.rejection_counts)
@@ -328,9 +328,9 @@ def test_exhausted_tail_cases_counts(monkeypatch):
 def test_uniform_is_generator_uniform():
     u = make_rng(5).random(3000)
     rng = make_rng(5)
-    _same(registry._uniform(u[:1000], -0.005, 0.005), rng.uniform(-0.005, 0.005, 1000))
+    _same(hypotheses._uniform(u[:1000], -0.005, 0.005), rng.uniform(-0.005, 0.005, 1000))
     low = np.log(np.linspace(1e-3, 1.0, 1000))[:, None]
-    _same(registry._uniform(u[1000:].reshape(1000, 2), low, 9.1), rng.uniform(low, 9.1, (1000, 2)))
+    _same(hypotheses._uniform(u[1000:].reshape(1000, 2), low, 9.1), rng.uniform(low, 9.1, (1000, 2)))
 
 
 def test_classify_masks_matches_row_oracle():
