@@ -1,7 +1,8 @@
 """Command-line interface: verify / search / threshold.
 
-Output is JSON Lines (one record per line).  The first record of every run
-is a manifest with the schema version, the resolved options, and the seed,
+Output is JSON Lines (one record per line), written by one writer.  The
+first record of every run but `verify --list` is a manifest with the schema
+version and every resolved option that can change a result, seed included,
 so a result file is self-describing and re-runnable.
 
 Results are bit-for-bit reproducible per platform only, so every manifest
@@ -15,6 +16,7 @@ slack beyond tolerance or a confirmed negative search finding), 2 an error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import platform
@@ -27,7 +29,7 @@ from . import __version__
 from .errors import InvalidInputError, SymconeError
 from .parallel import resolve_jobs
 from .registry import PSD_EPS, REGISTRY, RunContext, registry_list, run_checks
-from .search import SearchConfig, minimize_lambda, threshold_bisect
+from .search import SearchConfig, _threshold_context, minimize_lambda, threshold_bisect
 
 SCHEMA_VERSION = 1
 
@@ -66,23 +68,6 @@ def _jdump(obj) -> str:
     if dataclasses.is_dataclass(obj):
         return _jdump(dataclasses.asdict(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-class _Writer:
-    def __init__(self, path: Optional[str]):
-        self.path = path
-        try:
-            self.fh = open(path, "w") if path else sys.stdout
-        except OSError as exc:
-            raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from exc
-
-    def emit(self, record: dict) -> None:
-        self.fh.write(_jdump(record) + "\n")
-        self.fh.flush()
-
-    def close(self) -> None:
-        if self.path:
-            self.fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# verify.
+# Commands.
 # ---------------------------------------------------------------------------
 
 
@@ -174,21 +159,52 @@ def _environment() -> dict:
     }
 
 
+def _options(args) -> dict:
+    """Every option of the command in parser order, `--only` as `checks`,
+    except the ones that choose where and what to print."""
+    return {
+        ("checks" if name == "only" else name): value
+        for name, value in vars(args).items()
+        if name not in ("command", "out", "list")
+    }
+
+
+@contextlib.contextmanager
+def _writer(args, fields: Optional[dict]):
+    """Open `--out` (stdout without it) and yield `emit`, which writes one
+    record per line.  Unless `fields` is None the manifest comes first: the
+    shared keys, then `fields`, then the environment.  The file is closed
+    however the command ends."""
+    try:
+        fh = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {args.out}: {exc.strerror}") from exc
+
+    def emit(record: dict) -> None:
+        fh.write(_jdump(record) + "\n")
+        fh.flush()
+
+    try:
+        if fields is not None:
+            emit(
+                {
+                    "record": "manifest", "schema_version": SCHEMA_VERSION, "tool": "symcone", "version": __version__,
+                    "command": args.command, **fields, "environment": _environment(),
+                }
+            )
+        yield emit
+    finally:
+        if args.out:
+            fh.close()
+
+
 def _cmd_verify(args) -> int:
     jobs = resolve_jobs(args.jobs)
     if args.list:
-        writer = _Writer(args.out)
-        for check in registry_list():
-            writer.emit(
-                {
-                    "record": "catalog",
-                    "id": check.id,
-                    "kind": check.kind,
-                    "min_n": check.min_n,
-                    "description": check.description,
-                }
-            )
-        writer.close()
+        with _writer(args, None) as emit:
+            for check in registry_list():
+                emit({"record": "catalog", "id": check.id, "kind": check.kind, "min_n": check.min_n,
+                      "description": check.description})
         return 0
 
     if args.only:
@@ -216,41 +232,21 @@ def _cmd_verify(args) -> int:
         print(f"error: no requested check applies to n={','.join(map(str, args.n))}", file=sys.stderr)
         return 2
 
-    writer = _Writer(args.out)
-    writer.emit(
-        {
-            "record": "manifest",
-            "schema_version": SCHEMA_VERSION,
-            "tool": "symcone",
-            "version": __version__,
-            "command": "verify",
-            "n": args.n,
-            "k": args.k,
-            "samples": args.samples,
-            "seed": args.seed,
-            "kappa1": args.kappa1,
-            "K": args.K,
-            "checks": [cid for cid, _ in requests],
-            "jobs": jobs,
-            "environment": _environment(),
-        }
-    )
-
     worst = 0
-    results = run_checks(requests, jobs)
-    for (cid, ctx), res in zip(requests, results):
-        if isinstance(res, SymconeError):
-            rec = {"record": "result", "id": cid, "n": ctx.n, "verdict": "ERROR", "details": {"error": str(res)}}
-        else:
-            rec = dataclasses.asdict(res)
-            rec["record"] = "result"
-        writer.emit(rec)
-        if rec["verdict"] == "ERROR":
-            worst = max(worst, 2)
-        elif rec["verdict"] == "FAIL":
-            worst = max(worst, 1)
-    writer.emit({"record": "summary", "tasks": len(results), "exit_code": worst})
-    writer.close()
+    with _writer(args, {**_options(args), "checks": [cid for cid, _ in requests], "jobs": jobs}) as emit:
+        results = run_checks(requests, jobs)
+        for (cid, ctx), res in zip(requests, results):
+            if isinstance(res, SymconeError):
+                rec = {"record": "result", "id": cid, "n": ctx.n, "verdict": "ERROR", "details": {"error": str(res)}}
+            else:
+                rec = dataclasses.asdict(res)
+                rec["record"] = "result"
+            emit(rec)
+            if rec["verdict"] == "ERROR":
+                worst = max(worst, 2)
+            elif rec["verdict"] == "FAIL":
+                worst = max(worst, 1)
+        emit({"record": "summary", "tasks": len(results), "exit_code": worst})
     return worst
 
 
@@ -264,76 +260,37 @@ def _cmd_search(args) -> int:
         restarts=args.restarts,
         seed=args.seed,
     )
-    writer = _Writer(args.out)
-    writer.emit(
-        {
-            "record": "manifest",
-            "schema_version": SCHEMA_VERSION,
-            "tool": "symcone",
-            "version": __version__,
-            "command": "search",
-            "config": dataclasses.asdict(cfg),
-            "environment": _environment(),
-        }
-    )
-    result = minimize_lambda(cfg)
-    rec = dataclasses.asdict(result)
-    rec["record"] = "result"
-    writer.emit(rec)
-    # Negative beyond the PSD tolerance, both in float and exactly built.
-    negative = (
-        result.best is not None
-        and result.best.value < -PSD_EPS
-        and result.best.refined_value is not None
-        and result.best.refined_value < -PSD_EPS
-    )
-    writer.emit({"record": "summary", "negative_found": bool(negative)})
-    writer.close()
+    with _writer(args, {"config": dataclasses.asdict(cfg)}) as emit:
+        result = minimize_lambda(cfg)
+        rec = dataclasses.asdict(result)
+        rec["record"] = "result"
+        emit(rec)
+        # Negative beyond the PSD tolerance, both in float and exactly built.
+        negative = (
+            result.best is not None
+            and result.best.value < -PSD_EPS
+            and result.best.refined_value is not None
+            and result.best.refined_value < -PSD_EPS
+        )
+        emit({"record": "summary", "negative_found": bool(negative)})
     if result.best is None:
         return 2
     return 1 if negative else 0
 
 
 def _cmd_threshold(args) -> int:
-    writer = _Writer(args.out)
-    writer.emit(
-        {
-            "record": "manifest",
-            "schema_version": SCHEMA_VERSION,
-            "tool": "symcone",
-            "version": __version__,
-            "command": "threshold",
-            "check": args.check,
-            "n": args.n,
-            "lo": args.lo,
-            "hi": args.hi,
-            "steps": args.steps,
-            "samples": args.samples,
-            "seed": args.seed,
-            "environment": _environment(),
-        }
-    )
-    try:
-        result = threshold_bisect(
-            args.check,
-            args.n,
-            lo=args.lo,
-            hi=args.hi,
-            steps=args.steps,
-            samples=args.samples,
-            seed=args.seed,
-            K=args.K,
-            k=args.k,
-        )
-    except SymconeError as exc:
-        writer.emit({"record": "summary", "error": str(exc)})
-        writer.close()
-        return 2
-    rec = dataclasses.asdict(result)
-    rec["record"] = "result"
-    writer.emit(rec)
-    writer.emit({"record": "summary", "kappa1_star": result.kappa1_star})
-    writer.close()
+    request = dict(lo=args.lo, hi=args.hi, samples=args.samples, seed=args.seed, K=args.K, k=args.k)
+    _threshold_context(args.check, args.n, **request)
+    with _writer(args, _options(args)) as emit:
+        try:
+            result = threshold_bisect(args.check, args.n, steps=args.steps, **request)
+        except SymconeError as exc:
+            emit({"record": "summary", "error": str(exc)})
+            return 2
+        rec = dataclasses.asdict(result)
+        rec["record"] = "result"
+        emit(rec)
+        emit({"record": "summary", "kappa1_star": result.kappa1_star})
     return 1 if result.none_pass else 0
 
 

@@ -33,7 +33,10 @@ streams, so every result - including witnesses - is bit-reproducible.  Each
 point of a check (one k of a fixed check, one (kappa_1, K) of a sweep) has
 its own stream, so `run_checks` plans the points of many checks, evaluates
 them with `parallel.fork_map` and folds each check's outcomes in plan order;
-the result does not depend on the number of workers.
+the result does not depend on the number of workers.  Both kinds share the
+plan and the fold: a fixed check is one group of points at its scale, a
+sweep one group per kappa_1, and a group stops at its first point whose
+sampler ran dry.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ _CATALOG = (
     LemmaCheck("L2_5_product", "INEQUALITY", "sigma_s dominates the product of the s largest entries", "bark", _rows_l25, _k_range(2, 0), k_strict=True),
     LemmaCheck("L2_6_theta", "INEQUALITY", "single exclusion bounded below via theta = 1/(n^{n-k} C(n,k))", "cone", _rows_l26, _k_range(2, 0), k_strict=True),
     LemmaCheck("L5_8_sum", "INEQUALITY", "4 sigma_{n-4}^2 dominates the row sums of squared pair exclusions", "cone", _rows_l58, _k_top, min_n=4, k_strict=True),
-    LemmaCheck("L5_9_lower", "INEQUALITY", "scale-free lower bound for sigma_{n-3}(kappa|1)", "l59", _rows_l59, _k_top, min_n=5),
+    LemmaCheck("L5_9_lower", "INEQUALITY", "scale-free lower bound for sigma_{n-3}(kappa|1)", "l59", _rows_l59, _k_top, min_n=5, k_strict=True),
     # -- PSD ----------------------------------------------------------------
     LemmaCheck("L5_2_psd", "PSD", "exclusion matrix of order s on the closed cone", "bar", _rows_l52, _k_free, psd_scaled=True),
     LemmaCheck("L5_3_psd", "PSD", "2-diagonal minus off-diagonal form at order n-3, closed cone", "bar", _rows_l53, _k_free, psd_scaled=True),
@@ -174,7 +177,7 @@ _CATALOG = (
     LemmaCheck("T6_1_s601", "ASYMPTOTIC", "(8/9) kappa_i^2 A + C with the 1/20 penalty removed", "main_abb2", _rows_s601, _k_top, min_n=5, psd_scaled=True, k_strict=True),
     LemmaCheck("T6_1_s602", "ASYMPTOTIC", "(1/9) kappa_i^2 A + sigma_k B - c D with the 1/20 penalty added", "main_abb2", _rows_s602, _k_top, min_n=5, uses_K=True, psd_scaled=True, k_strict=True),
     LemmaCheck("C3_1_key", "ASYMPTOTIC", "the key curvature form itself on the conjecture regime", "main", _rows_key, _k_top, min_n=5, uses_K=True, psd_scaled=True),
-    LemmaCheck("S7_case_key", "ASYMPTOTIC", "the key form on the remaining cases B3 and C", "tail_cases", _rows_key, _k_top, min_n=5, uses_K=True, psd_scaled=True),
+    LemmaCheck("S7_case_key", "ASYMPTOTIC", "the key form on the remaining cases B3 and C", "tail_cases", _rows_key, _k_top, min_n=5, uses_K=True, psd_scaled=True, k_strict=True),
     LemmaCheck("L4_1_gap", "ASYMPTOTIC", "key form minus its reduced-form lower bound (tight variant)", "main", functools.partial(_rows_gap, with_kappa_i_sq=True), _k_top, min_n=5, uses_K=True, psd_scaled=True),
     LemmaCheck("L4_1_gap_alt", "ASYMPTOTIC", "key form minus its reduced-form lower bound (weak variant)", "main", functools.partial(_rows_gap, with_kappa_i_sq=False), _k_top, min_n=5, uses_K=True, psd_scaled=True),
 )
@@ -237,20 +240,27 @@ def _tol_for(check: LemmaCheck, ctx: RunContext) -> float:
     return ctx.psd_eps if check.psd_scaled else ctx.tol
 
 
-def _levels(check: LemmaCheck, ctx: RunContext) -> Tuple[Optional[int], ...]:
-    """The levels k a run evaluates: `ctx.k` if set and the check's statement
-    covers it, else the check's defaults.  A k-free check (levels (None,))
-    and a `k_strict` check asked for a level outside its defaults keep them."""
+def _grid(check: LemmaCheck, ctx: RunContext) -> Tuple[tuple, tuple, tuple]:
+    """(levels, kappa_1 groups, K values) of a run.
+
+    The levels are `ctx.k` if set and the check's statement covers it, else
+    the check's defaults: a k-free check (levels (None,)) and a `k_strict`
+    check asked for a level outside its defaults keep them.  A fixed check
+    is one group at its scale with one point per level; a sweep has one
+    group per kappa_1 with one point per K at its single level.
+    """
     ks = check.k_values(ctx.n)
-    if ctx.k is None or ks == (None,) or (check.k_strict and ctx.k not in ks):
-        return ks
-    return (ctx.k,)
+    if ctx.k is not None and ks != (None,) and not (check.k_strict and ctx.k not in ks):
+        ks = (ctx.k,)
+    if check.kind != "ASYMPTOTIC":
+        return ks, (check.default_kappa1 if ctx.kappa1 is None else ctx.kappa1,), (ctx.K,)
+    Ks = ASYM_K_GRID if check.uses_K else (None,)
+    return ks[:1], ASYM_KAPPA1_GRID if ctx.kappa1 is None else (ctx.kappa1,), Ks if ctx.K is None else (ctx.K,)
 
 
-def _params(ctx: RunContext, k: Optional[int], kappa1: Optional[float], K: Optional[float]) -> dict:
-    """The parameters P a rows function and its sampler see; `witness_slack`
-    rebuilds the same keys from a witness."""
-    return {"n": ctx.n, "k": k, "i0": ctx.i - 1, "K": K, "kappa1": kappa1}
+def _params(n: int, k: Optional[int], i0: int, K: Optional[float], kappa1: Optional[float]) -> dict:
+    """The parameters P a rows function and its sampler see, in a run and in its replay."""
+    return {"n": n, "k": k, "i0": i0, "K": K, "kappa1": kappa1}
 
 
 def _make_witness(check, P, X, aux, j, slack) -> dict:
@@ -278,13 +288,7 @@ def witness_slack(witness: dict) -> float:
         key: (np.full(1, val) if np.ndim(val) == 0 else np.asarray(val, dtype=float)[None, :])
         for key, val in witness.get("aux", {}).items()
     }
-    P = {
-        "n": X.shape[1],
-        "k": witness.get("k"),
-        "i0": int(witness.get("i", 1)) - 1,
-        "K": witness.get("K"),
-        "kappa1": witness.get("kappa1"),
-    }
+    P = _params(X.shape[1], witness.get("k"), int(witness.get("i", 1)) - 1, witness.get("K"), witness.get("kappa1"))
     return float(check.rows(X, aux, P)[0])
 
 
@@ -344,16 +348,8 @@ class _Point(NamedTuple):
     rows: int
 
 
-def _sweep(check: LemmaCheck, ctx: RunContext):
-    """(k, kappa_1 grid, K grid) of an asymptotic check."""
-    k = _levels(check, ctx)[0]
-    grid = (ctx.kappa1,) if ctx.kappa1 is not None else ASYM_KAPPA1_GRID
-    Ks = (ctx.K,) if ctx.K is not None else (ASYM_K_GRID if check.uses_K else (None,))
-    return k, grid, Ks
-
-
-def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
-    """The points of one check, in the order the fold reads their outcomes."""
+def _check_for(check_id: str, ctx: RunContext) -> LemmaCheck:
+    """The check a request names; raises InvalidInputError unless it applies at (n, k)."""
     if check_id not in REGISTRY:
         raise InvalidInputError(f"unknown check id: {check_id!r}")
     check = REGISTRY[check_id]
@@ -361,19 +357,25 @@ def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
         raise InvalidInputError(f"{check.id} requires n >= {check.min_n}, got n={ctx.n}")
     if ctx.k is not None and not 1 <= ctx.k <= ctx.n:
         raise InvalidInputError(f"k={ctx.k} out of range for n={ctx.n}")
-    if check.kind == "ASYMPTOTIC":
-        k, grid, Ks = _sweep(check, ctx)
-        return [
-            _Point(check, _params(ctx, k, g, Kv), _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}|{g}|{Kv}"), ctx.samples)
-            for g in grid
-            for Kv in Ks
-        ]
-    ks = _levels(check, ctx)
-    per_k = max(1, -(-ctx.samples // len(ks)))
-    kappa1 = ctx.kappa1 if ctx.kappa1 is not None else check.default_kappa1
+    return check
+
+
+def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
+    """The points of one check, group by group, in the order the fold reads
+    their outcomes.  A point's child seed is labelled id|n|k in a fixed check
+    and id|n|k|kappa_1|K in a sweep."""
+    check = _check_for(check_id, ctx)
+    levels, groups, Ks = _grid(check, ctx)
+    rows = max(1, -(-ctx.samples // len(levels)))
+    sweep = check.kind == "ASYMPTOTIC"
     return [
-        _Point(check, _params(ctx, k, kappa1, ctx.K), _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}"), per_k)
-        for k in ks
+        _Point(
+            check, _params(ctx.n, k, ctx.i - 1, Kv, g),
+            _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}" + (f"|{g}|{Kv}" if sweep else "")), rows,
+        )
+        for g in groups
+        for k in levels
+        for Kv in Ks
     ]
 
 
@@ -385,90 +387,66 @@ def _evaluate(point: _Point):
         return exc
 
 
-def _fold_fixed(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResult:
-    ks = _levels(check, ctx)
-    total = _Tally()
-    failure = None
-    for out in outcomes:
-        if isinstance(out, SamplingExhaustedError):
-            failure = out
-            break
-        if isinstance(out, SymconeError):
-            raise out
-        total = total.merge(out)
-    best, wit, used, nonfinite, excluded = total
-    tol = _tol_for(check, ctx)
-    details = {"k_values": [k for k in ks], "tol": tol, "nonfinite_rows": nonfinite, "excluded_rows": excluded}
-    if failure is not None:
-        verdict = "ERROR"
-        details["error"] = str(failure)
-        details["rejections"] = failure.rejection_counts
-    elif nonfinite:
-        verdict = "ERROR"
-        details["error"] = f"{nonfinite} rows gave a NaN slack"
-    elif not used:
-        verdict = "ERROR"
-        details["error"] = "no row was evaluated: every sample fell outside the hypothesis"
-    else:
-        verdict = "PASS" if best >= -tol else "FAIL"
-    return CheckResult(
-        id=check.id, kind=check.kind, n=ctx.n, k=ks[0] if len(ks) == 1 else None,
-        samples=used, min_slack=best if used else math.nan, verdict=verdict, seed=ctx.seed, witness=wit,
-        details=details,
-    )
+def _fold(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResult:
+    """One check's result from its points' outcomes in plan order.
 
-
-def _fold_asymptotic(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResult:
-    k, grid, Ks = _sweep(check, ctx)
+    Each group merges its points' tallies up to the first point whose
+    sampler ran dry, and reports that point's rejections.  Only the verdict
+    and the keys that describe the plan depend on the kind.
+    """
+    levels, groups, Ks = _grid(check, ctx)
     tol = _tol_for(check, ctx)
-    points = []
-    total = _Tally()
-    for a, g in enumerate(grid):
-        pt = _Tally()
-        exhausted = None
-        for out in outcomes[a * len(Ks):(a + 1) * len(Ks)]:
+    size = len(levels) * len(Ks)
+    total, points = _Tally(), []
+    for a, g in enumerate(groups):
+        pt, exhausted = _Tally(), None
+        for out in outcomes[a * size:(a + 1) * size]:
             if isinstance(out, SamplingExhaustedError):
                 exhausted = out
-                continue
+                break
             if isinstance(out, SymconeError):
                 raise out
             pt = pt.merge(out)
         total = total.merge(pt)
-        passed = exhausted is None and pt.used > 0 and pt.nonfinite == 0 and pt.best >= -tol
         point = {
             "kappa1": g,
-            "min_slack": None if not math.isfinite(pt.best) else pt.best,
+            "min_slack": pt.best if math.isfinite(pt.best) else None,
             "samples": pt.used,
             "nonfinite_rows": pt.nonfinite,
             "excluded_rows": pt.excluded,
-            "passed": bool(passed),
+            "passed": bool(exhausted is None and pt.used > 0 and pt.nonfinite == 0 and pt.best >= -tol),
             "exhausted": None if exhausted is None else str(exhausted),
         }
         if exhausted is not None:
             point["rejections"] = exhausted.rejection_counts
         points.append(point)
-    star_idx = None
-    for a in range(len(points)):
-        if all(p["passed"] for p in points[a:]):
-            star_idx = a
-            break
-    details = {
-        "points": points, "K_grid": [Kv for Kv in Ks], "tol": tol,
-        "nonfinite_rows": total.nonfinite, "excluded_rows": total.excluded,
-    }
+    top = points[-1]
+    counts = {"tol": tol, "nonfinite_rows": total.nonfinite, "excluded_rows": total.excluded}
     kappa1_star = None
-    if star_idx is not None:
-        verdict = "THRESHOLD"
-        kappa1_star = grid[star_idx]
-    elif points[-1]["exhausted"] is not None:
-        verdict = "ERROR"
-    elif not points[-1]["samples"] and not points[-1]["nonfinite_rows"]:
-        verdict = "ERROR"
-        details["error"] = "no row was evaluated at the top point: every sample fell outside the hypothesis"
+    if check.kind == "ASYMPTOTIC":
+        details = {"points": points, "K_grid": list(Ks), **counts}
+        # THRESHOLD at the smallest scale from which every larger scale passes.
+        star = next((a for a in range(len(points)) if all(p["passed"] for p in points[a:])), None)
+        if star is not None:
+            verdict, kappa1_star = "THRESHOLD", groups[star]
+        elif top["exhausted"] is not None:
+            verdict = "ERROR"
+        elif not top["samples"] and not top["nonfinite_rows"]:
+            verdict = "ERROR"
+            details["error"] = "no row was evaluated at the top point: every sample fell outside the hypothesis"
+        else:
+            verdict = "FAIL"
     else:
-        verdict = "FAIL"
+        details = {"k_values": list(levels), **counts}
+        if top["exhausted"] is not None:
+            details.update(error=top["exhausted"], rejections=top["rejections"])
+        elif top["nonfinite_rows"]:
+            details["error"] = f"{top['nonfinite_rows']} rows gave a NaN slack"
+        elif not top["samples"]:
+            details["error"] = "no row was evaluated: every sample fell outside the hypothesis"
+        verdict = "ERROR" if "error" in details else "PASS" if top["passed"] else "FAIL"
     return CheckResult(
-        id=check.id, kind=check.kind, n=ctx.n, k=k, samples=total.used,
+        id=check.id, kind=check.kind, n=ctx.n, k=levels[0] if len(levels) == 1 else None, samples=total.used,
         min_slack=total.best if total.used else math.nan, verdict=verdict, seed=ctx.seed, witness=total.witness,
         kappa1_star=kappa1_star, details=details,
     )
@@ -499,10 +477,8 @@ def run_checks(
         if isinstance(plan, SymconeError):
             results.append(plan)
             continue
-        check = REGISTRY[check_id]
-        fold = _fold_asymptotic if check.kind == "ASYMPTOTIC" else _fold_fixed
         try:
-            results.append(fold(check, ctx, [next(outcomes) for _ in plan]))
+            results.append(_fold(REGISTRY[check_id], ctx, [next(outcomes) for _ in plan]))
         except SymconeError as exc:
             results.append(exc)
     return results

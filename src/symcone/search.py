@@ -26,7 +26,7 @@ registry check passes, by bisection on a log grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
@@ -35,7 +35,7 @@ import numpy as np
 from .cones import SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, make_rng, sample_batch
 from .errors import InvalidInputError, SamplingExhaustedError
 from .quadforms import _relmin, key_matrix_batch, key_matrix_from_table
-from .registry import run_check
+from .registry import RunContext, _check_for, run_check
 from .symfun import batch_coeffs, batch_excl1_table
 
 _EPS = np.finfo(float).eps
@@ -355,10 +355,16 @@ class ThresholdResult:
     history: List[dict] = field(default_factory=list)
 
 
-def _passes_at(check_id: str, n: int, g: float, samples: int, seed: int, K: Optional[float], k: Optional[int]) -> Tuple[bool, float]:
-    res = run_check(check_id, n=n, samples=samples, seed=seed, kappa1=g, K=K, k=k)
-    ok = res.verdict in ("PASS", "THRESHOLD")
-    return ok, res.min_slack
+def _threshold_context(
+    check_id: str, n: int, lo: float, hi: float, samples: int, seed: int, K: Optional[float], k: Optional[int]
+) -> RunContext:
+    """The run of every `threshold_bisect` probe, less its scale.  Raises
+    InvalidInputError on a request no probe could run, before any probe."""
+    if not 0 < lo < hi:
+        raise InvalidInputError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+    ctx = RunContext(n=n, samples=samples, seed=seed, K=K, k=k)
+    _check_for(check_id, ctx)
+    return ctx
 
 
 def threshold_bisect(
@@ -378,16 +384,16 @@ def threshold_bisect(
     only claim validity above some scale); endpoint flags report when the
     bracket never straddles the transition.
     """
-    if not 0 < lo < hi:
-        raise InvalidInputError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+    ctx = _threshold_context(check_id, n, lo, hi, samples, seed, K, k)
     history: List[dict] = []
     evaluations = 0
 
     def probe(g: float) -> bool:
         nonlocal evaluations
         evaluations += 1
-        ok, slack = _passes_at(check_id, n, g, samples, seed, K, k)
-        history.append({"kappa1": g, "passed": ok, "min_slack": slack})
+        res = run_check(check_id, replace(ctx, kappa1=g))
+        ok = res.verdict in ("PASS", "THRESHOLD")
+        history.append({"kappa1": g, "passed": ok, "min_slack": res.min_slack})
         return ok
 
     hi_ok = probe(hi)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import symcone
-from symcone import registry_list
-from symcone.cli import main
+from symcone import registry_list, search
+from symcone.cli import _build_parser, main
 
 
 def read_jsonl(path):
@@ -239,20 +239,39 @@ class TestThresholdCommand:
         assert main(["threshold", "--check", "bogus", "--n", "5", "--out", str(out)]) == 2
 
     @pytest.mark.parametrize("samples", ["0", "-4"])
-    def test_samples_below_one_exits_2(self, samples, tmp_path):
+    def test_samples_below_one_exits_2(self, samples, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
         assert main(["threshold", "--check", "L3_2", "--n", "5", "--samples", samples, "--out", str(out)]) == 2
-        records = read_jsonl(out)
-        assert records[-1] == {"record": "summary", "error": f"need samples >= 1, got {samples}"}
-        assert not any(r["record"] == "result" for r in records)
+        assert capsys.readouterr().err == f"error: need samples >= 1, got {samples}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--K", "0"], ["--K", "nan"]], ids=["K-zero", "K-nan"])
-    def test_invalid_K_exits_2(self, flags, tmp_path):
+    def test_invalid_K_exits_2(self, flags, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
         assert main(["threshold", "--check", "L3_5_a", "--n", "5", "--samples", "20", *flags, "--out", str(out)]) == 2
-        records = read_jsonl(out)
-        assert records[-1]["record"] == "summary" and records[-1]["error"].startswith("need K > 0")
-        assert not any(r["record"] == "result" for r in records)
+        assert capsys.readouterr().err.startswith("error: need K > 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--check", "bogus", "--n", "5"], "unknown check id: 'bogus'"),
+            (["--check", "L3_2", "--n", "4"], "L3_2 requires n >= 5, got n=4"),
+            (["--check", "L3_2", "--n", "5", "--k", "6"], "k=6 out of range for n=5"),
+            (["--check", "L3_2", "--n", "5", "--lo", "1e4", "--hi", "10"], "need 0 < lo < hi"),
+            (["--check", "L3_2", "--n", "5", "--lo", "10", "--hi", "10"], "need 0 < lo < hi"),
+        ],
+        ids=["unknown-check", "n-below-min", "k-above-n", "lo-above-hi", "lo-equals-hi"],
+    )
+    def test_invalid_request_runs_no_probe(self, flags, message, monkeypatch, tmp_path, capsys):
+        def probe(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(search, "run_check", probe)
+        out = tmp_path / "t.jsonl"
+        assert main(["threshold", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
 
 COMMANDS = pytest.mark.parametrize(
@@ -283,6 +302,33 @@ def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "verify", "--only", "C3_1_key", "--n", "5", "--k", "3", "--samples", "20", "--seed", "3", "--kappa1", "1e4",
+            "--K", "1e3", "--i", "3", "--tol", "1e-6", "--psd-eps", "1e-7", "--jobs", "1",
+        ],
+        ["search", "--n", "5", "--k", "3", "--K", "50", "--kappa1", "1e3", "--i", "3", "--restarts", "1", "--seed", "3"],
+        [
+            "threshold", "--check", "L3_5_a", "--n", "5", "--k", "3", "--K", "50", "--lo", "10", "--hi", "1e3",
+            "--steps", "1", "--samples", "20", "--seed", "3",
+        ],
+    ],
+    ids=["verify", "search", "threshold"],
+)
+def test_manifest_records_every_option(argv, tmp_path):
+    out = tmp_path / "m.jsonl"
+    main(argv + ["--out", str(out)])
+    manifest = read_jsonl(out)[0]
+    recorded = {**manifest, **manifest.get("config", {})}  # search records its SearchConfig
+    options = vars(_build_parser().parse_args(argv))
+    for name in set(options) - {"command", "out", "list", "only"}:
+        assert recorded[name] == options[name], name
+    if argv[0] == "verify":
+        assert recorded["checks"] == ["C3_1_key"]
 
 
 class TestVersionFlag:

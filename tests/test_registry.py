@@ -168,6 +168,8 @@ class TestRunCheck:
             ("L6_1_ratio", 6, 4),
             ("L2_4a", 3, 2),  # statements whose range stops below n
             ("L2_4b", 4, 2),
+            ("L5_9_lower", 6, 4),  # samplers that draw at level n - 2 only
+            ("S7_case_key", 7, 5),
         ],
     )
     def test_level_outside_the_statement_keeps_its_own(self, check_id, n, own_k):
@@ -486,6 +488,22 @@ class TestWorkerCount:
         bad = [p for p in c.details["points"] if p["exhausted"] is not None]
         assert [p["kappa1"] for p in bad] == [1e3]
         assert bad[0]["rejections"] == {"test_constraint": 7}
+
+    def test_sweep_group_stops_at_its_first_exhausted_K(self, monkeypatch):
+        def sampler(P, rng, B):
+            if P["kappa1"] == 1e3 and P["K"] in (1e2, 1e4):
+                raise SamplingExhaustedError("test budget spent", {"test_constraint": int(P["K"])})
+            return rng.standard_normal((B, P["n"])), {}
+
+        monkeypatch.setitem(registry._SAMPLERS, "test_exhaust", sampler)
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", _fill_rows(0.0), sampler="test_exhaust", uses_K=True)
+        (res,) = self.assert_same([(cid, RunContext(n=5, samples=20, seed=0))])
+        assert res.verdict == "THRESHOLD" and res.kappa1_star == 1e4
+        points = {p["kappa1"]: p for p in res.details["points"]}
+        assert points[1e3]["samples"] == 20  # K = 10 only, the K before the first exhausted one
+        assert points[1e3]["rejections"] == {"test_constraint": 100}
+        assert [p["samples"] for g, p in points.items() if g != 1e3] == [80] * 5
+        assert res.samples == 5 * 80 + 20
 
     def test_domain_error_in_a_worker(self, monkeypatch, tmp_path):
         def rows(X, aux, P):
