@@ -107,11 +107,14 @@ def key_matrix_batch(X: np.ndarray, k: int, i0: int, K: float) -> np.ndarray:
 
 
 def key_matrix_from_table(X: np.ndarray, T1: np.ndarray, k: int, i0: int, K: float) -> np.ndarray:
-    """The key matrix from the rows X and their single-exclusion table
-    T1 = batch_excl1_table(X), for callers that already hold the table."""
+    """The key matrix of the rows X, for callers that hold T1 = batch_excl1_table(X)."""
+    return key_matrix_from_parts(X, order(T1, k - 1), batch_excl2_table(X, (k - 2,))[k - 2], i0, K)
+
+
+def key_matrix_from_parts(X: np.ndarray, v: np.ndarray, S: np.ndarray, i0: int, K: float) -> np.ndarray:
+    """The key matrix of the rows X (B, n) from v = sigma_k^{jj} = sigma_{k-1}(X|j), (B, n),
+    and S = sigma_k^{pp,qq} = sigma_{k-2}(X|p,q), (B, n, n) with a zero diagonal."""
     n = X.shape[1]
-    v = order(T1, k - 1)  # sigma_k^{jj}
-    S = batch_excl2_table(X, (k - 2,))[k - 2]  # sigma_k^{pp,qq}, zero diagonal
     ki = X[:, i0]
     M = K * ki[:, None, None] * (v[:, :, None] * v[:, None, :])
     M -= ki[:, None, None] * S

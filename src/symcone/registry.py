@@ -211,6 +211,8 @@ class RunContext:
             raise InvalidInputError(f"need samples >= 1, got {self.samples}")
         if not 1 <= self.i <= self.n:
             raise InvalidInputError(f"need 1 <= i <= n, got i={self.i}, n={self.n}")
+        if self.k is not None and not 1 <= self.k <= self.n:
+            raise InvalidInputError(f"k={self.k} out of range for n={self.n}")
         for name in ("K", "kappa1"):
             value = getattr(self, name)
             if value is not None and not value > 0:
@@ -349,14 +351,12 @@ class _Point(NamedTuple):
 
 
 def _check_for(check_id: str, ctx: RunContext) -> LemmaCheck:
-    """The check a request names; raises InvalidInputError unless it applies at (n, k)."""
+    """The check a request names; raises InvalidInputError unless it applies at n."""
     if check_id not in REGISTRY:
         raise InvalidInputError(f"unknown check id: {check_id!r}")
     check = REGISTRY[check_id]
     if ctx.n < check.min_n:
         raise InvalidInputError(f"{check.id} requires n >= {check.min_n}, got n={ctx.n}")
-    if ctx.k is not None and not 1 <= ctx.k <= ctx.n:
-        raise InvalidInputError(f"k={ctx.k} out of range for n={ctx.n}")
     return check
 
 

@@ -25,6 +25,7 @@ registry check passes, by bisection on a log grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -32,13 +33,11 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .cones import SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, make_rng, sample_batch
+from .cones import _EPS, SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, make_rng, sample_batch
 from .errors import InvalidInputError, SamplingExhaustedError
-from .quadforms import _relmin, key_matrix_batch, key_matrix_from_table
+from .quadforms import _relmin, key_matrix_batch, key_matrix_from_parts
 from .registry import RunContext, _check_for, run_check
-from .symfun import batch_coeffs, batch_excl1_table
-
-_EPS = np.finfo(float).eps
+from .symfun import batch_coeffs, batch_coeffs_t
 
 __all__ = [
     "SearchConfig",
@@ -112,44 +111,73 @@ class SearchResult:
     objective_rows: int = 0  # rows those calls computed, the unused speculative points included
 
 
-def _assemble(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _table_sets(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sets of `_assemble`'s DP as a keep mask of the first m entries,
+    (m, sets, 1): |kappa|, kappa, then kappa less each pair p < q of the
+    n = m + 1 entries, p and q in `rows` and `cols`, the pairs (j, m) first.
+    Built once, read-only."""
+    p, q = np.triu_indices(m, 1)
+    rows, cols = np.r_[:m, p], np.r_[[m] * m, q]
+    keep, s = np.ones((m + 1, 2 + rows.size), dtype=bool), np.arange(2, 2 + rows.size)
+    keep[rows, s] = keep[cols, s] = False
+    keep = keep[:m, :, None]
+    for a in (keep, rows, cols):
+        a.flags.writeable = False
+    return keep, rows, cols
+
+
+def _assemble(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray, tuple]:
     """Full vectors from rows of free coordinates, each row with its own
-    sigma_k target, the mask of the feasible rows, and the vectors'
-    single-exclusion table `batch_excl1_table(kap)` for the key builder."""
-    n = cfg.n
+    sigma_k target, the mask of the feasible rows, and the key builder's
+    tables v = sigma_{k-1}(kap|j) (B, n) and S = sigma_{k-2}(kap|p,q) (B, n, n).
+
+    One coefficient DP call on the first n-1 entries gives every sigma: each
+    set writes its removed entries as exact zeros, whose DP steps change no
+    sigma, and the solved last entry joins each set by hand, as the DP's
+    last step would."""
+    n, m = cfg.n, cfg.n - 1
+    keep, rows, cols = _table_sets(m)
     kap = np.empty((U.shape[0], n))
-    kap[:, 0] = cfg.kappa1
-    kap[:, 1 : n - 1] = U
+    kap[:, 0] = top = float(cfg.kappa1)
+    kap[:, 1:m] = U
+    P = kap[:, :m].T
+    Z = np.where(keep, P[:, None, :], 0.0)
+    np.abs(P, out=Z[:, 0])
     # Infeasible rows run through every test below; their inf/nan is masked.
     with np.errstate(all="ignore"):
-        c = batch_coeffs(kap[:, : n - 1])
-        denom = c[:, k - 1]
-        kap[:, n - 1] = (target - c[:, k]) / denom
-        ok = (denom > 0) & np.isfinite(kap).all(1)
-        ok &= ~(kap[:, 1:] > kap[:, :1]).any(1)  # kappa_1 must stay the top entry
-        ok &= kap[:, cfg.i - 1] > kap[:, 0] - np.sqrt(kap[:, 0]) / n
-        # sigma_1..sigma_k of kap: the last step of the coefficient DP
-        full = c[:, 1 : k + 1] + kap[:, n - 1 :] * c[:, :k]
-        ok &= (full[:, : k - 1] > 0.0).all(1)
+        c = batch_coeffs_t(Z, k)  # c[t, s] = sigma_t of set s, t <= k
+        x = kap[:, m] = (target - c[k, 1]) / c[k - 1, 1]
+        ok = (c[k - 1, 1] > 0) & np.isfinite(kap).all(1)
+        ok &= (kap[:, 1:] <= top).all(1)  # kappa_1 must stay the top entry
+        ok &= kap[:, cfg.i - 1] > top - math.sqrt(top) / n
+        full = c[1:, 1] + x * c[:-1, 1]  # sigma_1..sigma_k of kap
+        ok &= (full[: k - 1] > 0.0).all(0)
         # sigma_k equals the solved target up to representation noise; at
         # large scales the recomputed value quantizes in ULPs of the absolute
-        # term sum and its exact sign is meaningless.  The margin is >= 0,
-        # so it can decide only the rows with sigma_k <= 0 (or NaN).
-        low = ok & ~(full[:, k - 1] > 0.0)
-        if low.any():
-            noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * batch_coeffs(np.abs(kap[low]))[:, k]
-            ok[low] = full[low, k - 1] > -noise
-        T1 = batch_excl1_table(kap)
-        ok &= cfg.K * kap[:, cfg.i - 1] * T1[:, cfg.i - 1, k - 1] > 1.0
-    return kap, ok, T1
+        # term sum and its exact sign is meaningless.
+        noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * (c[k, 0] + np.abs(x) * c[k - 1, 0])
+        ok &= (full[k - 1] > 0.0) | (full[k - 1] > -noise)
+        v = np.empty_like(kap)
+        v[:, :m] = (c[k - 1, 2 : m + 2] + x * c[k - 2, 2 : m + 2]).T
+        v[:, m] = c[k - 1, 1]
+        ok &= cfg.K * kap[:, cfg.i - 1] * v[:, cfg.i - 1] > 1.0
+        w = c[k - 2, 2:]  # the sets (j, n-1) stand as they are; the others gain x
+        if k > 2:
+            w[m:] += x * c[k - 3, m + 2 :]
+    S = np.zeros(kap.shape + (n,))
+    S[:, rows, cols] = S[:, cols, rows] = w.T
+    return kap, ok, (v, S)
 
 
 def _objective(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> np.ndarray:
     """lambda_min / frobenius of the key form for each row; +inf when infeasible."""
-    kap, ok, T1 = _assemble(U, cfg, k, target)
+    kap, ok, (v, S) = _assemble(U, cfg, k, target)
+    if ok.all():
+        return _relmin(key_matrix_from_parts(kap, v, S, cfg.i - 1, cfg.K))
     f = np.full(U.shape[0], np.inf)
     if ok.any():
-        f[ok] = _relmin(key_matrix_from_table(kap[ok], T1[ok], k, cfg.i - 1, cfg.K))
+        f[ok] = _relmin(key_matrix_from_parts(kap[ok], v[ok], S[ok], cfg.i - 1, cfg.K))
     return f
 
 
@@ -192,6 +220,9 @@ def _nelder_mead(
     scipy evaluates it.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    # The four candidates a * xbar + b * worst; (-b) * w = -(b * w) exactly.
+    a = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None, None]
+    b = np.array([-rho, -rho * chi, -psi * rho, psi])[:, None, None]
     nonzdelt, zdelt = 0.05, 0.00025
     R, N = x0.shape
     s = np.repeat(x0[:, None, :], N + 1, axis=1)
@@ -224,23 +255,20 @@ def _nelder_mead(
 
             xbar = np.add.reduce(s[:, :-1], 1) / N
             worst = s[:, -1]
-            cand = np.empty((4,) + xbar.shape)
-            np.subtract((1 + rho) * xbar, rho * worst, out=cand[0])  # reflection
-            np.subtract((1 + rho * chi) * xbar, rho * chi * worst, out=cand[1])  # expansion
-            np.subtract((1 + psi * rho) * xbar, psi * rho * worst, out=cand[2])  # outside contraction
-            np.add((1 - psi) * xbar, psi * worst, out=cand[3])  # inside contraction
+            # reflection, expansion, outside and inside contraction
+            cand = a * xbar + b * worst
             fcand = func(cand.reshape(-1, N), r4).reshape(4, -1)
             fxr = fcand[0]
 
             expand = fxr < fs[:, 0]
-            accept = ~expand & (fxr < fs[:, -2])
-            outside = ~expand & ~accept & (fxr < fs[:, -1])
-            inside = ~expand & ~accept & ~outside
-            second = np.where(expand, 1, np.where(outside, 2, 3))
+            contract = ~(expand | (fxr < fs[:, -2]))  # neither expanded nor accepted
+            outside = contract & (fxr < fs[:, -1])
+            inside = contract ^ outside
+            second = np.where(expand, 1, 3 - outside)  # unused where the reflection is accepted
             f2 = fcand[second, ar]
-            nf += 1 + ~accept
+            nf += 1 + (expand | contract)
             take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fs[:, -1]))
-            shrink = (outside | inside) & ~take2
+            shrink = contract & ~take2
             # The worst vertex becomes the second point or else the
             # reflection, except where the simplex shrinks.
             new = np.where(take2, second, 0)
@@ -303,8 +331,8 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
             return _objective(U, cfg, k, t[r])
 
         x, nit, nfev, converged = _nelder_mead(objective, U0[run], cfg.maxiter, 1e-10 * cfg.kappa1, 1e-14)
-        kap, ok, T1 = _assemble(x, cfg, k, t)
-        M = key_matrix_from_table(kap[ok], T1[ok], k, cfg.i - 1, cfg.K)
+        kap, ok, (v, S) = _assemble(x, cfg, k, t)
+        M = key_matrix_from_parts(kap[ok], v[ok], S[ok], cfg.i - 1, cfg.K)
         value = np.full(run.size, np.nan)
         vecs = np.full((run.size, cfg.n, cfg.n), np.nan)
         value[ok] = _relmin(M)
@@ -318,12 +346,7 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
                 continue
             rec.status = "converged" if converged[j] else "maxiter"
             rec.value = float(value[j])
-            wit = SearchWitness(
-                kappa=[float(v) for v in kap[j]],
-                value=rec.value,
-                xi=[float(v) for v in vecs[j, :, 0]],
-            )
-            candidates.append(wit)
+            candidates.append(SearchWitness(kappa=kap[j].tolist(), value=rec.value, xi=vecs[j, :, 0].tolist()))
 
     candidates.sort(key=lambda w: w.value)
     ranked = candidates[:10]

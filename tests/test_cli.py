@@ -130,6 +130,13 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: need 1 <= i <= n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, k", [("5", "0"), ("5", "9"), ("5..7", "6")])
+    def test_level_out_of_range_exits_2(self, n, k, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", "--only", "newton", "--n", n, "--k", k, "--samples", "20", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: k={k} out of range for n=5\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

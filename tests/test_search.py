@@ -23,8 +23,8 @@ from symcone import (
     threshold_bisect,
 )
 from symcone.cones import SIGMA_RANGE_NOISE_FACTOR
-from symcone.quadforms import _relmin, key_matrix_batch
-from symcone.symfun import batch_coeffs, batch_excl1_table
+from symcone.quadforms import _relmin, key_matrix_batch, key_matrix_from_table
+from symcone.symfun import batch_coeffs, batch_excl1_table, batch_excl2_table
 
 
 def small_cfg(**kw):
@@ -339,9 +339,10 @@ class TestAssemble:
         assert reason == "feasible" and batch_coeffs(ref[None, :])[0, 3] <= 0.0
         K_edge = 2.0 / (kap0[1] * batch_coeffs(np.delete(kap0, 1)[None, :])[0, 2])  # row 0 passes by a factor 2
         for c in (cfg, small_cfg(K=1e-9), small_cfg(K=K_edge)):
-            kap, ok, T1 = search._assemble(U, c, 3, t)
-            with np.errstate(all="ignore"):
-                assert np.array_equal(T1.view(np.uint64), batch_excl1_table(kap).view(np.uint64))
+            kap, ok, (v, S) = search._assemble(U, c, 3, t)
+            with np.errstate(all="ignore"):  # both tables, the nan, overflow and zero-denominator rows included
+                assert v.tobytes() == np.ascontiguousarray(batch_excl1_table(kap)[:, :, 2]).tobytes()
+                assert S.tobytes() == batch_excl2_table(kap, (1,))[1].tobytes()
             for j, (u, tt) in enumerate(rows):
                 reason, ref = _assemble_row(u, c, 3, tt)
                 seen.add(reason)
@@ -349,6 +350,33 @@ class TestAssemble:
                 if ok[j]:
                     assert kap[j].tobytes() == ref.tobytes()
         assert seen == {"feasible", "denominator", "non-finite", "top entry", "near top", "cone", "sigma_k", "K"}
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_objective_is_the_registry_kernel(self, n):
+        # Start points, perturbed and far-off start points, random rows off
+        # the slice, and start points retargeted to sigma_k < 0 so that only
+        # the noise margin admits them.  At k = 2 the pair order is 0; at
+        # n = 3 the one pair of the first n - 1 entries removes both.
+        margin_only = 0
+        for k in range(2, n):
+            for i in sorted({1, 2, n - 1}):
+                cfg = SearchConfig(n=n, k=k, K=1e3, kappa1=1e4, i=i, restarts=4, seed=n)
+                U0, target = search._starts(cfg, k)
+                kap0, _, _ = search._assemble(U0, cfg, k, target)
+                margin = SIGMA_RANGE_NOISE_FACTOR * np.finfo(float).eps * batch_coeffs(np.abs(kap0))[:, k]
+                rng = np.random.default_rng(k)
+                jitter = [U0 * (1 + eps * rng.standard_normal(U0.shape)) for eps in (1e-3, 0.3)]
+                U = np.concatenate([U0, *jitter, rng.uniform(-2e4, 2e4, U0.shape), U0])
+                t = np.concatenate([target, target, target, target, -0.25 * margin])
+                f = search._objective(U, cfg, k, t)
+                ref = [_assemble_row(u, cfg, k, tt) for u, tt in zip(U, t)]
+                ok = np.array([reason == "feasible" for reason, _ in ref])
+                assert np.array_equal(f == np.inf, ~ok)
+                X = np.array([kap for _, kap in ref if kap is not None])
+                want = _relmin(key_matrix_from_table(X, batch_excl1_table(X), k, i - 1, cfg.K))
+                assert f[ok].tobytes() == want.tobytes()
+                margin_only += int((batch_coeffs(X)[:, k] <= 0.0).sum())
+        assert margin_only > 0
 
     def test_objective_is_inf_exactly_where_infeasible(self):
         cfg = small_cfg(seed=0, restarts=6)
