@@ -273,6 +273,8 @@ def _cmd_search(args) -> int:
             and result.best.refined_value < -PSD_EPS
         )
         emit({"record": "summary", "negative_found": bool(negative)})
+    if result.error is not None:
+        print(f"error: {result.error}", file=sys.stderr)
     if result.best is None:
         return 2
     return 1 if negative else 0

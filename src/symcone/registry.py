@@ -30,13 +30,17 @@ as well, for an asymptotic sweep).
 
 All randomness flows from one integer seed through counter-based child
 streams, so every result - including witnesses - is bit-reproducible.  Each
-point of a check (one k of a fixed check, one (kappa_1, K) of a sweep) has
-its own stream, so `run_checks` plans the points of many checks, evaluates
-them with `parallel.fork_map` and folds each check's outcomes in plan order;
-the result does not depend on the number of workers.  Both kinds share the
-plan and the fold: a fixed check is one group of points at its scale, a
-sweep one group per kappa_1, and a group stops at its first point whose
-sampler ran dry.
+point of a check (one k of a fixed check, one kappa_1 of a sweep) has its own
+stream, so `run_checks` plans the points of many checks, evaluates them with
+`parallel.fork_map` and folds each check's outcomes in plan order; the result
+does not depend on the number of workers.  Both kinds share the plan and the
+fold: a fixed check is one group of points at its scale, one per level, and a
+group stops at its first point whose sampler ran dry.  A sweep is one group,
+and one point, per kappa_1.  K enters only the slack, so the point draws each
+block of rows once and evaluates it at every K of the grid (common random
+numbers); its stream is labelled with the grid's first K, so a run with K
+pinned to that value draws the same rows, and a draw that runs dry leaves the
+whole group without rows.
 """
 
 from __future__ import annotations
@@ -249,7 +253,7 @@ def _grid(check: LemmaCheck, ctx: RunContext) -> Tuple[tuple, tuple, tuple]:
     the check's defaults: a k-free check (levels (None,)) and a `k_strict`
     check asked for a level outside its defaults keep them.  A fixed check
     is one group at its scale with one point per level; a sweep has one
-    group per kappa_1 with one point per K at its single level.
+    group per kappa_1, one point at its single level that evaluates every K.
     """
     ks = check.k_values(ctx.n)
     if ctx.k is not None and ks != (None,) and not (check.k_strict and ctx.k not in ks):
@@ -329,23 +333,30 @@ def _block_tally(check, P, X, aux, slacks) -> _Tally:
     return _Tally(best, wit, int(used.sum()), int(nan.sum()), int(excluded.sum()))
 
 
-def _eval_point(check, P, rng, samples) -> _Tally:
-    """The tally of `samples` rows at fixed parameters."""
-    tally = _Tally()
+def _eval_point(check, Ps, rng, samples) -> _Tally:
+    """The tally of `samples` rows, each evaluated at every parameter set of
+    `Ps` (one per K).
+
+    Each block is drawn once, at Ps[0], and every K sees the same rows.  The
+    tallies of the Ks merge in K order, so on a tie the earlier K keeps the
+    witness.
+    """
+    tallies = [_Tally()] * len(Ps)
     drawn = 0
     while drawn < samples:
         B = min(_BLOCK, samples - drawn)
-        X, aux = _SAMPLERS[check.sampler](P, rng, B)
-        tally = tally.merge(_block_tally(check, P, X, aux, check.rows(X, aux, P)))
+        X, aux = _SAMPLERS[check.sampler](Ps[0], rng, B)
+        tallies = [t.merge(_block_tally(check, P, X, aux, check.rows(X, aux, P))) for t, P in zip(tallies, Ps)]
         drawn += B
-    return tally
+    return functools.reduce(_Tally.merge, tallies)
 
 
 class _Point(NamedTuple):
-    """One independent unit of evaluation: `rows` samples of `check` at params `P`."""
+    """One independent unit of evaluation: `rows` samples of `check`, each
+    evaluated at the params of every K in `Ps`."""
 
     check: LemmaCheck
-    P: dict
+    Ps: tuple
     seed: int  # child seed of the point's own stream
     rows: int
 
@@ -362,27 +373,27 @@ def _check_for(check_id: str, ctx: RunContext) -> LemmaCheck:
 
 def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
     """The points of one check, group by group, in the order the fold reads
-    their outcomes.  A point's child seed is labelled id|n|k in a fixed check
-    and id|n|k|kappa_1|K in a sweep."""
+    their outcomes: one per level of a fixed check, one per kappa_1 of a
+    sweep, which carries the K grid.  A point's child seed is labelled id|n|k
+    in a fixed check and id|n|k|kappa_1|K in a sweep, K the first of the grid."""
     check = _check_for(check_id, ctx)
     levels, groups, Ks = _grid(check, ctx)
     rows = max(1, -(-ctx.samples // len(levels)))
     sweep = check.kind == "ASYMPTOTIC"
     return [
         _Point(
-            check, _params(ctx.n, k, ctx.i - 1, Kv, g),
-            _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}" + (f"|{g}|{Kv}" if sweep else "")), rows,
+            check, tuple(_params(ctx.n, k, ctx.i - 1, Kv, g) for Kv in Ks),
+            _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}" + (f"|{g}|{Ks[0]}" if sweep else "")), rows,
         )
         for g in groups
         for k in levels
-        for Kv in Ks
     ]
 
 
 def _evaluate(point: _Point):
     """The tally of `_eval_point`, or the SymconeError it raised, as a value."""
     try:
-        return _eval_point(point.check, point.P, make_rng(point.seed), point.rows)
+        return _eval_point(point.check, point.Ps, make_rng(point.seed), point.rows)
     except SymconeError as exc:
         return exc
 
@@ -396,7 +407,7 @@ def _fold(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResult:
     """
     levels, groups, Ks = _grid(check, ctx)
     tol = _tol_for(check, ctx)
-    size = len(levels) * len(Ks)
+    size = len(levels)
     total, points = _Tally(), []
     for a, g in enumerate(groups):
         pt, exhausted = _Tally(), None
@@ -457,8 +468,8 @@ def run_checks(
 ) -> List[Union[CheckResult, SymconeError]]:
     """Run many checks, each request a (check id, RunContext) pair.
 
-    The points of all requests (each k of a fixed check, each (kappa_1, K)
-    of a sweep) draw from their own child seeds, so they are evaluated in
+    The points of all requests (each k of a fixed check, each kappa_1 of a
+    sweep) draw from their own child seeds, so they are evaluated in
     one pass on `jobs` worker processes (default: every usable CPU) and
     folded per request in plan order.  Results do not depend on `jobs`.
     Returns, per request, its CheckResult or the SymconeError it raised;

@@ -109,6 +109,8 @@ class SearchResult:
     runs: List[SearchRun] = field(default_factory=list)  # one per restart, in restart order
     objective_calls: int = 0  # batched objective calls
     objective_rows: int = 0  # rows those calls computed, the unused speculative points included
+    error: Optional[str] = None  # why no start point could be drawn, None if the search ran
+    rejections: Optional[dict] = None  # the start sampler's rejections per constraint, with `error`
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,8 +315,8 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
     k = cfg.resolved_k()
     try:
         U0, target = _starts(cfg, k)
-    except SamplingExhaustedError:
-        return SearchResult(config=cfg, best=None)
+    except SamplingExhaustedError as exc:
+        return SearchResult(config=cfg, best=None, error=str(exc), rejections=exc.rejection_counts)
 
     feasible = np.isfinite(_objective(U0, cfg, k, target))
     calls, rows = 1, len(U0)

@@ -198,6 +198,18 @@ class TestSearchCommand:
         assert result["objective_rows"] > result["evaluations"]
         assert 1 <= result["objective_calls"] < result["objective_rows"]
         assert records[-1]["negative_found"] is False
+        assert result["error"] is None and result["rejections"] is None
+
+    def test_exhausted_start_sampler_is_reported(self, tmp_path, capsys):
+        # At i = n the near-top test rejects every start candidate.
+        out = tmp_path / "s.jsonl"
+        assert main(["search", "--n", "5", "--k", "3", "--i", "5", "--restarts", "4", "--out", str(out)]) == 2
+        result = [r for r in read_jsonl(out) if r["record"] == "result"][0]
+        assert result["best"] is None and result["runs"] == []
+        assert result["error"].startswith("sampling exhausted after ")
+        assert result["rejections"]["near_top"] > 0
+        assert sum(result["rejections"].values()) == result["rejections"]["near_top"]
+        assert capsys.readouterr().err == f"error: {result['error']}\n"
 
     def test_roundoff_negative_is_not_a_failure(self, tmp_path):
         # The best end point is negative at the rounding level, in float and

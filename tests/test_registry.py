@@ -1,6 +1,7 @@
 """Named check catalog: verdicts, witnesses, determinism, case classifier."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -324,6 +325,45 @@ class TestDeterminismAndWitness:
         assert seen == {"run": keys, "replay": keys}
 
 
+K_CHECKS = [c.id for c in registry_list() if c.uses_K]
+
+
+class TestSweepGroups:
+    """A sweep draws each kappa_1 group once and evaluates every K on its rows."""
+
+    @staticmethod
+    def digests(monkeypatch, check_id, ctx):
+        """A digest of X for each (kappa_1, K) the check's rows see in a run."""
+        check = next(c for c in registry_list() if c.id == check_id)
+        seen = {}
+
+        def spy(X, aux, P):
+            seen.setdefault((P["kappa1"], P["K"]), []).append(hashlib.sha256(X.tobytes()).hexdigest())
+            return check.rows(X, aux, P)
+
+        monkeypatch.setitem(registry.REGISTRY, check_id, dataclasses.replace(check, rows=spy))
+        run_checks([(check_id, ctx)], jobs=1)
+        return seen
+
+    @pytest.mark.parametrize("check_id", K_CHECKS)
+    def test_every_K_sees_the_rows_of_its_group(self, monkeypatch, check_id):
+        ctx = RunContext(n=5, samples=40, seed=3)
+        seen = self.digests(monkeypatch, check_id, ctx)
+        assert sorted(seen) == sorted((g, K) for g in registry.ASYM_KAPPA1_GRID for K in registry.ASYM_K_GRID)
+        for g in registry.ASYM_KAPPA1_GRID:
+            assert all(seen[g, K] == seen[g, registry.ASYM_K_GRID[0]] for K in registry.ASYM_K_GRID)
+        assert len({d for g in registry.ASYM_KAPPA1_GRID for d in seen[g, 1e1]}) == len(registry.ASYM_KAPPA1_GRID)
+        # A run with K pinned to the first K of the grid draws the same rows.
+        pinned = self.digests(monkeypatch, check_id, dataclasses.replace(ctx, K=1e1))
+        assert pinned == {(g, 1e1): seen[g, 1e1] for g in registry.ASYM_KAPPA1_GRID}
+
+    @pytest.mark.parametrize("check_id", K_CHECKS)
+    def test_witness_reproduces_min_slack(self, check_id):
+        res = run_check(check_id, n=5, samples=200, seed=5)
+        assert res.witness is not None and res.witness["K"] in registry.ASYM_K_GRID
+        assert witness_slack(res.witness) == res.min_slack
+
+
 class TestClassifyCase:
     def test_all_positive_is_c(self):
         label = classify_case(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), 2)
@@ -489,21 +529,24 @@ class TestWorkerCount:
         assert [p["kappa1"] for p in bad] == [1e3]
         assert bad[0]["rejections"] == {"test_constraint": 7}
 
-    def test_sweep_group_stops_at_its_first_exhausted_K(self, monkeypatch):
+    def test_sweep_group_exhausts_as_a_whole(self, monkeypatch):
+        # At kappa_1 = 1e3 the second, partial block runs dry, after the first
+        # block was evaluated at every K: the group still reports no row.
         def sampler(P, rng, B):
-            if P["kappa1"] == 1e3 and P["K"] in (1e2, 1e4):
-                raise SamplingExhaustedError("test budget spent", {"test_constraint": int(P["K"])})
+            if P["kappa1"] == 1e3 and B < registry._BLOCK:
+                raise SamplingExhaustedError("test budget spent", {"test_constraint": 7})
             return rng.standard_normal((B, P["n"])), {}
 
         monkeypatch.setitem(registry._SAMPLERS, "test_exhaust", sampler)
         cid = _local_check(monkeypatch, "ASYMPTOTIC", _fill_rows(0.0), sampler="test_exhaust", uses_K=True)
-        (res,) = self.assert_same([(cid, RunContext(n=5, samples=20, seed=0))])
+        rows = registry._BLOCK + 20
+        (res,) = self.assert_same([(cid, RunContext(n=5, samples=rows, seed=0))])
         assert res.verdict == "THRESHOLD" and res.kappa1_star == 1e4
         points = {p["kappa1"]: p for p in res.details["points"]}
-        assert points[1e3]["samples"] == 20  # K = 10 only, the K before the first exhausted one
-        assert points[1e3]["rejections"] == {"test_constraint": 100}
-        assert [p["samples"] for g, p in points.items() if g != 1e3] == [80] * 5
-        assert res.samples == 5 * 80 + 20
+        assert points[1e3]["samples"] == 0 and points[1e3]["exhausted"] is not None
+        assert points[1e3]["rejections"] == {"test_constraint": 7}
+        assert [p["samples"] for g, p in points.items() if g != 1e3] == [4 * rows] * 5
+        assert res.samples == 5 * 4 * rows
 
     def test_domain_error_in_a_worker(self, monkeypatch, tmp_path):
         def rows(X, aux, P):
@@ -534,7 +577,7 @@ class TestWorkerCount:
 
         cid = _local_check(monkeypatch, "ASYMPTOTIC", rows, uses_K=True)
         requests = [(cid, RunContext(n=5, samples=8, seed=s)) for s in range(10)]
-        out = run_checks(requests, jobs=5)  # 240 points on more workers than CPUs
+        out = run_checks(requests, jobs=5)  # 240 (kappa_1, K) evaluations on 60 fork items, more workers than CPUs
         assert all(o.verdict == "THRESHOLD" for o in out)
         points = [f"{g:g} {K:g}" for g in registry.ASYM_KAPPA1_GRID for K in registry.ASYM_K_GRID]
         assert sorted(log.read_text().splitlines()) == sorted(points * 10)
