@@ -1,9 +1,9 @@
-"""Garding-cone membership, constrained sampling, and sigma_k normalization.
+"""Constrained sampling in the Garding cone.
 
-Gamma_k is the open cone {sigma_1 > 0, ..., sigma_k > 0}; the barred variant
-keeps sigma_m > 0 for m < k but allows sigma_k = 0.  Membership uses the
-exact sign of the computed double — no tolerance — so that a returned sample
-always re-validates with the same code path.
+Gamma_k is the open cone {sigma_1 > 0, ..., sigma_k > 0}.  A draw is kept
+only if the exact sign of each computed sigma_m is positive (no tolerance),
+so a returned sample re-validates with the same sigma DP.  The barred cone of
+level m, which allows sigma_m = 0, has its own sampler (`sample_bar_batch`).
 
 Sampling works in row-parallel batches.  Two constructions are used:
 
@@ -11,9 +11,9 @@ Sampling works in row-parallel batches.  Two constructions are used:
     uniform in [-0.95 (n-k) kappa1 / k, kappa1], sort, reject outside Gamma_k.
   * solve: when a sigma_k range [N0, N] is requested, the last entry is
     solved from sigma_k(kappa) = target via the linearity of sigma_k in each
-    single variable.  Rescaling-based normalization cannot hit a sigma_k
-    window and a kappa_1 window at once (the rescaled kappa_1 depends only on
-    the draw's shape), so the solve construction is the one that terminates.
+    single variable.  Rescaling by homogeneity cannot hit a sigma_k window
+    and a kappa_1 window at once (the rescaled kappa_1 depends only on the
+    draw's shape), so the solve construction is the one that terminates.
 
 At large kappa_1 the map kappa -> sigma_k is ill-conditioned: the absolute
 term magnitude T_k = sigma_k(|kappa|) can exceed sigma_k by 1/eps and no
@@ -23,26 +23,15 @@ allows a representation-noise margin of 64*eps*T_k, recorded on request.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, SamplingExhaustedError
-from .symfun import _as_vector, batch_coeffs, batch_coeffs_t, sigma
+from .errors import SamplingExhaustedError
+from .symfun import batch_coeffs_t
 
-__all__ = [
-    "ConeVariant",
-    "ConeQuery",
-    "SampleSpec",
-    "in_gamma",
-    "tail_sum_check",
-    "normalize_sigma_k",
-    "sample_gamma",
-    "make_rng",
-]
+__all__ = ["sample_batch", "make_rng"]
 
 _EPS = np.finfo(float).eps
 SIGMA_RANGE_NOISE_FACTOR = 64.0
@@ -52,81 +41,9 @@ SIGMA_K_WINDOW = (1.0, 10.0)
 _BATCH = 2048
 
 
-class ConeVariant(enum.Enum):
-    OPEN = "open"
-    BARRED = "barred"
-
-
-@dataclass(frozen=True)
-class ConeQuery:
-    n: int
-    k: int
-    variant: ConeVariant = ConeVariant.OPEN
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise InvalidInputError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """Constraints for one constrained draw inside Gamma_k (OPEN)."""
-
-    n: int
-    k: int
-    kappa1_target: float
-    near_top_index: Optional[int] = None  # 1-based; requires kappa_i > kappa_1 - sqrt(kappa_1)/n
-    sigma_k_range: Optional[Tuple[float, float]] = None
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise InvalidInputError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if not (self.kappa1_target > 0):
-            raise InvalidInputError("kappa1_target must be > 0")
-        if self.sigma_k_range is not None:
-            lo, hi = self.sigma_k_range
-            if not (0 < lo <= hi):
-                raise InvalidInputError(f"sigma_k_range must satisfy 0 < N0 <= N, got {self.sigma_k_range}")
-        if self.near_top_index is not None and not 1 <= self.near_top_index <= self.n:
-            raise InvalidInputError(f"near_top_index {self.near_top_index} out of range")
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator: independent seeds are independent streams."""
     return np.random.Generator(np.random.Philox(int(seed) & (2**64 - 1)))
-
-
-def in_gamma(q: ConeQuery, kappa) -> bool:
-    arr = _as_vector(kappa)
-    if arr.size != q.n:
-        raise InvalidInputError(f"dimension mismatch: query n={q.n}, vector n={arr.size}")
-    c = batch_coeffs(arr[None, :])[0]
-    if q.variant is ConeVariant.OPEN:
-        return bool(np.all(c[1 : q.k + 1] > 0.0))
-    return bool(np.all(c[1 : q.k] > 0.0) and c[q.k] >= 0.0)
-
-
-def tail_sum_check(k: int, kappa) -> float:
-    """kappa_k + ... + kappa_n (must be > 0 on Gamma_k); input must be sorted."""
-    arr = _as_vector(kappa)
-    if np.any(np.diff(arr) > 0):
-        raise InvalidInputError("tail_sum_check requires kappa sorted descending")
-    if not 1 <= k <= arr.size:
-        raise InvalidInputError(f"k={k} out of range")
-    return float(np.sum(arr[k - 1 :]))
-
-
-def normalize_sigma_k(kappa, k: int, target: float) -> np.ndarray:
-    """Rescale kappa -> t*kappa so sigma_k = target, using homogeneity."""
-    arr = _as_vector(kappa)
-    if not target > 0:
-        raise DomainError(f"target must be > 0, got {target}")
-    s = sigma(k, arr)
-    if not s > 0:
-        raise DomainError(f"sigma_{k}(kappa) = {s} is not positive; cannot normalize")
-    t = (target / s) ** (1.0 / k)
-    return arr * t
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +217,6 @@ def sample_batch(
     return rejection_sample(
         draw, count, lambda left, room: min(_BATCH, max(64, 4 * left), room), max_attempts, counts, "sampling"
     )
-
-
-def sample_gamma(spec: SampleSpec) -> np.ndarray:
-    """One feasible vector per the spec; deterministic for a fixed seed."""
-    rng = make_rng(spec.rng_seed)
-    X = sample_batch(
-        rng,
-        1,
-        spec.n,
-        spec.k,
-        spec.kappa1_target,
-        near_top_index=spec.near_top_index,
-        sigma_k_range=spec.sigma_k_range,
-    )
-    return X[0]
 
 
 def sample_bar_batch(rng: np.random.Generator, count: int, m: int) -> np.ndarray:

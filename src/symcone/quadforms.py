@@ -1,100 +1,26 @@
 """Quadratic forms of the sigma_k curvature estimate, as explicit matrices.
 
+Every builder is row-parallel: it maps the rows X (B, n) to a stack of
+(B, m, m) matrices, one per row, and is shared by the lemma registry and the
+key-form search.  A batch of one is X[None].
+
 Index conventions:
-  * Public `i`, `p`, `q` arguments are 1-based positions in kappa.
+  * The distinguished index `i0` is a 0-based position in kappa.  The
+    builders do not validate it or the level k; `RunContext` and
+    `SearchConfig` do, before anything is built.
   * The reduced forms (A, B, C, D, H) are (n-1) x (n-1), indexed by the
     positions j != i in increasing order.
   * Off-diagonal entries store the coefficient of the ordered-pair sum
     "sum over p != q" as written, so xi^T M xi reproduces that sum exactly
     (each unordered pair appears twice in both).
-
-All builders have row-parallel batch variants (suffix `_batch`, 0-based i)
-used by the lemma registry; the scalar API wraps a batch of one.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, SingularDenominatorError
-from .symfun import (
-    _as_vector,
-    batch_coeffs,
-    batch_excl1_table,
-    batch_excl2_table,
-    order,
-)
-
-__all__ = [
-    "QuadForm",
-    "KeyParams",
-    "TestFnTerms",
-    "key_matrix",
-    "abcd_matrices",
-    "rhs_combination",
-    "lemma41_gap",
-    "h_matrix",
-    "testfn_terms",
-    "min_eig",
-]
-
-@dataclass(frozen=True)
-class QuadForm:
-    n: int
-    entries: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        e = self.entries
-        if e.shape != (self.n, self.n):
-            raise InvalidInputError(f"entries shape {e.shape} != ({self.n}, {self.n})")
-
-    def __call__(self, xi) -> float:
-        xi = np.asarray(xi, dtype=float)
-        return float(xi @ self.entries @ xi)
-
-
-@dataclass(frozen=True)
-class KeyParams:
-    """(k, i, K) plus the derived constant c = 1/(K kappa_i sigma_{k-1}(kappa|i) - 1)."""
-
-    k: int
-    i: int  # 1-based
-    K: float
-    c: float
-
-    @staticmethod
-    def for_kappa(kappa, k: int, i: int, K: float) -> "KeyParams":
-        arr = _as_vector(kappa)
-        _check_k(k, arr.size)
-        if not 1 <= i <= arr.size:
-            raise InvalidInputError(f"i={i} out of range [1, {arr.size}]")
-        s_ii = float(batch_coeffs(np.delete(arr, i - 1)[None, :])[0, k - 1])
-        denom = K * arr[i - 1] * s_ii - 1.0
-        if not denom > 0:
-            raise DomainError(
-                f"K*kappa_i*sigma_(k-1)(kappa|i) - 1 = {denom} must be positive for c_(k,K)"
-            )
-        return KeyParams(k=k, i=i, K=float(K), c=1.0 / denom)
-
-
-@dataclass(frozen=True)
-class TestFnTerms:
-    """The five scalar test-function terms, each scaled by e^{-kappa_1}."""
-
-    Ai: float
-    Bi: float
-    Ci: float
-    Di: float
-    Ei: float
-    small_kappa1: bool = False  # kappa_1 <= 1: the large-scale regime is vacuous
-
-    def combination(self) -> float:
-        return self.Ai + self.Bi + self.Ci + self.Di - self.Ei
+from .errors import DomainError, SingularDenominatorError
+from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +100,10 @@ def embed_reduced(M: np.ndarray, n: int, i0: int) -> np.ndarray:
 
 
 def rhs_combination_batch(
-    X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq: bool, s_ii: Optional[np.ndarray] = None
+    X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq: bool, s_ii: np.ndarray
 ) -> np.ndarray:
-    """s_ii = sigma_{k-1}(kappa|i) of each row, computed when not given."""
+    """s_ii = sigma_{k-1}(kappa|i) of each row."""
     A, Bm, C, D = abcd_batch(X, k, i0)
-    if s_ii is None:
-        s_ii = batch_coeffs(np.delete(X, i0, axis=1))[:, k - 1]
     sk = batch_coeffs(X)[:, k]
     denom = K * X[:, i0] * s_ii - 1.0
     if np.any(denom <= 0):
@@ -196,18 +120,16 @@ def rhs_combination_batch(
 
 
 def lemma41_gap_batch(
-    X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq: bool, T1: Optional[np.ndarray] = None
+    X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq: bool, T1: np.ndarray
 ) -> np.ndarray:
     """LHS - RHS of the section-4 matrix inequality, in consistently scaled form.
 
     Both sides are multiplied by kappa_i K (sigma_k^{ii})^2 - sigma_k^{ii}
     (positive whenever c > 0), matching the proof's final line; the result is
     PSD iff  keyform >= (1/sigma_k^{ii}) [alpha A + sigma_k B + C - c D].
-    T1 = batch_excl1_table(X), computed when not given, serves both sides.
+    T1 = batch_excl1_table(X) serves both sides.
     """
     n = X.shape[1]
-    if T1 is None:
-        T1 = batch_excl1_table(X)
     s_ii = T1[:, i0, k - 1]
     mult = X[:, i0] * K * s_ii**2 - s_ii
     lhs = mult[:, None, None] * key_matrix_from_table(X, T1, k, i0, K)
@@ -216,75 +138,8 @@ def lemma41_gap_batch(
 
 
 # ---------------------------------------------------------------------------
-# Scalar API.
-# ---------------------------------------------------------------------------
-
-
-def _check_k(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k={k} out of range [1, {n}]")
-
-
-def _check_i(i: int, n: int) -> int:
-    if not 1 <= i <= n:
-        raise InvalidInputError(f"i={i} out of range [1, {n}]")
-    return i - 1
-
-
-def key_matrix(kappa, params: KeyParams) -> QuadForm:
-    arr = _as_vector(kappa)
-    _check_k(params.k, arr.size)
-    i0 = _check_i(params.i, arr.size)
-    s_ii = float(batch_coeffs(np.delete(arr, i0)[None, :])[0, params.k - 1])
-    if not params.K * arr[i0] * s_ii > 1.0:
-        raise DomainError("KeyParams invariant K*kappa_i*sigma_(k-1)(kappa|i) > 1 violated")
-    M = key_matrix_batch(arr[None, :], params.k, i0, params.K)[0]
-    return QuadForm(n=arr.size, entries=M, label="KEY")
-
-
-def abcd_matrices(kappa, k: int, i: int):
-    arr = _as_vector(kappa)
-    _check_k(k, arr.size)
-    i0 = _check_i(i, arr.size)
-    A, B, C, D = abcd_batch(arr[None, :], k, i0)
-    m = arr.size - 1
-    return (
-        QuadForm(n=m, entries=A[0], label="A"),
-        QuadForm(n=m, entries=B[0], label="B"),
-        QuadForm(n=m, entries=C[0], label="C"),
-        QuadForm(n=m, entries=D[0], label="D"),
-    )
-
-
-def rhs_combination(kappa, params: KeyParams, with_kappa_i_sq: bool) -> QuadForm:
-    arr = _as_vector(kappa)
-    _check_k(params.k, arr.size)
-    i0 = _check_i(params.i, arr.size)
-    raw = rhs_combination_batch(arr[None, :], params.k, i0, params.K, with_kappa_i_sq)[0]
-    # rhs_combination proper is (1/c)[...]; the batch helper returns it
-    # pre-multiplied by 1/c's denominator definition, which is the same thing.
-    return QuadForm(n=arr.size - 1, entries=raw, label="RHS")
-
-
-def lemma41_gap(kappa, params: KeyParams, with_kappa_i_sq: bool) -> QuadForm:
-    arr = _as_vector(kappa)
-    _check_k(params.k, arr.size)
-    i0 = _check_i(params.i, arr.size)
-    G = lemma41_gap_batch(arr[None, :], params.k, i0, params.K, with_kappa_i_sq)[0]
-    return QuadForm(n=arr.size, entries=G, label="LHS_MINUS_RHS")
-
-
-def h_matrix(kappa, i: int) -> QuadForm:
-    arr = _as_vector(kappa)
-    if arr.size < 5:
-        raise InvalidInputError("h_matrix needs n >= 5")
-    i0 = _check_i(i, arr.size)
-    H = h_matrix_batch(arr[None, :], i0)[0]
-    return QuadForm(n=arr.size - 1, entries=H, label="H")
-
-
-# ---------------------------------------------------------------------------
-# Section-3 test-function terms.
+# Divided differences of the exponential, for the Section-3 test-function
+# terms.
 # ---------------------------------------------------------------------------
 
 
@@ -306,64 +161,28 @@ def divdiff_exp_scaled(a, b, top):
     return np.exp(np.maximum(a, b) - top) * divdiff_ratio(np.abs(a - b))
 
 
-def testfn_terms(kappa, k: int, i: int, h, K: float) -> TestFnTerms:
-    """The five section-3 terms for diagonal derivative data h, scaled by e^{-kappa_1}.
-
-    The exponential weights are carried as w_l = e^{kappa_l - kappa_1} and
-    P as log P = kappa_1 + log(sum w_l), so the evaluation stays finite for
-    kappa_1 far beyond the overflow threshold of e^x.
-    """
-    arr = _as_vector(kappa)
-    hv = np.asarray(h, dtype=float)
-    if hv.shape != arr.shape:
-        raise InvalidInputError("h must have the same shape as kappa")
-    _check_k(k, arr.size)
-    i0 = _check_i(i, arr.size)
-    top = float(np.max(arr))
-    w = np.exp(arr - top)
-    W = float(np.sum(w))
-    logP = top + math.log(W)
-    skl = order(batch_excl1_table(arr[None, :]), k - 1)[0]  # sigma_k^{ll}
-    S = batch_excl2_table(arr[None, :], (k - 2,))[k - 2][0]  # sigma_k^{pp,qq}, zero diagonal
-    gsum = float(skl @ hv)
-    spq = float(hv @ S @ hv)
-    Ai = w[i0] * (K * gsum**2 - spq)
-    Ci = float(skl[i0] * np.sum(w * hv**2))
-    # l = i0 drops out: S[i0, i0] = 0, and the divided difference is masked.
-    Bi = 2.0 * float(np.sum(S[i0] * w * hv**2))
-    dd = np.where(np.arange(arr.size) == i0, 0.0, divdiff_exp_scaled(arr, arr[i0], top))
-    Di = 2.0 * float(np.sum(dd * skl * hv**2))
-    Pi_scaled = float(np.sum(w * hv))  # P_i * e^{-kappa_1}
-    Ei = (1.0 + logP) / (W * logP) * skl[i0] * Pi_scaled**2
-    terms = TestFnTerms(
-        Ai=float(Ai), Bi=float(Bi), Ci=float(Ci), Di=float(Di), Ei=float(Ei),
-        small_kappa1=bool(top <= 1.0),
-    )
-    # C_i and D_i are positive-weight sums of squares on Gamma_k.
-    member = bool(np.all(batch_coeffs(arr[None, :])[0, 1 : k + 1] > 0.0))
-    if member and np.all(np.diff(arr) <= 0) and not (terms.Ci >= 0.0 and terms.Di >= 0.0):
-        raise DomainError(f"C_i/D_i positivity violated on Gamma_k: C_i={terms.Ci}, D_i={terms.Di}")
-    return terms
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalues.
 # ---------------------------------------------------------------------------
 
 
 def _relmin(M: np.ndarray) -> np.ndarray:
-    """Least eigenvalue over the Frobenius norm, for each matrix of a batch."""
+    """Least eigenvalue over the Frobenius norm, for each matrix of a batch.
+
+    LAPACK scales inside `eigvalsh`, but the norm squares the entries, which
+    overflows above about 1e154.  A matrix whose plain norm is not finite has
+    its eigenvalue and norm taken over a power of two near its largest
+    entry; every other matrix keeps the plain quotient.  A matrix with a
+    non-finite entry has no such scale and gets a NaN slack (if `eigvalsh`
+    returns on it at all).
+    """
     fro = np.sqrt(np.sum(M * M, axis=(1, 2)))
-    return np.linalg.eigvalsh(M)[:, 0] / np.maximum(fro, 1e-300)
-
-
-def min_eig(M) -> float:
-    """Least eigenvalue of a symmetric matrix (QuadForm or ndarray), n <= 64."""
-    e = M.entries if isinstance(M, QuadForm) else np.asarray(M, dtype=float)
-    if e.ndim != 2 or e.shape[0] != e.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {e.shape}")
-    if e.shape[0] > 64:
-        raise InvalidInputError("min_eig supports n <= 64")
-    if not np.all(np.isfinite(e)):
-        raise InvalidInputError("matrix contains non-finite entries")
-    return float(np.linalg.eigvalsh(e)[0])
+    lam = np.linalg.eigvalsh(M)[:, 0]
+    big = ~np.isfinite(fro)
+    if big.any():
+        amax = np.abs(M[big]).max(axis=(1, 2))
+        s = np.where(np.isfinite(amax), np.ldexp(1.0, np.frexp(amax)[1]), np.nan)
+        Ms = M[big] / s[:, None, None]
+        lam[big] /= s
+        fro[big] = np.sqrt(np.sum(Ms * Ms, axis=(1, 2)))
+    return lam / np.maximum(fro, 1e-300)

@@ -1,4 +1,4 @@
-"""Elementary symmetric functions, exclusion variants, and derivatives.
+"""Elementary symmetric functions, exclusion tables, and derivatives.
 
 Everything is built on one coefficient dynamic program, `batch_coeffs_t`, for
 
@@ -9,9 +9,10 @@ pass (no division, unlike Newton-identity recurrences).
 
 Conventions:
   * sigma_0 = 1, sigma_m = 0 for m < 0 or m > n.
-  * sigma_m(kappa|S) is sigma_m of kappa with the entries of S removed.
-  * Public index arguments (p, q, exclusion sets) are 1-based positions,
-    matching the usual mathematical notation; internal helpers are 0-based.
+  * sigma_m(kappa|S) is sigma_m of kappa with the entries of S removed; for
+    one set S it is `sigma` (or `batch_coeffs`) on the reduced vector, and
+    for every single or pair exclusion at once it is a table below.
+  * Positions in the tables are 0-based.
 
 Derivative facts used throughout:
     d sigma_k / d kappa_p           = sigma_{k-1}(kappa|p)
@@ -22,137 +23,27 @@ Derivative facts used throughout:
 from __future__ import annotations
 
 import functools
-import itertools
-import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = [
-    "SymTable",
-    "sigma",
-    "sigma_all",
-    "sigma_excl",
-    "sigma_d1",
-    "sigma_d2",
-    "sigma_enum",
-    "sigma_fsum",
-]
+__all__ = ["sigma"]
 
-def _as_vector(kappa) -> np.ndarray:
+
+def sigma(k: int, kappa) -> float:
+    """sigma_k of one finite 1-D vector."""
     arr = np.asarray(kappa, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidInputError(f"kappa must be a 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("kappa contains non-finite entries")
-    return arr
-
-
-@dataclass(frozen=True)
-class SymTable:
-    """All sigma_0..sigma_n of one vector, immutable."""
-
-    base: tuple
-    n: int
-    values: tuple
-
-    def sigma(self, m: int) -> float:
-        if m < 0 or m > self.n:
-            return 0.0
-        return self.values[m]
-
-
-def sigma_all(kappa) -> SymTable:
-    arr = _as_vector(kappa)
-    c = batch_coeffs_t(arr)
-    return SymTable(base=tuple(arr.tolist()), n=arr.size, values=tuple(c.tolist()))
-
-
-def sigma(k: int, kappa) -> float:
-    arr = _as_vector(kappa)
     if k == 0:
         return 1.0
     if k < 0 or k > arr.size:
         return 0.0
     return float(batch_coeffs_t(arr)[k])
-
-
-def _validate_excl(excl, n: int) -> tuple:
-    raw = [int(j) for j in excl]
-    idx = sorted(set(raw))
-    if len(idx) != len(raw):
-        raise InvalidInputError(f"duplicate exclusion indices: {excl}")
-    if len(idx) > 3:
-        raise InvalidInputError(f"at most 3 exclusions supported, got {len(idx)}")
-    for j in idx:
-        if not 1 <= j <= n:
-            raise InvalidInputError(f"exclusion index {j} out of range [1, {n}]")
-    return tuple(idx)
-
-
-def sigma_excl(k: int, kappa, excl) -> float:
-    """sigma_k of kappa with the (1-based) indices in excl removed."""
-    arr = _as_vector(kappa)
-    idx = _validate_excl(excl, arr.size)
-    m = arr.size - len(idx)
-    if k == 0:
-        return 1.0
-    if k < 0 or k > m:
-        return 0.0
-    keep = np.ones(arr.size, dtype=bool)
-    keep[[j - 1 for j in idx]] = False
-    return float(batch_coeffs_t(arr[keep])[k])
-
-
-def sigma_d1(k: int, kappa, p: int) -> float:
-    """First partial: d sigma_k / d kappa_p = sigma_{k-1}(kappa|p)."""
-    return sigma_excl(k - 1, kappa, (p,))
-
-
-def sigma_d2(k: int, kappa, p: int, q: int) -> float:
-    """Second partial: sigma_{k-2}(kappa|pq) for p != q, exactly 0 for p == q."""
-    arr = _as_vector(kappa)
-    for j in (p, q):
-        if not 1 <= j <= arr.size:
-            raise InvalidInputError(f"index {j} out of range [1, {arr.size}]")
-    if p == q:
-        return 0.0
-    return sigma_excl(k - 2, kappa, (p, q))
-
-
-# ---------------------------------------------------------------------------
-# Oracles: brute-force enumeration, used by tests and by witness re-checks.
-# ---------------------------------------------------------------------------
-
-
-def sigma_enum(k: int, kappa) -> float:
-    """Subset-enumeration oracle; O(C(n, k)), intended for n <= 12."""
-    arr = _as_vector(kappa)
-    if k == 0:
-        return 1.0
-    if k < 0 or k > arr.size:
-        return 0.0
-    vals = arr.tolist()
-    return float(sum(math.prod(c) for c in itertools.combinations(vals, k)))
-
-
-def sigma_fsum(k: int, kappa) -> float:
-    """Compensated-summation evaluation (exact-rounded sum of term products).
-
-    A test oracle: each subset product carries its own rounding, but the
-    summation itself is exact.  Exact values come from the batched kernels
-    run on `Fraction` object arrays.
-    """
-    arr = _as_vector(kappa)
-    if k == 0:
-        return 1.0
-    if k < 0 or k > arr.size:
-        return 0.0
-    vals = arr.tolist()
-    return math.fsum(math.prod(c) for c in itertools.combinations(vals, k))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from symcone import (
     minimize_lambda,
     run_check,
     sigma,
-    sigma_enum,
-    sigma_excl,
 )
 from symcone.cli import main as cli_main
 from symcone.registry import REGISTRY
+
+from oracles import sigma_enum
 
 SEED = 42
 
@@ -70,12 +70,13 @@ class TestCriterion1Identities:
                 k = int(rng.integers(1, n + 1))
                 i = int(rng.integers(1, n + 1))
                 sk = sigma(k, kappa)
-                rec = kappa[i - 1] * sigma_excl(k - 1, kappa, (i,)) + sigma_excl(k, kappa, (i,))
+                rest = np.delete(kappa, i - 1)
+                rec = kappa[i - 1] * sigma(k - 1, rest) + sigma(k, rest)
                 assert abs(sk - rec) <= 1e-10 * (1.0 + abs(sk))
-                total = sum(sigma_excl(k, kappa, (j,)) for j in range(1, n + 1))
+                total = sum(sigma(k, np.delete(kappa, j - 1)) for j in range(1, n + 1))
                 assert abs(total - (n - k) * sk) <= 1e-10 * (1.0 + abs(sk) + abs(total))
                 weighted = sum(
-                    kappa[j - 1] * sigma_excl(k - 1, kappa, (j,)) for j in range(1, n + 1)
+                    kappa[j - 1] * sigma(k - 1, np.delete(kappa, j - 1)) for j in range(1, n + 1)
                 )
                 assert abs(weighted - k * sk) <= 1e-10 * (1.0 + abs(sk) + abs(weighted))
         # cross-validation against the subset-enumeration oracle

@@ -1,45 +1,48 @@
-"""Cone membership, constrained sampling, and normalization."""
+"""Cone membership, constrained sampling, and normalization by homogeneity."""
 
 import numpy as np
 import pytest
 
 from symcone import (
-    ConeQuery,
-    ConeVariant,
-    DomainError,
     InvalidInputError,
-    SampleSpec,
+    RunContext,
     SamplingExhaustedError,
-    in_gamma,
+    SearchConfig,
     make_rng,
-    normalize_sigma_k,
     sample_batch,
-    sample_gamma,
     sigma,
-    tail_sum_check,
 )
 from symcone.cones import sample_bar_batch
+
+from oracles import in_gamma
+
+
+def draw_one(seed, n, k, kappa1, **constraints):
+    """One feasible vector from a fresh stream: `sample_batch` with count 1."""
+    return sample_batch(make_rng(seed), 1, n, k, kappa1, **constraints)[0]
+
+
+def normalize(kappa, k, target):
+    """t * kappa with sigma_k(t * kappa) = target, t = (target / sigma_k)^(1/k)."""
+    return np.asarray(kappa, dtype=float) * (target / sigma(k, kappa)) ** (1.0 / k)
 
 
 class TestInGamma:
     def test_positive_cone_is_inside(self):
-        assert in_gamma(ConeQuery(n=3, k=3), (1, 1, 1))
+        assert in_gamma((1, 1, 1), 3)
 
     def test_boundary_point_open_vs_barred(self):
         kappa = (2, 2, -1)  # sigma_1 = 3, sigma_2 = 0
-        assert not in_gamma(ConeQuery(n=3, k=2), kappa)
-        assert in_gamma(ConeQuery(n=3, k=2, variant=ConeVariant.BARRED), kappa)
+        assert not in_gamma(kappa, 2)
+        assert in_gamma(kappa, 2, barred=True)
 
     def test_zero_sum_not_in_gamma1(self):
-        assert not in_gamma(ConeQuery(n=2, k=1), (1, -1))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            in_gamma(ConeQuery(n=4, k=2), (1, 2, 3))
+        assert not in_gamma((1, -1), 1)
 
     def test_bad_level(self):
+        # a level above n is rejected by the request, before any sampling
         with pytest.raises(InvalidInputError):
-            ConeQuery(n=3, k=4)
+            RunContext(n=3, k=4)
 
     def test_nesting(self):
         rng = np.random.default_rng(0)
@@ -47,90 +50,85 @@ class TestInGamma:
             n = int(rng.integers(3, 8))
             kappa = rng.normal(scale=2.0, size=n) + 1.0
             for k in range(n, 0, -1):
-                if in_gamma(ConeQuery(n=n, k=k), kappa):
+                if in_gamma(kappa, k):
                     for m in range(1, k):
-                        assert in_gamma(ConeQuery(n=n, k=m), kappa)
+                        assert in_gamma(kappa, m)
                     break
 
 
 class TestTailSum:
+    # kappa_k + ... + kappa_n > 0 on Gamma_k (kappa sorted descending)
+
     def test_direct_sum(self):
-        assert tail_sum_check(2, (3, 1, 1)) == 2.0
+        kappa = np.array([3.0, 1.0, 1.0])
+        assert in_gamma(kappa, 2)
+        assert float(np.sum(kappa[1:])) == 2.0
 
     def test_positive_entries(self):
-        assert tail_sum_check(3, (5, 4, 3)) == 3.0
+        kappa = np.array([5.0, 4.0, 3.0])
+        assert in_gamma(kappa, 3)
+        assert float(np.sum(kappa[2:])) == 3.0
 
     def test_mixed_signs(self):
-        assert tail_sum_check(2, (5, 2, -1)) == 1.0
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(InvalidInputError):
-            tail_sum_check(2, (1, 3, 2))
+        kappa = np.array([5.0, 2.0, -1.0])
+        assert in_gamma(kappa, 2)
+        assert float(np.sum(kappa[1:])) == 1.0
 
     def test_positive_on_membership(self):
         rng = make_rng(1)
         X = sample_batch(rng, 100, 6, 4, 100.0)
-        for row in X:
-            assert tail_sum_check(4, row) > 0.0
+        assert np.all(X[:, 3:].sum(axis=1) > 0.0)
 
 
 class TestNormalize:
     def test_scaling_up(self):
-        out = normalize_sigma_k((1, 1, 1), 2, 12.0)
+        out = normalize((1, 1, 1), 2, 12.0)
         assert np.allclose(out, (2, 2, 2), rtol=1e-12)
 
     def test_identity_target(self):
         kappa = np.array([3.0, 2.0, 1.0])
         s = sigma(2, kappa)
-        assert np.allclose(normalize_sigma_k(kappa, 2, s), kappa, rtol=1e-12)
+        assert np.allclose(normalize(kappa, 2, s), kappa, rtol=1e-12)
 
     def test_scaling_down(self):
-        out = normalize_sigma_k((2, 2, 2), 3, 1.0)  # t = (1/8)^(1/3) = 0.5
+        out = normalize((2, 2, 2), 3, 1.0)  # t = (1/8)^(1/3) = 0.5
         assert np.allclose(out, (1.0, 1.0, 1.0), rtol=1e-12)
 
     def test_membership_preserved(self):
         rng = make_rng(2)
         X = sample_batch(rng, 50, 5, 3, 50.0)
         for row in X:
-            out = normalize_sigma_k(row, 3, 7.0)
+            out = normalize(row, 3, 7.0)
             assert abs(sigma(3, out) - 7.0) <= 1e-9 * 7.0
-            assert in_gamma(ConeQuery(n=5, k=3), out)
-
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            normalize_sigma_k((1, -1, 0), 2, 5.0)
-        with pytest.raises(DomainError):
-            normalize_sigma_k((1, 1, 1), 2, -3.0)
+            assert in_gamma(out, 3)
 
 
 class TestSampleGamma:
     def test_basic_draw(self):
-        kappa = sample_gamma(SampleSpec(n=5, k=3, kappa1_target=100.0, rng_seed=7))
-        assert in_gamma(ConeQuery(n=5, k=3), kappa)
+        kappa = draw_one(7, 5, 3, 100.0)
+        assert in_gamma(kappa, 3)
         assert 99.0 <= kappa[0] <= 101.0
         assert np.all(np.diff(kappa) <= 0)
 
     def test_near_top_constraint(self):
-        spec = SampleSpec(n=5, k=3, kappa1_target=1e4, near_top_index=2, rng_seed=3)
-        kappa = sample_gamma(spec)
+        kappa = draw_one(3, 5, 3, 1e4, near_top_index=2)
         assert kappa[1] > kappa[0] - np.sqrt(kappa[0]) / 5
 
     def test_sigma_range_constraint(self):
-        spec = SampleSpec(n=6, k=4, kappa1_target=1e3, sigma_k_range=(1.0, 10.0), rng_seed=4)
-        kappa = sample_gamma(spec)
+        kappa = draw_one(4, 6, 4, 1e3, sigma_k_range=(1.0, 10.0))
         assert 0.9 <= sigma(4, kappa) <= 10.1
 
     def test_determinism(self):
-        spec = SampleSpec(n=5, k=3, kappa1_target=100.0, rng_seed=11)
-        a = sample_gamma(spec)
-        b = sample_gamma(spec)
+        a = draw_one(11, 5, 3, 100.0)
+        b = draw_one(11, 5, 3, 100.0)
         assert np.array_equal(a, b)
 
     def test_invalid_spec(self):
+        # a non-positive target scale is rejected by the request
         with pytest.raises(InvalidInputError):
-            SampleSpec(n=5, k=3, kappa1_target=-1.0)
+            RunContext(n=5, k=3, kappa1=-1.0)
         with pytest.raises(InvalidInputError):
-            SampleSpec(n=5, k=3, kappa1_target=1.0, sigma_k_range=(0.0, 1.0))
+            SearchConfig(n=5, k=3, K=1e3, kappa1=-1.0)
 
 
 class TestSampleBatch:
@@ -140,7 +138,7 @@ class TestSampleBatch:
         X = sample_batch(rng, 300, n, k, 1e3)
         assert X.shape == (300, n)
         for row in X:
-            assert in_gamma(ConeQuery(n=n, k=k), row)
+            assert in_gamma(row, k)
             assert np.all(np.diff(row) <= 0)
             # at most n - k non-positive entries
             assert int(np.sum(row <= 0)) <= n - k
@@ -149,13 +147,12 @@ class TestSampleBatch:
             assert np.all(-neg < (n - k) * row[0] / k)
 
     def test_first_partials_positive(self):
-        from symcone import sigma_d1
-
+        # d sigma_3 / d kappa_p = sigma_2(kappa|p)
         rng = make_rng(6)
         X = sample_batch(rng, 50, 5, 3, 100.0)
         for row in X:
-            for p in range(1, 6):
-                assert sigma_d1(3, row, p) > 0.0
+            for p in range(5):
+                assert sigma(2, np.delete(row, p)) > 0.0
 
     def test_exhaustion_reports_counts(self):
         rng = make_rng(7)
@@ -180,7 +177,7 @@ class TestSampleBarBatch:
         X = sample_bar_batch(rng, 200, m)
         hit_boundary = 0
         for row in X:
-            assert in_gamma(ConeQuery(n=m, k=m, variant=ConeVariant.BARRED), row)
+            assert in_gamma(row, m, barred=True)
             if sigma(m, row) == 0.0:
                 hit_boundary += 1
         assert hit_boundary > 0  # explicit construction reaches the measure-zero boundary

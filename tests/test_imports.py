@@ -10,6 +10,7 @@ with only the part of `__init__` that precedes its imports (the docstring and
 `__init__` runs.
 """
 
+import importlib
 import os
 import pkgutil
 import subprocess
@@ -48,3 +49,12 @@ def test_imports_first(module):
         [sys.executable, "-c", FIRST, module], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["symcone"] + MODULES)
+def test_star_import_matches_all(module):
+    # a name left in `__all__` after its definition is deleted breaks
+    # `from module import *`
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+    exec(f"from {module} import *", {})

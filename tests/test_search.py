@@ -13,18 +13,16 @@ import symcone
 from symcone import search
 
 from symcone import (
-    ConeQuery,
     InvalidInputError,
     SearchConfig,
-    in_gamma,
-    key_matrix,
-    KeyParams,
     minimize_lambda,
     threshold_bisect,
 )
 from symcone.cones import SIGMA_RANGE_NOISE_FACTOR
 from symcone.quadforms import _relmin, key_matrix_batch, key_matrix_from_table
 from symcone.symfun import batch_coeffs, batch_excl1_table, batch_excl2_table
+
+from oracles import in_gamma
 
 
 def small_cfg(**kw):
@@ -48,12 +46,11 @@ class TestMinimizeLambda:
         res = minimize_lambda(small_cfg(seed=9))
         w = res.best
         kappa = np.array(w.kappa)
-        assert in_gamma(ConeQuery(n=5, k=3), kappa)
+        assert in_gamma(kappa, 3)
         assert abs(kappa[0] - 1e3) <= 0.01 * 1e3
         assert kappa[1] > kappa[0] - np.sqrt(kappa[0]) / 5
         # the recorded value matches a fresh eigen-evaluation of the key form
-        params = KeyParams.for_kappa(kappa, 3, 2, 1e3)
-        M = key_matrix(kappa, params).entries
+        M = key_matrix_batch(kappa[None], 3, 1, 1e3)[0]
         fro = float(np.linalg.norm(M))
         lam = float(np.linalg.eigvalsh(M)[0]) / max(fro, 1e-300)
         assert abs(lam - w.value) <= 1e-10

@@ -10,24 +10,37 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symcone import (
-    InvalidInputError,
-    sigma,
-    sigma_all,
-    sigma_d1,
-    sigma_d2,
-    sigma_enum,
-    sigma_excl,
-    sigma_fsum,
-)
+from symcone import InvalidInputError, sigma
 from symcone import symfun
 from symcone.symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
+
+from oracles import in_gamma, sigma_enum, sigma_fsum
 
 RTOL = 1e-10
 
 
 def close(a, b, tol=RTOL):
     return abs(a - b) <= tol * (1.0 + abs(a) + abs(b))
+
+
+def reduced_sigma(k, kappa, excl):
+    """sigma_k(kappa|S) for the 1-based positions S: `sigma` on the reduced vector."""
+    return sigma(k, np.delete(np.asarray(kappa, dtype=float), [j - 1 for j in excl]))
+
+
+def table(kappa):
+    """sigma_0..sigma_n of one vector, as a tuple: one row of `batch_coeffs`."""
+    return tuple(batch_coeffs(np.asarray(kappa, dtype=float)[None, :])[0].tolist())
+
+
+def d1(k, kappa, p):
+    """d sigma_k / d kappa_p = sigma_{k-1}(kappa|p), read from the single-exclusion table."""
+    return float(order(batch_excl1_table(np.asarray(kappa, dtype=float)[None, :]), k - 1)[0, p - 1])
+
+
+def d2(k, kappa, p, q):
+    """d^2 sigma_k / d kappa_p d kappa_q, read from the pair table (zero diagonal)."""
+    return float(batch_excl2_table(np.asarray(kappa, dtype=float)[None, :], (k - 2,))[k - 2][0, p - 1, q - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -60,69 +73,68 @@ class TestSigma:
 
 class TestSigmaAll:
     def test_two_entries(self):
-        t = sigma_all((1, 2))
-        assert t.values == (1.0, 3.0, 2.0)
+        assert table((1, 2)) == (1.0, 3.0, 2.0)
 
     def test_zero_vector(self):
-        assert sigma_all((0, 0, 0)).values == (1.0, 0.0, 0.0, 0.0)
+        assert table((0, 0, 0)) == (1.0, 0.0, 0.0, 0.0)
 
     def test_cancelling_pair(self):
-        assert sigma_all((1, -1)).values == (1.0, 0.0, -1.0)
+        assert table((1, -1)) == (1.0, 0.0, -1.0)
 
     def test_table_conventions(self):
-        t = sigma_all((2.0, 3.0, 4.0))
-        assert t.values[0] == 1.0
-        assert t.sigma(17) == 0.0
-        assert t.sigma(-1) == 0.0
-        assert t.n == 3
+        kappa = (2.0, 3.0, 4.0)
+        t = table(kappa)
+        assert t[0] == 1.0
+        assert sigma(17, kappa) == 0.0
+        assert sigma(-1, kappa) == 0.0
+        assert len(t) == 3 + 1
 
     def test_agrees_with_sigma(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             kappa = rng.normal(size=6)
-            t = sigma_all(kappa)
+            t = table(kappa)
             for m in range(7):
-                assert close(t.values[m], sigma(m, kappa))
+                assert close(t[m], sigma(m, kappa))
 
 
 class TestSigmaExcl:
     def test_single_exclusion(self):
-        assert sigma_excl(1, (1, 2, 3), (2,)) == 4.0
+        assert reduced_sigma(1, (1, 2, 3), (2,)) == 4.0
 
     def test_degree_zero(self):
-        assert sigma_excl(0, (1, 2, 3), (1, 2)) == 1.0
+        assert reduced_sigma(0, (1, 2, 3), (1, 2)) == 1.0
 
     def test_one_entry_left(self):
-        assert sigma_excl(2, (1, 2, 3), (1, 3)) == 0.0
-
-    def test_index_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            sigma_excl(1, (1, 2, 3), (4,))
-        with pytest.raises(InvalidInputError):
-            sigma_excl(1, (1, 2, 3), (0,))
+        assert reduced_sigma(2, (1, 2, 3), (1, 3)) == 0.0
 
     def test_matches_reduced_vector(self):
+        # the exclusion tables against sigma of the reduced vector
         rng = np.random.default_rng(1)
         for _ in range(200):
             n = int(rng.integers(3, 9))
             kappa = rng.normal(scale=3.0, size=n)
-            size = int(rng.integers(1, min(3, n - 1) + 1))
+            size = int(rng.integers(1, 3))
             excl = tuple(sorted(rng.choice(n, size=size, replace=False) + 1))
             reduced = np.delete(kappa, [e - 1 for e in excl])
             for m in range(n):
-                assert close(sigma_excl(m, kappa, excl), sigma(m, reduced), 1e-9)
+                if size == 1:
+                    got = order(batch_excl1_table(kappa[None, :]), m)[0, excl[0] - 1]
+                else:
+                    got = batch_excl2_table(kappa[None, :], (m,))[m][0, excl[0] - 1, excl[1] - 1]
+                assert close(got, sigma(m, reduced), 1e-9)
 
 
 class TestDerivatives:
     def test_d1_values(self):
-        assert sigma_d1(2, (1, 2, 3), 1) == 5.0
-        assert sigma_d1(1, (4, 5, 6), 2) == 1.0
-        assert sigma_d1(2, (1, 1, 1), 3) == 2.0
+        assert d1(2, (1, 2, 3), 1) == 5.0
+        assert d1(1, (4, 5, 6), 2) == 1.0
+        assert d1(2, (1, 1, 1), 3) == 2.0
 
     def test_d2_values(self):
-        assert sigma_d2(2, (1, 2, 3), 1, 2) == 1.0
-        assert sigma_d2(3, (1, 2, 3), 2, 2) == 0.0
-        assert sigma_d2(3, (1, 2, 3, 4), 1, 4) == 5.0
+        assert d2(2, (1, 2, 3), 1, 2) == 1.0
+        assert d2(3, (1, 2, 3), 2, 2) == 0.0
+        assert d2(3, (1, 2, 3, 4), 1, 4) == 5.0
 
     def test_d1_is_difference_quotient_limit(self):
         rng = np.random.default_rng(2)
@@ -132,7 +144,7 @@ class TestDerivatives:
             bumped = kappa.copy()
             bumped[p - 1] += h
             fd = (sigma(3, bumped) - sigma(3, kappa)) / h
-            assert close(sigma_d1(3, kappa, p), fd, 1e-4)
+            assert close(d1(3, kappa, p), fd, 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +162,7 @@ class TestLaws:
             k = int(rng.integers(1, n + 1))
             i = int(rng.integers(1, n + 1))
             lhs = sigma(k, kappa)
-            rhs = kappa[i - 1] * sigma_excl(k - 1, kappa, (i,)) + sigma_excl(k, kappa, (i,))
+            rhs = kappa[i - 1] * reduced_sigma(k - 1, kappa, (i,)) + reduced_sigma(k, kappa, (i,))
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
     def test_sum_rules(self):
@@ -160,9 +172,9 @@ class TestLaws:
             kappa = rng.normal(scale=5.0, size=n)
             k = int(rng.integers(1, n + 1))
             sk = sigma(k, kappa)
-            total = sum(sigma_excl(k, kappa, (i,)) for i in range(1, n + 1))
+            total = sum(reduced_sigma(k, kappa, (i,)) for i in range(1, n + 1))
             assert close(total, (n - k) * sk)
-            weighted = sum(kappa[i - 1] * sigma_excl(k - 1, kappa, (i,)) for i in range(1, n + 1))
+            weighted = sum(kappa[i - 1] * reduced_sigma(k - 1, kappa, (i,)) for i in range(1, n + 1))
             assert close(weighted, k * sk)
 
     @pytest.mark.parametrize("t", [-2.0, 0.5, 10.0])
@@ -192,22 +204,20 @@ class TestLaws:
             assert close(sigma(k, kappa), ref, 1e-12)
             assert close(sigma_fsum(k, kappa), ref, 1e-12)
             if n > 1:
-                assert close(sigma_excl(k, kappa, (1,)), sigma_enum(k, kappa[1:]), 1e-12)
+                assert close(reduced_sigma(k, kappa, (1,)), sigma_enum(k, kappa[1:]), 1e-12)
 
     def test_monotone_derivative_ordering(self):
         # kappa sorted descending in Gamma_k: sigma_{k-1}(kappa|n) >= ... >= sigma_{k-1}(kappa|1) > 0
-        from symcone import ConeQuery, in_gamma
-
         rng = np.random.default_rng(8)
         found = 0
         while found < 100:
             n = int(rng.integers(4, 8))
             k = int(rng.integers(2, n))
             kappa = -np.sort(-rng.uniform(-0.5, 3.0, size=n))
-            if not in_gamma(ConeQuery(n=n, k=k), kappa):
+            if not in_gamma(kappa, k):
                 continue
             found += 1
-            parts = [sigma_d1(k, kappa, p) for p in range(1, n + 1)]
+            parts = [d1(k, kappa, p) for p in range(1, n + 1)]
             assert parts[0] > 0.0
             assert all(parts[p] <= parts[p + 1] * (1 + 1e-12) + 1e-12 for p in range(n - 1))
 
@@ -313,8 +323,8 @@ class TestBatchTables:
                         assert np.array_equal(_bits(P[t][:, q, p]), _bits(ref[:, t]))
 
     def test_scalar_api_is_the_rowwise_recurrence(self):
-        # sigma_all, sigma and sigma_excl run the batched kernel on one
-        # vector; the bits must be the recurrence's, signed zeros included.
+        # sigma, on a vector or on a reduced vector, runs the batched kernel;
+        # the bits must be the recurrence's, signed zeros included.
         rows = list(_rows(6, 20)) + [
             np.array([0.0, -0.0, 1.0, -0.0, 2.0, -3.0]),
             np.array([-0.0] * 6),
@@ -322,10 +332,9 @@ class TestBatchTables:
         ]
         for kappa in rows:
             ref = _rowwise_coeffs(kappa[None, :])[0]
-            assert np.array_equal(_bits(np.array(sigma_all(kappa).values)), _bits(ref))
             assert np.array_equal(_bits(np.array([sigma(k, kappa) for k in range(7)])), _bits(ref))
             rest = _rowwise_coeffs(np.delete(kappa, (1, 4))[None, :])[0]
-            got = [sigma_excl(k, kappa, (2, 5)) for k in range(5)]
+            got = [reduced_sigma(k, kappa, (2, 5)) for k in range(5)]
             assert np.array_equal(_bits(np.array(got)), _bits(rest))
 
     def test_coeffs_single_set_path_is_the_kernel(self):
