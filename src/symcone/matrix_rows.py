@@ -5,6 +5,10 @@ Signature: rows(X, aux, P) -> (B,) slacks, one per row of X.  Rows excluded
 by a hypothesis guard return +inf.  A form's slack is its least eigenvalue
 over its Frobenius norm (`quadforms._relmin`); the scalar asymptotic
 statements use the inequality slack of `scalar_rows`.
+
+P["K"] is a tuple of K values.  A statement with K (`uses_K`) builds its
+K-free tables once and returns (len(P["K"]), B) slacks, one row per K, each
+with the bits of a call at that K alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .quadforms import (
     divdiff_exp_scaled,
     divdiff_ratio,
     h_matrix_batch,
-    key_matrix_from_table,
+    key_matrix_from_parts,
     lemma41_gap_batch,
 )
 from .scalar_rows import _ineq, _mag
@@ -167,7 +171,7 @@ def _rows_l35a(X, aux, P):
     n = X.shape[1]
     k = P["k"]
     i0 = P["i0"]
-    K = P["K"]
+    K = np.array(P["K"])[:, None]
     h = aux["h"]
     top = X[:, 0]
     w = np.exp(X - top[:, None])
@@ -275,7 +279,7 @@ def _rows_s601(X, aux, P):
 def _rows_s602(X, aux, P):
     n = X.shape[1]
     i0 = P["i0"]
-    K = P["K"]
+    K = np.array(P["K"])[:, None]
     A, Bm, _, D = abcd_batch(X, n - 2, i0)
     c = batch_coeffs(X)
     s_ii = order(batch_coeffs(np.delete(X, i0, axis=1)), n - 3)
@@ -288,32 +292,31 @@ def _rows_s602(X, aux, P):
     G = (
         (1.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * A
         + c[:, n - 2][:, None, None] * Bm
-        - cc[:, None, None] * D
+        - cc[..., None, None] * D
     )
-    G[:, idx, idx] += pen[:, None]
+    G[..., idx, idx] += pen[:, None]
     return np.where(ok, _relmin(G), np.inf)
 
 
-def _key_rows(X, k, i0, K):
-    T1 = batch_excl1_table(X)
-    s_ii = order(T1[:, i0], k - 1)
-    ok = K * X[:, i0] * s_ii > 1.0
-    lam = _relmin(key_matrix_from_table(X, T1, k, i0, K))
-    return np.where(ok, lam, np.inf)
-
-
 def _rows_key(X, aux, P):
-    return _key_rows(X, P["k"], P["i0"], P["K"])
+    k = P["k"]
+    i0 = P["i0"]
+    K = np.array(P["K"])[:, None]
+    v = order(batch_excl1_table(X), k - 1)
+    ok = K * X[:, i0] * v[:, i0] > 1.0
+    M = key_matrix_from_parts(X, v, batch_excl2_table(X, (k - 2,))[k - 2], i0, K)
+    return np.where(ok, _relmin(M), np.inf)
 
 
 def _rows_gap(X, aux, P, *, with_kappa_i_sq):
     k = P["k"]
     i0 = P["i0"]
-    K = P["K"]
+    K = np.array(P["K"])[:, None]
     T1 = batch_excl1_table(X)
     ok = K * X[:, i0] * T1[:, i0, k - 1] > 1.0
-    out = np.full(X.shape[0], np.inf)
-    if np.any(ok):
-        G = lemma41_gap_batch(X[ok], k, i0, K, with_kappa_i_sq, T1[ok])
-        out[ok] = _relmin(G)
+    out = np.full(ok.shape, np.inf)
+    rows = ok.any(axis=0)
+    if rows.any():
+        G = lemma41_gap_batch(X[rows], k, i0, K, with_kappa_i_sq, T1[rows])
+        out[ok] = _relmin(G[ok[:, rows]])
     return out

@@ -4,6 +4,10 @@ Every builder is row-parallel: it maps the rows X (B, n) to a stack of
 (B, m, m) matrices, one per row, and is shared by the lemma registry and the
 key-form search.  A batch of one is X[None].
 
+K enters only the rank-one term and the constant c.  A builder's K is a
+scalar or a column (nK, 1): a column builds the K-free tables once and gives
+a (nK, B, m, m) stack, each (B, m, m) with the bits of a call at that K.
+
 Index conventions:
   * The distinguished index `i0` is a 0-based position in kappa.  The
     builders do not validate it or the level k; `RunContext` and
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, SingularDenominatorError
+from .errors import SingularDenominatorError
 from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
 
 
@@ -28,26 +32,22 @@ from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
 # ---------------------------------------------------------------------------
 
 
-def key_matrix_batch(X: np.ndarray, k: int, i0: int, K: float) -> np.ndarray:
-    return key_matrix_from_table(X, batch_excl1_table(X), k, i0, K)
+def key_matrix_batch(X: np.ndarray, k: int, i0: int, K) -> np.ndarray:
+    S = batch_excl2_table(X, (k - 2,))[k - 2]
+    return key_matrix_from_parts(X, order(batch_excl1_table(X), k - 1), S, i0, K)
 
 
-def key_matrix_from_table(X: np.ndarray, T1: np.ndarray, k: int, i0: int, K: float) -> np.ndarray:
-    """The key matrix of the rows X, for callers that hold T1 = batch_excl1_table(X)."""
-    return key_matrix_from_parts(X, order(T1, k - 1), batch_excl2_table(X, (k - 2,))[k - 2], i0, K)
-
-
-def key_matrix_from_parts(X: np.ndarray, v: np.ndarray, S: np.ndarray, i0: int, K: float) -> np.ndarray:
+def key_matrix_from_parts(X: np.ndarray, v: np.ndarray, S: np.ndarray, i0: int, K) -> np.ndarray:
     """The key matrix of the rows X (B, n) from v = sigma_k^{jj} = sigma_{k-1}(X|j), (B, n),
     and S = sigma_k^{pp,qq} = sigma_{k-2}(X|p,q), (B, n, n) with a zero diagonal."""
     n = X.shape[1]
     ki = X[:, i0]
-    M = K * ki[:, None, None] * (v[:, :, None] * v[:, None, :])
+    M = (K * ki)[..., None, None] * (v[:, :, None] * v[:, None, :])
     M -= ki[:, None, None] * S
     a = v + (ki[:, None] + X) * S[:, i0, :]  # diagonal weights a_j, j != i
     a[:, i0] = -v[:, i0]
     idx = np.arange(n)
-    M[:, idx, idx] += a
+    M[..., idx, idx] += a
     return M
 
 
@@ -90,37 +90,23 @@ def h_matrix_batch(X: np.ndarray, i0: int) -> np.ndarray:
     return H
 
 
-def embed_reduced(M: np.ndarray, n: int, i0: int) -> np.ndarray:
-    """Embed a (B, n-1, n-1) reduced form into (B, n, n) with row/col i0 zero."""
-    B = M.shape[0]
-    out = np.zeros((B, n, n))
-    keep = [j for j in range(n) if j != i0]
-    out[np.ix_(np.arange(B), keep, keep)] = M
-    return out
-
-
 def rhs_combination_batch(
-    X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq: bool, s_ii: np.ndarray
+    X: np.ndarray, k: int, i0: int, K, with_kappa_i_sq: bool, s_ii: np.ndarray
 ) -> np.ndarray:
-    """s_ii = sigma_{k-1}(kappa|i) of each row."""
+    """(1/c) [alpha A + sigma_k B + C - c D], s_ii = sigma_{k-1}(kappa|i) of each
+    row and 1/c = K kappa_i s_ii - 1.  Where 1/c <= 0 (outside the hypothesis)
+    c is taken as 1, and the caller masks the result."""
     A, Bm, C, D = abcd_batch(X, k, i0)
     sk = batch_coeffs(X)[:, k]
     denom = K * X[:, i0] * s_ii - 1.0
-    if np.any(denom <= 0):
-        raise DomainError("K*kappa_i*sigma_(k-1)(kappa|i) must exceed 1 on every row")
-    c = 1.0 / denom
+    c = 1.0 / np.where(denom > 0.0, denom, 1.0)
     alpha = X[:, i0] ** 2 if with_kappa_i_sq else np.ones(X.shape[0])
-    comb = (
-        alpha[:, None, None] * A
-        + sk[:, None, None] * Bm
-        + C
-        - c[:, None, None] * D
-    )
-    return denom[:, None, None] * comb
+    comb = alpha[:, None, None] * A + sk[:, None, None] * Bm + C - c[..., None, None] * D
+    return denom[..., None, None] * comb
 
 
 def lemma41_gap_batch(
-    X: np.ndarray, k: int, i0: int, K: float, with_kappa_i_sq: bool, T1: np.ndarray
+    X: np.ndarray, k: int, i0: int, K, with_kappa_i_sq: bool, T1: np.ndarray
 ) -> np.ndarray:
     """LHS - RHS of the section-4 matrix inequality, in consistently scaled form.
 
@@ -129,12 +115,13 @@ def lemma41_gap_batch(
     PSD iff  keyform >= (1/sigma_k^{ii}) [alpha A + sigma_k B + C - c D].
     T1 = batch_excl1_table(X) serves both sides.
     """
-    n = X.shape[1]
     s_ii = T1[:, i0, k - 1]
     mult = X[:, i0] * K * s_ii**2 - s_ii
-    lhs = mult[:, None, None] * key_matrix_from_table(X, T1, k, i0, K)
-    rhs = embed_reduced(rhs_combination_batch(X, k, i0, K, with_kappa_i_sq, s_ii), n, i0)
-    return lhs - rhs
+    S = batch_excl2_table(X, (k - 2,))[k - 2]
+    G = mult[..., None, None] * key_matrix_from_parts(X, order(T1, k - 1), S, i0, K)
+    keep = np.delete(np.arange(X.shape[1]), i0)
+    G[..., keep[:, None], keep] -= rhs_combination_batch(X, k, i0, K, with_kappa_i_sq, s_ii)
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +161,12 @@ def _relmin(M: np.ndarray) -> np.ndarray:
     its eigenvalue and norm taken over a power of two near its largest
     entry; every other matrix keeps the plain quotient.  A matrix with a
     non-finite entry has no such scale and gets a NaN slack (if `eigvalsh`
-    returns on it at all).
+    returns on it at all).  The matrices are the last two axes, so a stack
+    of any leading shape (such as one (B, m, m) stack per K) works.
     """
-    fro = np.sqrt(np.sum(M * M, axis=(1, 2)))
-    lam = np.linalg.eigvalsh(M)[:, 0]
+    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+        fro = np.sqrt(np.sum(M * M, axis=(-2, -1)))
+    lam = np.linalg.eigvalsh(M)[..., 0]
     big = ~np.isfinite(fro)
     if big.any():
         amax = np.abs(M[big]).max(axis=(1, 2))

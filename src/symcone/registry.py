@@ -36,11 +36,13 @@ stream, so `run_checks` plans the points of many checks, evaluates them with
 does not depend on the number of workers.  Both kinds share the plan and the
 fold: a fixed check is one group of points at its scale, one per level, and a
 group stops at its first point whose sampler ran dry.  A sweep is one group,
-and one point, per kappa_1.  K enters only the slack, so the point draws each
-block of rows once and evaluates it at every K of the grid (common random
-numbers); its stream is labelled with the grid's first K, so a run with K
-pinned to that value draws the same rows, and a draw that runs dry leaves the
-whole group without rows.
+and one point, per kappa_1.  K enters only the slack, so K is an axis of it:
+a point's parameters carry its whole K grid as a tuple, each block of rows
+is drawn once and its rows function called once, and row a of the returned
+(K, B) slacks is tallied under the a-th K (common random numbers).  The
+point's stream is labelled with the grid's first K, so a run with K pinned
+to that value draws the same rows, and a draw that runs dry leaves the whole
+group without rows.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class LemmaCheck:
     kind: str  # IDENTITY | INEQUALITY | PSD | ASYMPTOTIC
     description: str
     sampler: str
-    rows: Callable  # rows(X, aux, P) -> (B,) slacks
+    rows: Callable  # rows(X, aux, P) -> (B,) or (len(P["K"]), B) slacks
     k_values: Callable  # k_values(n) -> default levels
     min_n: int = 3
     uses_K: bool = False
@@ -264,9 +266,9 @@ def _grid(check: LemmaCheck, ctx: RunContext) -> Tuple[tuple, tuple, tuple]:
     return ks[:1], ASYM_KAPPA1_GRID if ctx.kappa1 is None else (ctx.kappa1,), Ks if ctx.K is None else (ctx.K,)
 
 
-def _params(n: int, k: Optional[int], i0: int, K: Optional[float], kappa1: Optional[float]) -> dict:
+def _params(n: int, k: Optional[int], i0: int, Ks: tuple, kappa1: Optional[float]) -> dict:
     """The parameters P a rows function and its sampler see, in a run and in its replay."""
-    return {"n": n, "k": k, "i0": i0, "K": K, "kappa1": kappa1}
+    return {"n": n, "k": k, "i0": i0, "K": Ks, "kappa1": kappa1}
 
 
 def _make_witness(check, P, X, aux, j, slack) -> dict:
@@ -294,8 +296,8 @@ def witness_slack(witness: dict) -> float:
         key: (np.full(1, val) if np.ndim(val) == 0 else np.asarray(val, dtype=float)[None, :])
         for key, val in witness.get("aux", {}).items()
     }
-    P = _params(X.shape[1], witness.get("k"), int(witness.get("i", 1)) - 1, witness.get("K"), witness.get("kappa1"))
-    return float(check.rows(X, aux, P)[0])
+    P = _params(X.shape[1], witness.get("k"), int(witness.get("i", 1)) - 1, (witness.get("K"),), witness.get("kappa1"))
+    return float(np.ravel(check.rows(X, aux, P))[0])
 
 
 class _Tally(NamedTuple):
@@ -333,30 +335,32 @@ def _block_tally(check, P, X, aux, slacks) -> _Tally:
     return _Tally(best, wit, int(used.sum()), int(nan.sum()), int(excluded.sum()))
 
 
-def _eval_point(check, Ps, rng, samples) -> _Tally:
-    """The tally of `samples` rows, each evaluated at every parameter set of
-    `Ps` (one per K).
+def _eval_point(check, P, rng, samples) -> _Tally:
+    """The tally of `samples` rows, each evaluated at every K of P["K"].
 
-    Each block is drawn once, at Ps[0], and every K sees the same rows.  The
+    Each block is drawn once and goes through one rows call for the whole
+    K grid; a K-free rows function's (B,) slacks stand for every K.  The
     tallies of the Ks merge in K order, so on a tie the earlier K keeps the
-    witness.
+    witness, which records its own K.
     """
-    tallies = [_Tally()] * len(Ps)
+    per_K = [dict(P, K=K) for K in P["K"]]
+    tallies = [_Tally()] * len(per_K)
     drawn = 0
     while drawn < samples:
         B = min(_BLOCK, samples - drawn)
-        X, aux = _SAMPLERS[check.sampler](Ps[0], rng, B)
-        tallies = [t.merge(_block_tally(check, P, X, aux, check.rows(X, aux, P))) for t, P in zip(tallies, Ps)]
+        X, aux = _SAMPLERS[check.sampler](P, rng, B)
+        slacks = np.broadcast_to(check.rows(X, aux, P), (len(per_K), B))
+        tallies = [t.merge(_block_tally(check, Pa, X, aux, sa)) for t, Pa, sa in zip(tallies, per_K, slacks)]
         drawn += B
     return functools.reduce(_Tally.merge, tallies)
 
 
 class _Point(NamedTuple):
     """One independent unit of evaluation: `rows` samples of `check`, each
-    evaluated at the params of every K in `Ps`."""
+    evaluated at every K of the params `P`."""
 
     check: LemmaCheck
-    Ps: tuple
+    P: dict
     seed: int  # child seed of the point's own stream
     rows: int
 
@@ -382,7 +386,7 @@ def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
     sweep = check.kind == "ASYMPTOTIC"
     return [
         _Point(
-            check, tuple(_params(ctx.n, k, ctx.i - 1, Kv, g) for Kv in Ks),
+            check, _params(ctx.n, k, ctx.i - 1, Ks, g),
             _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}" + (f"|{g}|{Ks[0]}" if sweep else "")), rows,
         )
         for g in groups
@@ -393,7 +397,7 @@ def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
 def _evaluate(point: _Point):
     """The tally of `_eval_point`, or the SymconeError it raised, as a value."""
     try:
-        return _eval_point(point.check, point.Ps, make_rng(point.seed), point.rows)
+        return _eval_point(point.check, point.P, make_rng(point.seed), point.rows)
     except SymconeError as exc:
         return exc
 
@@ -432,30 +436,20 @@ def _fold(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResult:
             point["rejections"] = exhausted.rejection_counts
         points.append(point)
     top = points[-1]
+    sweep = check.kind == "ASYMPTOTIC"
     counts = {"tol": tol, "nonfinite_rows": total.nonfinite, "excluded_rows": total.excluded}
-    kappa1_star = None
-    if check.kind == "ASYMPTOTIC":
-        details = {"points": points, "K_grid": list(Ks), **counts}
-        # THRESHOLD at the smallest scale from which every larger scale passes.
-        star = next((a for a in range(len(points)) if all(p["passed"] for p in points[a:])), None)
-        if star is not None:
-            verdict, kappa1_star = "THRESHOLD", groups[star]
-        elif top["exhausted"] is not None:
-            verdict = "ERROR"
-        elif not top["samples"] and not top["nonfinite_rows"]:
-            verdict = "ERROR"
-            details["error"] = "no row was evaluated at the top point: every sample fell outside the hypothesis"
-        else:
-            verdict = "FAIL"
-    else:
-        details = {"k_values": list(levels), **counts}
-        if top["exhausted"] is not None:
-            details.update(error=top["exhausted"], rejections=top["rejections"])
-        elif top["nonfinite_rows"]:
-            details["error"] = f"{top['nonfinite_rows']} rows gave a NaN slack"
-        elif not top["samples"]:
-            details["error"] = "no row was evaluated: every sample fell outside the hypothesis"
-        verdict = "ERROR" if "error" in details else "PASS" if top["passed"] else "FAIL"
+    details = {"points": points, "K_grid": list(Ks), **counts} if sweep else {"k_values": list(levels), **counts}
+    if top["exhausted"] is not None:
+        details.update(error=top["exhausted"], rejections=top["rejections"])
+    elif top["nonfinite_rows"] and not sweep:  # in a sweep a NaN fails its point
+        details["error"] = f"{top['nonfinite_rows']} rows gave a NaN slack"
+    elif not top["samples"] and not top["nonfinite_rows"]:
+        where = " at the top point" if sweep else ""
+        details["error"] = f"no row was evaluated{where}: every sample fell outside the hypothesis"
+    # The smallest scale from which every larger scale passes (a fixed check has one).
+    star = next((a for a in range(len(points)) if all(p["passed"] for p in points[a:])), None)
+    verdict = "ERROR" if "error" in details else "FAIL" if star is None else "THRESHOLD" if sweep else "PASS"
+    kappa1_star = groups[star] if sweep and verdict == "THRESHOLD" else None
     return CheckResult(
         id=check.id, kind=check.kind, n=ctx.n, k=levels[0] if len(levels) == 1 else None, samples=total.used,
         min_slack=total.best if total.used else math.nan, verdict=verdict, seed=ctx.seed, witness=total.witness,

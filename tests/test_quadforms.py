@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from symcone import (
-    DomainError,
     InvalidInputError,
     SearchConfig,
     make_rng,
@@ -18,6 +17,7 @@ from symcone import (
     sigma,
 )
 from symcone.matrix_rows import _rows_l35a, _rows_l35b
+from symcone.registry import REGISTRY
 from symcone.quadforms import (
     _relmin,
     abcd_batch,
@@ -130,10 +130,18 @@ class TestKeyMatrix:
             SearchConfig(n=5, k=k)
 
     def test_c_requires_positive_denominator(self):
-        X = np.ones((1, 5)) * 1e-4
+        # c = 1/(K kappa_i s_ii - 1) needs K kappa_i s_ii > 1: the gap rows
+        # exclude (+inf) each row and K where it fails, and only there
+        X = np.vstack([np.ones((1, 5)) * 1e-4, np.ones((1, 5))])
         s_ii = batch_coeffs(X[:, 1:])[:, 2]
-        with pytest.raises(DomainError):
-            rhs_combination_batch(X, 3, 0, 1.0, True, s_ii)
+        Ks = (0.1, 1.0, 1e8)
+        outside = np.array(Ks)[:, None] * X[:, 0] * s_ii <= 1.0
+        assert outside.tolist() == [[True, True], [True, False], [True, False]]
+        for check_id in ("L4_1_gap", "L4_1_gap_alt"):
+            P = {"n": 5, "k": 3, "i0": 0, "K": Ks, "kappa1": None}
+            out = REGISTRY[check_id].rows(X, {}, P)
+            assert np.array_equal(out == np.inf, outside)
+            assert np.all(np.isfinite(out[~outside]))
 
 
 class TestAbcd:
@@ -222,9 +230,9 @@ def l35_oracle(kappa, h, k, i0, K):
 
 def l35_rows(X, H, k, i0, K):
     """The L3_5_a and L3_5_b slacks of the rows X with derivative data H."""
-    P = {"n": X.shape[1], "k": k, "i0": i0, "K": K, "kappa1": float(X[0, 0])}
+    P = {"n": X.shape[1], "k": k, "i0": i0, "K": (K,), "kappa1": float(X[0, 0])}
     aux = {"h": H}
-    return _rows_l35a(X, aux, P), _rows_l35b(X, aux, P)
+    return _rows_l35a(X, aux, P)[0], _rows_l35b(X, aux, P)
 
 
 class TestTestFnTerms:
@@ -364,8 +372,7 @@ class TestMinEig:
         indef = A + A.T
         for M in (psd, indef):
             plain = _relmin(M[None])
-            with np.errstate(over="ignore"):
-                out = _relmin(np.stack([M, M * 1e200]))
+            out = _relmin(np.stack([M, M * 1e200]))
             assert out[0].tobytes() == plain.tobytes()  # unscaled rows keep their bits
             assert out[1] == pytest.approx(plain[0], rel=1e-12)
         assert plain[0] < 0.0 and out[1] < 0.0

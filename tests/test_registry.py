@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import symcone.matrix_rows as matrix_rows
+import symcone.quadforms as quadforms
 import symcone.registry as registry
 
 from symcone import (
@@ -141,7 +142,7 @@ class TestRunCheck:
         s_ii = batch_coeffs(np.delete(X, i0, axis=1))[:, k - 1]
         K = 1.0 / np.median(X[:, i0] * s_ii)  # about half the rows pass
         ok = K * X[:, i0] * s_ii > 1.0
-        out = matrix_rows._key_rows(X, k, i0, K)
+        out = matrix_rows._rows_key(X, {}, {"k": k, "i0": i0, "K": (K,)})[0]
         assert 0 < ok.sum() < ok.size
         assert np.array_equal(np.isinf(out), ~ok)
         assert out[ok].tobytes() == _relmin(key_matrix_batch(X[ok], k, i0, K)).tobytes()
@@ -337,7 +338,8 @@ class TestSweepGroups:
         seen = {}
 
         def spy(X, aux, P):
-            seen.setdefault((P["kappa1"], P["K"]), []).append(hashlib.sha256(X.tobytes()).hexdigest())
+            for K in P["K"]:
+                seen.setdefault((P["kappa1"], K), []).append(hashlib.sha256(X.tobytes()).hexdigest())
             return check.rows(X, aux, P)
 
         monkeypatch.setitem(registry.REGISTRY, check_id, dataclasses.replace(check, rows=spy))
@@ -361,6 +363,48 @@ class TestSweepGroups:
         res = run_check(check_id, n=5, samples=200, seed=5)
         assert res.witness is not None and res.witness["K"] in registry.ASYM_K_GRID
         assert witness_slack(res.witness) == res.min_slack
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("check_id", K_CHECKS)
+    def test_grid_call_matches_per_K_calls(self, check_id, n):
+        # The K axis keeps each K's bits: one call on the grid gives, row for
+        # row, what a call at each K alone gives.
+        check = registry.REGISTRY[check_id]
+        P = registry._params(n, check.k_values(n)[0], 1, registry.ASYM_K_GRID, 1e3)
+        X, aux = registry._SAMPLERS[check.sampler](P, make_rng(n), 200)
+        grid = check.rows(X, aux, P)
+        assert grid.shape == (len(registry.ASYM_K_GRID), 200)
+        for a, K in enumerate(registry.ASYM_K_GRID):
+            one = check.rows(X, aux, dict(P, K=(K,)))
+            assert np.array_equal(grid[a].view(np.uint64), one[0].view(np.uint64)), K
+        assert np.isfinite(grid).any()
+
+    @pytest.mark.parametrize("check_id", K_CHECKS)
+    def test_one_rows_call_per_block(self, monkeypatch, check_id):
+        # Each block goes through one rows call, which builds its K-free
+        # tables once: as many calls as with K pinned.
+        check = registry.REGISTRY[check_id]
+        calls = {}
+
+        def counted(key, fn):
+            def spy(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return fn(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setitem(registry._SAMPLERS, check.sampler, counted("draw", registry._SAMPLERS[check.sampler]))
+        monkeypatch.setitem(registry.REGISTRY, check_id, dataclasses.replace(check, rows=counted("rows", check.rows)))
+        for module in (matrix_rows, quadforms):
+            monkeypatch.setattr(module, "batch_excl1_table", counted("excl1", module.batch_excl1_table))
+        ctx = RunContext(n=5, samples=registry._BLOCK + 10, seed=0, kappa1=1e3)  # one point, two blocks
+        run_checks([(check_id, ctx)], jobs=1)
+        per_block = 2 if check_id.startswith("L4_1_gap") else 1  # the gap's reduced forms take their own
+        assert calls == {"draw": 2, "rows": 2, "excl1": 2 * per_block}
+        grid = dict(calls)
+        calls.clear()
+        run_checks([(check_id, dataclasses.replace(ctx, K=1e1))], jobs=1)
+        assert calls == grid
 
 
 class TestClassifyCase:
@@ -547,6 +591,20 @@ class TestWorkerCount:
         assert [p["samples"] for g, p in points.items() if g != 1e3] == [4 * rows] * 5
         assert res.samples == 5 * 4 * rows
 
+    def test_sweep_exhausted_at_the_top_reports_why(self, monkeypatch):
+        # An ERROR from a sweep whose top point ran dry carries the same
+        # error and rejections keys as an exhausted fixed check.
+        sampler = _exhausting_sampler(monkeypatch, lambda P: P["kappa1"] == registry.ASYM_KAPPA1_GRID[-1])
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", _fill_rows(0.0), sampler=sampler, uses_K=True)
+        ctx = RunContext(n=5, samples=40, seed=0)
+        (err,) = self.assert_same([(cid, ctx)])
+        ok = run_check(cid, dataclasses.replace(ctx, kappa1=1e3))
+        assert err.verdict == "ERROR" and err.kappa1_star is None and ok.verdict == "THRESHOLD"
+        top = err.details["points"][-1]
+        assert err.details["error"] == top["exhausted"] == "test budget spent"
+        assert err.details["rejections"] == top["rejections"] == {"test_constraint": 7}
+        assert set(err.details) == set(ok.details) | {"error", "rejections"}
+
     def test_domain_error_in_a_worker(self, monkeypatch, tmp_path):
         def rows(X, aux, P):
             if P["kappa1"] == 1e4:
@@ -571,14 +629,15 @@ class TestWorkerCount:
 
         def rows(X, aux, P):
             with open(log, "a") as fh:  # one short O_APPEND write per point
-                fh.write(f"{P['kappa1']:g} {P['K']:g}\n")
-            return np.zeros(X.shape[0])
+                fh.write(f"{P['kappa1']:g} {' '.join(f'{K:g}' for K in P['K'])}\n")
+            return np.zeros((len(P["K"]), X.shape[0]))
 
         cid = _local_check(monkeypatch, "ASYMPTOTIC", rows, uses_K=True)
         requests = [(cid, RunContext(n=5, samples=8, seed=s)) for s in range(10)]
-        out = run_checks(requests, jobs=5)  # 240 (kappa_1, K) evaluations on 60 fork items, more workers than CPUs
+        out = run_checks(requests, jobs=5)  # 60 fork items, each one rows call on the K grid; more workers than CPUs
         assert all(o.verdict == "THRESHOLD" for o in out)
-        points = [f"{g:g} {K:g}" for g in registry.ASYM_KAPPA1_GRID for K in registry.ASYM_K_GRID]
+        grid = " ".join(f"{K:g}" for K in registry.ASYM_K_GRID)
+        points = [f"{g:g} {grid}" for g in registry.ASYM_KAPPA1_GRID]
         assert sorted(log.read_text().splitlines()) == sorted(points * 10)
 
     def test_worker_exit_is_an_error(self, monkeypatch):

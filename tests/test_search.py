@@ -19,7 +19,7 @@ from symcone import (
     threshold_bisect,
 )
 from symcone.cones import SIGMA_RANGE_NOISE_FACTOR
-from symcone.quadforms import _relmin, key_matrix_batch, key_matrix_from_table
+from symcone.quadforms import _relmin, key_matrix_batch
 from symcone.symfun import batch_coeffs, batch_excl1_table, batch_excl2_table
 
 from oracles import in_gamma
@@ -370,7 +370,7 @@ class TestAssemble:
                 ok = np.array([reason == "feasible" for reason, _ in ref])
                 assert np.array_equal(f == np.inf, ~ok)
                 X = np.array([kap for _, kap in ref if kap is not None])
-                want = _relmin(key_matrix_from_table(X, batch_excl1_table(X), k, i - 1, cfg.K))
+                want = _relmin(key_matrix_batch(X, k, i - 1, cfg.K))
                 assert f[ok].tobytes() == want.tobytes()
                 margin_only += int((batch_coeffs(X)[:, k] <= 0.0).sum())
         assert margin_only > 0
