@@ -130,7 +130,7 @@ def _draw_gamma(rng, B: int, n: int, k: int, force_neg: int = 0, barred: bool = 
                 X[:, n - 1 - j] = -rng.uniform(0.0, 0.8, blk) * top * (n - k) / (k * (j + 1))
         else:
             X[:, n - 1] = rng.uniform(-0.5, 1.0, blk) * top
-        X = -np.sort(-X, axis=1)
+        X = _descending(X)
         c = batch_coeffs_t(np.ascontiguousarray(X.T))
         if barred:
             keep = (c[1:k] > 0.0).all(axis=0) & (c[k] >= 0.0)
@@ -178,7 +178,7 @@ def _sampler_l59(P, rng, B):
         X = np.empty((blk, n))
         X[:, 0] = 10.0 ** rng.uniform(0.5, 4.0, blk)
         X[:, 1:] = rng.uniform(-0.95 * 2.0 / (n - 2), 1.0, (blk, n - 1)) * X[:, :1]
-        X = -np.sort(-X, axis=1)
+        X = _descending(X)
         c = batch_coeffs_t(np.ascontiguousarray(X.T))
         member = (c[1 : k + 1] > 0.0).all(axis=0)
         counts["membership"] += int(blk - member.sum())
@@ -263,7 +263,7 @@ def _sampler_tail_cases(P, rng, B, *, cases=("B3", "C")):
         XT[n - 2] = (xs - r) / 2.0
         XT[n - 1] = ki[rows]
         X = _descending(np.ascontiguousarray(XT.T))
-        return X[_feasible_mask(X, k, k1, i0 + 1, SIGMA_K_WINDOW, counts, pred)]
+        return X[_feasible_mask(X, k, k1, i0 + 1, counts, pred)]
 
     return rejection_sample(draw, B, lambda left, room: 4096, _SAMPLER_BUDGET, counts, "tail-case sampler"), {}
 
@@ -272,16 +272,7 @@ def _sampler_main(P, rng, B, *, cases=None, aux_h=False):
     """The conjecture-regime sampler: kappa_1 pinned, index i near the top,
     sigma_k in SIGMA_K_WINDOW; optional case conditioning."""
     pred = _case_predicate(P["i0"], cases) if cases else None
-    X = sample_batch(
-        rng,
-        B,
-        P["n"],
-        P["k"],
-        P["kappa1"],
-        near_top_index=P["i0"] + 1,
-        sigma_k_range=SIGMA_K_WINDOW,
-        predicate=pred,
-    )
+    X = sample_batch(rng, B, P["n"], P["k"], P["kappa1"], near_top_index=P["i0"] + 1, predicate=pred)
     aux = {}
     if aux_h:
         aux["h"] = rng.normal(0.0, 1.0, (B, P["n"]))

@@ -17,7 +17,9 @@ the runner.  The slack conventions are uniform across the catalog:
 
 PASS iff min slack >= -tol (identities/inequalities, default 1e-10) or
 min slack >= -psd_eps (matrix checks, default 1e-8).  A sampler that cannot
-realize its hypothesis reports ERROR with the rejection breakdown.  A
+realize its hypothesis reports ERROR with the rejection breakdown.  The
+conjecture regime exists at 2 <= k <= n - 1 only, so a regime check that
+takes any `--k` reports ERROR with its sampler's message at another level.  A
 fixed-kind check also reports ERROR when no row was evaluated or any slack
 is NaN; NaN rows are counted in `details["nonfinite_rows"]`, and in an
 asymptotic sweep a NaN fails its grid point.  A sweep whose top point

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .cones import _EPS, SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, make_rng, sample_batch
+from .cones import _EPS, SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, check_regime_level, make_rng, sample_batch
 from .errors import InvalidInputError, SamplingExhaustedError
 from .quadforms import _relmin, key_matrix_batch, key_matrix_from_parts
 from .registry import RunContext, _check_for, run_check
@@ -72,9 +72,7 @@ class SearchConfig:
             raise InvalidInputError(f"need K > 0, got {self.K}")
         if self.maxiter < 1:
             raise InvalidInputError(f"need maxiter >= 1, got {self.maxiter}")
-        k = self.resolved_k()
-        if not 2 <= k <= self.n - 1:
-            raise InvalidInputError(f"need 2 <= k <= n-1, got k={k}, n={self.n}")
+        check_regime_level(self.n, self.resolved_k())
 
     def resolved_k(self) -> int:
         return self.k if self.k is not None else self.n - 2
@@ -292,15 +290,7 @@ def _nelder_mead(
 def _starts(cfg: SearchConfig, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The free coordinates of every restart's start point and its sigma_k
     target.  Raises SamplingExhaustedError when no start can be drawn."""
-    starts = sample_batch(
-        make_rng(cfg.seed),
-        cfg.restarts,
-        cfg.n,
-        k,
-        cfg.kappa1,
-        near_top_index=cfg.i,
-        sigma_k_range=SIGMA_K_WINDOW,
-    )
+    starts = sample_batch(make_rng(cfg.seed), cfg.restarts, cfg.n, k, cfg.kappa1, near_top_index=cfg.i)
     # Rescale so kappa_1 sits exactly at the pinned scale (samples jitter it
     # by 0.5%); keep each row's own sigma_k as its slice target so the
     # re-solved last entry reproduces a feasible point.

@@ -137,6 +137,23 @@ class TestVerify:
         assert capsys.readouterr().err == f"error: k={k} out of range for n=5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["5", "1"])
+    def test_regime_level_outside_2_to_n_minus_1(self, k, tmp_path, capsys):
+        # The regime checks that take any --k draw from the conjecture-regime
+        # sampler, which needs 2 <= k <= n-1: their records read ERROR, every
+        # other record is written, and the run exits 2.
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", "--n", "5", "--k", k, "--samples", "20", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        records = read_jsonl(out)
+        results = [r for r in records if r["record"] == "result"]
+        assert [r["id"] for r in results] == [c.id for c in registry_list() if c.min_n <= 5]
+        regime = ("L3_2", "L3_4", "L3_5_a", "L3_5_b", "C3_1_key", "L4_1_gap", "L4_1_gap_alt")
+        errors = {r["id"]: r["details"]["error"] for r in results if r["verdict"] == "ERROR"}
+        assert errors == dict.fromkeys(regime, f"need 2 <= k <= n-1, got k={k}, n=5")
+        assert all(r["verdict"] != "FAIL" for r in results)
+        assert records[-1] == {"record": "summary", "tasks": len(results), "exit_code": 2}
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -14,12 +14,12 @@ from symcone import (
 )
 from symcone.cones import sample_bar_batch
 
-from oracles import in_gamma
+from oracles import in_gamma, sample_rows
 
 
-def draw_one(seed, n, k, kappa1, **constraints):
+def draw_one(seed, n, k, kappa1, near_top_index):
     """One feasible vector from a fresh stream: `sample_batch` with count 1."""
-    return sample_batch(make_rng(seed), 1, n, k, kappa1, **constraints)[0]
+    return sample_batch(make_rng(seed), 1, n, k, kappa1, near_top_index)[0]
 
 
 def normalize(kappa, k, target):
@@ -76,7 +76,7 @@ class TestTailSum:
 
     def test_positive_on_membership(self):
         rng = make_rng(1)
-        X = sample_batch(rng, 100, 6, 4, 100.0)
+        X = sample_rows(rng, 100, 6, 4, 100.0)[0]
         assert np.all(X[:, 3:].sum(axis=1) > 0.0)
 
 
@@ -96,7 +96,7 @@ class TestNormalize:
 
     def test_membership_preserved(self):
         rng = make_rng(2)
-        X = sample_batch(rng, 50, 5, 3, 50.0)
+        X = sample_rows(rng, 50, 5, 3, 50.0)[0]
         for row in X:
             out = normalize(row, 3, 7.0)
             assert abs(sigma(3, out) - 7.0) <= 1e-9 * 7.0
@@ -105,22 +105,22 @@ class TestNormalize:
 
 class TestSampleGamma:
     def test_basic_draw(self):
-        kappa = draw_one(7, 5, 3, 100.0)
+        kappa = draw_one(7, 5, 3, 100.0, 2)
         assert in_gamma(kappa, 3)
         assert 99.0 <= kappa[0] <= 101.0
         assert np.all(np.diff(kappa) <= 0)
 
     def test_near_top_constraint(self):
-        kappa = draw_one(3, 5, 3, 1e4, near_top_index=2)
+        kappa = draw_one(3, 5, 3, 1e4, 2)
         assert kappa[1] > kappa[0] - np.sqrt(kappa[0]) / 5
 
     def test_sigma_range_constraint(self):
-        kappa = draw_one(4, 6, 4, 1e3, sigma_k_range=(1.0, 10.0))
+        kappa = draw_one(4, 6, 4, 1e3, 1)  # index 1 pins no entry
         assert 0.9 <= sigma(4, kappa) <= 10.1
 
     def test_determinism(self):
-        a = draw_one(11, 5, 3, 100.0)
-        b = draw_one(11, 5, 3, 100.0)
+        a = draw_one(11, 5, 3, 100.0, 2)
+        b = draw_one(11, 5, 3, 100.0, 2)
         assert np.array_equal(a, b)
 
     def test_invalid_spec(self):
@@ -135,7 +135,7 @@ class TestSampleBatch:
     def test_invariants_on_every_row(self):
         rng = make_rng(5)
         n, k = 6, 4
-        X = sample_batch(rng, 300, n, k, 1e3)
+        X = sample_batch(rng, 300, n, k, 1e3, near_top_index=2)
         assert X.shape == (300, n)
         for row in X:
             assert in_gamma(row, k)
@@ -149,7 +149,7 @@ class TestSampleBatch:
     def test_first_partials_positive(self):
         # d sigma_3 / d kappa_p = sigma_2(kappa|p)
         rng = make_rng(6)
-        X = sample_batch(rng, 50, 5, 3, 100.0)
+        X = sample_batch(rng, 50, 5, 3, 100.0, near_top_index=2)
         for row in X:
             for p in range(5):
                 assert sigma(2, np.delete(row, p)) > 0.0
@@ -157,16 +157,22 @@ class TestSampleBatch:
     def test_exhaustion_reports_counts(self):
         rng = make_rng(7)
         with pytest.raises(SamplingExhaustedError) as exc:
-            # sigma_k window far above what a kappa_1 = 1 box can reach
-            # without breaking the descending order of the solved entry
-            sample_batch(rng, 10, 5, 3, 1.0, sigma_k_range=(1e19, 1e19), max_attempts=2000)
+            # index n: the solved last entry, far below kappa_1, would have
+            # to sit within sqrt(kappa_1)/n of the top
+            sample_batch(rng, 10, 5, 3, 1e4, near_top_index=5, max_attempts=2000)
         assert exc.value.rejection_counts
         assert sum(exc.value.rejection_counts.values()) > 0
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_level_outside_the_regime(self, k):
+        # the last entry is solved through sigma_{k-1}: 2 <= k <= n-1, as in SearchConfig
+        with pytest.raises(InvalidInputError, match=f"need 2 <= k <= n-1, got k={k}, n=5"):
+            sample_batch(make_rng(7), 10, 5, k, 1e3, near_top_index=2)
 
     def test_predicate_filtering(self):
         rng = make_rng(8)
         pred = lambda XT, c: XT[-1] < 0.0  # the columns of XT are the rows
-        X = sample_batch(rng, 50, 6, 4, 1e3, predicate=pred)
+        X = sample_batch(rng, 50, 6, 4, 1e3, near_top_index=2, predicate=pred)
         assert np.all(X[:, -1] < 0.0)
 
 

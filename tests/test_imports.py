@@ -11,6 +11,7 @@ with only the part of `__init__` that precedes its imports (the docstring and
 """
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -58,3 +59,17 @@ def test_star_import_matches_all(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
     exec(f"from {module} import *", {})
+
+
+MAX_MODULE_LINES = 520
+
+
+@pytest.mark.parametrize("module", ["symcone"] + MODULES)
+def test_module_stays_small(module):
+    # A checkout without bytecode compiles every module on import, and the
+    # compiler's peak memory grows with the largest module; see README,
+    # "Checking a change".
+    path = importlib.util.find_spec(module).origin
+    with open(path) as fh:
+        lines = sum(1 for _ in fh)
+    assert lines <= MAX_MODULE_LINES, f"{path} has {lines} lines"

@@ -13,7 +13,6 @@ from symcone import (
     SearchConfig,
     make_rng,
     run_check,
-    sample_batch,
     sigma,
 )
 from symcone.matrix_rows import _rows_l35a, _rows_l35b
@@ -28,6 +27,8 @@ from symcone.quadforms import (
 )
 from symcone.scalar_rows import _ineq
 from symcone.symfun import batch_coeffs, batch_excl1_table
+
+from oracles import sample_rows
 
 
 def s_excl(t, kappa, *excl):
@@ -83,7 +84,7 @@ def exact_key_matrix(kappa, k, i0, K):
 class TestKeyMatrix:
     @pytest.mark.parametrize("n,k", [(5, 3), (5, 4), (6, 4), (7, 5)])
     def test_exact_on_fractions(self, n, k):
-        X = sample_batch(make_rng(20 + n), 2, n, k, 1e3)
+        X = sample_rows(make_rng(20 + n), 2, n, k, 1e3)[0]
         F = np.array([[Fraction(float(v)) for v in row] for row in X], dtype=object)
         M = key_matrix_batch(F, k, 1, Fraction(1000))
         assert M.dtype == object
@@ -107,7 +108,7 @@ class TestKeyMatrix:
     def test_scalar_oracle_agreement(self):
         rng = make_rng(10)
         n, k, i0, K = 6, 4, 1, 10.0
-        X = sample_batch(rng, 20, n, k, 50.0)
+        X = sample_rows(rng, 20, n, k, 50.0)[0]
         M = key_matrix_batch(X, k, i0, K)
         g = np.random.default_rng(0)
         for row, Mb in zip(X, M):
@@ -159,7 +160,7 @@ class TestAbcd:
 
     def test_d_is_rank_one_gram(self):
         rng = make_rng(11)
-        X = sample_batch(rng, 20, 6, 4, 30.0)
+        X = sample_rows(rng, 20, 6, 4, 30.0)[0]
         _, _, _, D = abcd_batch(X, 4, 0)
         for row, e in zip(X, D):
             scale = np.abs(e).max()
@@ -173,7 +174,7 @@ class TestAbcd:
     def test_abd_psd_in_headline_regime(self):
         rng = make_rng(12)
         n, k = 6, 4
-        X = sample_batch(rng, 100, n, k, 100.0)
+        X = sample_rows(rng, 100, n, k, 100.0)[0]
         A, B, _, D = abcd_batch(X, k, 0)
         for M in (A, B, D):
             fro = np.linalg.norm(M, axis=(1, 2))
@@ -248,7 +249,7 @@ class TestTestFnTerms:
 
     def test_nonnegative_quadratic_terms(self):
         rng = make_rng(13)
-        X = sample_batch(rng, 50, 5, 3, 80.0)
+        X = sample_rows(rng, 50, 5, 3, 80.0)[0]
         H = np.random.default_rng(1).normal(size=X.shape)
         a, b = l35_rows(X, H, 3, 1, 10.0)
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
@@ -302,7 +303,7 @@ class TestRhsAndGap:
 
     def test_gap_is_lhs_minus_rhs(self):
         rng = make_rng(14)
-        X = sample_batch(rng, 10, 6, 4, 50.0)
+        X = sample_rows(rng, 10, 6, 4, 50.0)[0]
         G = lemma41_gap_batch(X, 4, 1, 10.0, True, batch_excl1_table(X))
         for gap in G:
             assert np.array_equal(gap, gap.T)

@@ -27,7 +27,6 @@ from symcone import (
     registry_list,
     run_check,
     run_checks,
-    sample_batch,
     sigma,
     witness_slack,
 )
@@ -36,7 +35,7 @@ from symcone.errors import SamplingExhaustedError
 from symcone.quadforms import _relmin, key_matrix_batch
 from symcone.symfun import batch_coeffs
 
-from oracles import in_gamma
+from oracles import in_gamma, sample_rows
 
 KINDS = {"IDENTITY", "INEQUALITY", "PSD", "ASYMPTOTIC"}
 
@@ -436,7 +435,7 @@ class TestClassifyCase:
 
     def test_total_on_sampled_cone_points(self):
         rng = make_rng(20)
-        X = sample_batch(rng, 200, 6, 4, 100.0)
+        X = sample_rows(rng, 200, 6, 4, 100.0)[0]
         for row in X:
             label = classify_case(row, 2)
             assert label.primary in {"A", "B1", "B2", "B3", "C"}
@@ -444,7 +443,7 @@ class TestClassifyCase:
 
     def test_sign_cases_are_dilation_invariant(self):
         rng = make_rng(21)
-        X = sample_batch(rng, 100, 5, 3, 50.0)
+        X = sample_rows(rng, 100, 5, 3, 50.0)[0]
         for row in X:
             label = classify_case(row, 2)
             if label.primary in ("A", "C"):
