@@ -7,7 +7,6 @@ from .errors import (
     DomainError,
     InvalidInputError,
     SamplingExhaustedError,
-    SingularDenominatorError,
     SymconeError,
 )
 from .registry import (
@@ -61,6 +60,5 @@ __all__ = [
     "SymconeError",
     "InvalidInputError",
     "DomainError",
-    "SingularDenominatorError",
     "SamplingExhaustedError",
 ]

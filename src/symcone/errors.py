@@ -13,10 +13,6 @@ class DomainError(SymconeError, ValueError):
     """Mathematically out of domain: e.g. sigma_k <= 0 where positivity is required."""
 
 
-class SingularDenominatorError(DomainError):
-    """A denominator that the construction requires to be nonzero vanished."""
-
-
 class SamplingExhaustedError(SymconeError, RuntimeError):
     """Rejection sampling hit its attempt budget.
 

@@ -16,13 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .quadforms import (
-    _relmin,
-    abcd_batch,
-    divdiff_exp_scaled,
-    divdiff_ratio,
-    h_matrix_batch,
-    key_matrix_from_parts,
-    lemma41_gap_batch,
+    _add_diag, _relmin, _with_diag, a_form, b_form, c_form, d_form, divdiff_exp_scaled, divdiff_ratio, h_form,
+    h_ratio, key_matrix_from_parts, lemma41_gap_batch, reduced_tables,
 )
 from .scalar_rows import _ineq, _mag
 from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
@@ -35,80 +30,56 @@ from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
 
 def _rows_l52(X, aux, P):
     n = X.shape[1]
-    E = batch_excl1_table(X)
     Pc = batch_excl2_table(X, range(n + 1))
-    idx = np.arange(n)
-    best = np.full(X.shape[0], np.inf)
-    for s in range(0, n + 1):
-        M = Pc[s]
-        M[:, idx, idx] = order(E, s)
-        best = np.minimum(best, _relmin(M))
-    return best
+    M = np.stack([Pc.pop(s) for s in range(n + 1)])  # (n+1, B, n, n), one matrix per order s
+    _with_diag(M[:n], batch_excl1_table(X).transpose(2, 0, 1))  # order n is the zero matrix
+    return np.minimum.reduce(_relmin(M))
 
 
 def _rows_l53(X, aux, P):
     n = X.shape[1]
-    t = n - 3
-    E = batch_excl1_table(X)
-    M = -batch_excl2_table(X, (t,))[t]
-    idx = np.arange(n)
-    M[:, idx, idx] = 2.0 * order(E, t)
-    return _relmin(M)
+    return _relmin(b_form(batch_excl1_table(X), batch_excl2_table(X, (n - 3,)), n - 1))
 
 
 def _rows_l56(X, aux, P):
-    n = X.shape[1]
     s = P["k"]
-    E = batch_excl1_table(X)
-    Pc = batch_excl2_table(X, (s - 2, s - 1, s))
-    M = Pc[s - 1] ** 2 - Pc[s] * Pc[s - 2]
-    idx = np.arange(n)
-    M[:, idx, idx] = order(E, s - 1) ** 2
-    return _relmin(M)
+    return _relmin(a_form(batch_excl1_table(X), batch_excl2_table(X, (s - 2, s - 1, s)), s + 1))
 
 
 def _rows_d_gram(X, aux, P):
-    k = P["k"]
-    Y = np.delete(X, 0, axis=1)
-    T = batch_excl1_table(Y)
-    w = order(T, k - 1)
-    D = w[:, :, None] * w[:, None, :]
-    return _relmin(D)
+    return _relmin(d_form(batch_excl1_table(np.delete(X, 0, axis=1)), P["k"]))
 
 
 def _rows_a_psd(X, aux, P):
-    A, _, _, _ = abcd_batch(X, P["k"], 0)
-    return _relmin(A)
+    k = P["k"]
+    _, E, S = reduced_tables(X, 0, (k - 3, k - 2, k - 1))
+    return _relmin(a_form(E, S, k))
 
 
 def _rows_b_psd(X, aux, P):
-    _, Bm, _, _ = abcd_batch(X, P["k"], 0)
-    return _relmin(Bm)
+    k = P["k"]
+    _, E, S = reduced_tables(X, 0, (k - 2,))
+    return _relmin(b_form(E, S, k))
 
 
 def _rows_l64(X, aux, P):
-    return _relmin(h_matrix_batch(X, P["i0"]))
+    n = X.shape[1]
+    Y = np.delete(X, P["i0"], axis=1)
+    r, ok = h_ratio(batch_coeffs(Y), n)
+    return np.where(ok, _relmin(h_form(Y, batch_excl2_table(Y, (n - 5, n - 3)), r)), -1.0)
 
 
 def _rows_s615(X, aux, P):
     n = X.shape[1]
-    i0 = P["i0"]
-    Y = np.delete(X, i0, axis=1)
-    T1 = batch_excl1_table(Y)
+    Y, E, S = reduced_tables(X, P["i0"], (n - 5, n - 3))
     cbar = batch_coeffs(Y)
-    s3 = cbar[:, n - 3]
-    s5 = order(cbar, n - 5)
-    ok = (s3 > 0.0) & (s5 > 0.0)
-    r = 2.0 * s3 / (3.0 * np.where(ok, s5, 1.0))
-    H = h_matrix_batch(X, i0)
+    r, ok = h_ratio(cbar, n)
     Rd = r[:, None] * (
-        order(T1, n - 5) * order(T1, n - 3)
-        - 4.0 * order(T1, n - 6) * order(T1, n - 2)
-        - (4.0 / 3.0) * (s5 * s3)[:, None]
+        order(E, n - 5) * order(E, n - 3)
+        - 4.0 * order(E, n - 6) * order(E, n - 2)
+        - (4.0 / 3.0) * (order(cbar, n - 5) * cbar[:, n - 3])[:, None]
     )
-    idx = np.arange(n - 1)
-    H[:, idx, idx] -= Rd
-    return np.where(ok, _relmin(H), -1.0)
+    return np.where(ok, _relmin(_add_diag(h_form(Y, S, r), -Rd)), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +199,11 @@ def _rows_l61(X, aux, P):
 def _rows_l62(X, aux, P):
     n = X.shape[1]
     i0 = P["i0"]
-    A, _, _, _ = abcd_batch(X, n - 2, i0)
-    Y = np.delete(X, i0, axis=1)
-    T1 = batch_excl1_table(Y)
-    two = batch_excl2_table(Y, (n - 5, n - 3))
-    cbar = batch_coeffs(Y)
-    s3 = cbar[:, n - 3]
-    s5 = order(cbar, n - 5)
-    ok = (s3 > 0.0) & (s5 > 0.0)
-    r = 2.0 * s3 / (3.0 * np.where(ok, s5, 1.0))
-    R = two[n - 3] * two[n - 5]
-    idx = np.arange(n - 1)
-    R[:, idx, idx] = 2.0 * order(T1, n - 3) * order(T1, n - 5) - 2.0 * order(T1, n - 2) * order(T1, n - 6)
-    G = (8.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * A - r[:, None, None] * R
+    Y, E, S = reduced_tables(X, i0, (n - 5, n - 4, n - 3))
+    r, ok = h_ratio(batch_coeffs(Y), n)
+    Rd = 2.0 * order(E, n - 3) * order(E, n - 5) - 2.0 * order(E, n - 2) * order(E, n - 6)
+    R = _with_diag(S[n - 3] * S[n - 5], Rd)
+    G = (8.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * a_form(E, S, n - 2) - r[:, None, None] * R
     return np.where(ok, _relmin(G), -1.0)
 
 
@@ -267,35 +230,31 @@ def _rows_l63(X, aux, P):
 def _rows_s601(X, aux, P):
     n = X.shape[1]
     i0 = P["i0"]
-    A, _, C, _ = abcd_batch(X, n - 2, i0)
-    pen = (1.0 / 20.0) * order(batch_coeffs(np.delete(X, i0, axis=1)), n - 3) ** 2
-    m = n - 1
-    idx = np.arange(m)
-    G = (8.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * A + C
-    G[:, idx, idx] -= pen[:, None]
-    return _relmin(G)
+    k = n - 2
+    Y, E, S = reduced_tables(X, i0, (k - 3, k - 2, k - 1, k))
+    pen = (1.0 / 20.0) * order(batch_coeffs(Y), n - 3) ** 2
+    G = (8.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * a_form(E, S, k) + c_form(Y, E, S, k)
+    return _relmin(_add_diag(G, -pen[:, None]))
 
 
 def _rows_s602(X, aux, P):
     n = X.shape[1]
     i0 = P["i0"]
+    k = n - 2
     K = np.array(P["K"])[:, None]
-    A, Bm, _, D = abcd_batch(X, n - 2, i0)
+    Y, E, S = reduced_tables(X, i0, (k - 3, k - 2, k - 1))
     c = batch_coeffs(X)
-    s_ii = order(batch_coeffs(np.delete(X, i0, axis=1)), n - 3)
+    s_ii = order(batch_coeffs(Y), n - 3)
     denom = K * X[:, i0] * s_ii - 1.0
     ok = denom > 0.0
     cc = 1.0 / np.where(ok, denom, 1.0)
     pen = (1.0 / 20.0) * s_ii**2
-    m = n - 1
-    idx = np.arange(m)
     G = (
-        (1.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * A
-        + c[:, n - 2][:, None, None] * Bm
-        - cc[..., None, None] * D
+        (1.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * a_form(E, S, k)
+        + c[:, n - 2][:, None, None] * b_form(E, S, k)
+        - cc[..., None, None] * d_form(E, k)
     )
-    G[..., idx, idx] += pen[:, None]
-    return np.where(ok, _relmin(G), np.inf)
+    return np.where(ok, _relmin(_add_diag(G, pen[:, None])), np.inf)
 
 
 def _rows_key(X, aux, P):
@@ -303,7 +262,8 @@ def _rows_key(X, aux, P):
     i0 = P["i0"]
     K = np.array(P["K"])[:, None]
     v = order(batch_excl1_table(X), k - 1)
-    ok = K * X[:, i0] * v[:, i0] > 1.0
+    with np.errstate(over="ignore"):  # an overflowing K kappa_i v_i is inside the hypothesis
+        ok = K * X[:, i0] * v[:, i0] > 1.0
     M = key_matrix_from_parts(X, v, batch_excl2_table(X, (k - 2,))[k - 2], i0, K)
     return np.where(ok, _relmin(M), np.inf)
 

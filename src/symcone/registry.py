@@ -21,9 +21,9 @@ realize its hypothesis reports ERROR with the rejection breakdown.  The
 conjecture regime exists at 2 <= k <= n - 1 only, so a regime check that
 takes any `--k` reports ERROR with its sampler's message at another level.  A
 fixed-kind check also reports ERROR when no row was evaluated or any slack
-is NaN; NaN rows are counted in `details["nonfinite_rows"]`, and in an
-asymptotic sweep a NaN fails its grid point.  A sweep whose top point
-evaluated no row at all reports ERROR as well.
+is NaN; NaN rows are counted in `details["nonfinite_rows"]`.  In an
+asymptotic sweep a NaN fails its grid point, and a sweep whose top point has
+a NaN row, or evaluated no row at all, reports ERROR as well.
 
 Rows whose sample falls outside a check's stated hypothesis (for example the
 derived constant c requires K kappa_i sigma_{k-1}(kappa|i) > 1) are excluded
@@ -223,8 +223,8 @@ class RunContext:
             raise InvalidInputError(f"k={self.k} out of range for n={self.n}")
         for name in ("K", "kappa1"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise InvalidInputError(f"need {name} > 0, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise InvalidInputError(f"need {name} > 0 and finite, got {value}")
         for name in ("tol", "psd_eps"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
@@ -443,9 +443,9 @@ def _fold(check: LemmaCheck, ctx: RunContext, outcomes: list) -> CheckResult:
     details = {"points": points, "K_grid": list(Ks), **counts} if sweep else {"k_values": list(levels), **counts}
     if top["exhausted"] is not None:
         details.update(error=top["exhausted"], rejections=top["rejections"])
-    elif top["nonfinite_rows"] and not sweep:  # in a sweep a NaN fails its point
+    elif top["nonfinite_rows"]:
         details["error"] = f"{top['nonfinite_rows']} rows gave a NaN slack"
-    elif not top["samples"] and not top["nonfinite_rows"]:
+    elif not top["samples"]:
         where = " at the top point" if sweep else ""
         details["error"] = f"no row was evaluated{where}: every sample fell outside the hypothesis"
     # The smallest scale from which every larger scale passes (a fixed check has one).

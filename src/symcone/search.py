@@ -66,10 +66,10 @@ class SearchConfig:
             raise InvalidInputError(f"need 1 <= i <= n, got i={self.i}, n={self.n}")
         if self.restarts < 1:
             raise InvalidInputError(f"need restarts >= 1, got {self.restarts}")
-        if not self.kappa1 > 0:
-            raise InvalidInputError(f"need kappa1 > 0, got {self.kappa1}")
-        if not self.K > 0:
-            raise InvalidInputError(f"need K > 0, got {self.K}")
+        for name in ("kappa1", "K"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvalidInputError(f"need {name} > 0 and finite, got {value}")
         if self.maxiter < 1:
             raise InvalidInputError(f"need maxiter >= 1, got {self.maxiter}")
         check_regime_level(self.n, self.resolved_k())
@@ -171,14 +171,16 @@ def _assemble(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> T
 
 
 def _objective(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> np.ndarray:
-    """lambda_min / frobenius of the key form for each row; +inf when infeasible."""
+    """lambda_min / frobenius of the key form for each row; +inf when infeasible
+    or when the key form has a non-finite entry (a NaN slack), like a wall."""
     kap, ok, (v, S) = _assemble(U, cfg, k, target)
     if ok.all():
-        return _relmin(key_matrix_from_parts(kap, v, S, cfg.i - 1, cfg.K))
-    f = np.full(U.shape[0], np.inf)
-    if ok.any():
-        f[ok] = _relmin(key_matrix_from_parts(kap[ok], v[ok], S[ok], cfg.i - 1, cfg.K))
-    return f
+        f = _relmin(key_matrix_from_parts(kap, v, S, cfg.i - 1, cfg.K))
+    else:
+        f = np.full(U.shape[0], np.inf)
+        if ok.any():
+            f[ok] = _relmin(key_matrix_from_parts(kap[ok], v[ok], S[ok], cfg.i - 1, cfg.K))
+    return np.fmin(f, np.inf)  # fmin drops a NaN, so it reads +inf
 
 
 def _exact_key(kap: List[float], cfg: SearchConfig, k: int) -> np.ndarray:
@@ -375,8 +377,8 @@ def _threshold_context(
 ) -> RunContext:
     """The run of every `threshold_bisect` probe, less its scale.  Raises
     InvalidInputError on a request no probe could run, before any probe."""
-    if not 0 < lo < hi:
-        raise InvalidInputError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+    if not 0 < lo < hi < math.inf:
+        raise InvalidInputError(f"need 0 < lo < hi < inf, got lo={lo}, hi={hi}")
     ctx = RunContext(n=n, samples=samples, seed=seed, K=K, k=k)
     _check_for(check_id, ctx)
     return ctx

@@ -160,20 +160,36 @@ class TestVerify:
             (["--kappa1", "-5"], "need kappa1 > 0"),
             (["--kappa1", "0"], "need kappa1 > 0"),
             (["--kappa1", "nan"], "need kappa1 > 0"),
+            (["--kappa1", "inf"], "need kappa1 > 0 and finite, got inf"),
             (["--K", "0"], "need K > 0"),
             (["--K", "-1"], "need K > 0"),
+            (["--K", "inf"], "need K > 0 and finite, got inf"),
             (["--tol", "nan"], "need a finite tol >= 0"),
             (["--tol=-1e-9"], "need a finite tol >= 0"),
             (["--psd-eps", "nan"], "need a finite psd_eps >= 0"),
             (["--psd-eps", "inf"], "need a finite psd_eps >= 0"),
         ],
-        ids=["kappa1-neg", "kappa1-zero", "kappa1-nan", "K-zero", "K-neg", "tol-nan", "tol-neg", "eps-nan", "eps-inf"],
+        ids=[
+            "kappa1-neg", "kappa1-zero", "kappa1-nan", "kappa1-inf", "K-zero", "K-neg", "K-inf", "tol-nan", "tol-neg",
+            "eps-nan", "eps-inf",
+        ],
     )
     def test_invalid_scale_or_tolerance_exits_2(self, flags, message, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         assert main(["verify", "--only", "C3_1_key", "--n", "5", "--samples", "20", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
+
+    def test_overflowing_K_is_an_error(self, tmp_path, capsys):
+        # K = 1e300 overflows the key form's K term: its rows have a NaN
+        # slack, and NaN rows at the top point make the sweep ERROR
+        out = tmp_path / "r.jsonl"
+        argv = ["verify", "--n", "5", "--only", "C3_1_key", "--K", "1e300", "--samples", "10", "--out", str(out)]
+        assert main(argv) == 2
+        (result,) = [r for r in read_jsonl(out) if r["record"] == "result"]
+        assert result["verdict"] == "ERROR"
+        assert result["details"]["error"] == "10 rows gave a NaN slack"
+        assert capsys.readouterr().err == ""
 
     def test_no_applicable_check_exits_2(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
@@ -243,16 +259,28 @@ class TestSearchCommand:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--i", "9"], ["--i", "0"], ["--restarts", "0"], ["--kappa1", "-5"], ["--K", "-1"], ["--K", "nan"],
-            ["--k", "5"], ["--k", "1"],
+            ["--i", "9"], ["--i", "0"], ["--restarts", "0"], ["--kappa1", "-5"], ["--kappa1", "inf"], ["--K", "-1"],
+            ["--K", "nan"], ["--K", "inf"], ["--k", "5"], ["--k", "1"],
         ],
-        ids=["i-above-n", "i-zero", "no-restarts", "negative-kappa1", "negative-K", "nan-K", "k-is-n", "k-one"],
+        ids=[
+            "i-above-n", "i-zero", "no-restarts", "negative-kappa1", "inf-kappa1", "negative-K", "nan-K", "inf-K",
+            "k-is-n", "k-one",
+        ],
     )
     def test_invalid_config_exits_2(self, flags, tmp_path, capsys):
         out = tmp_path / "s.jsonl"
         assert main(["search", "--n", "5", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: need ")
         assert not out.exists()
+
+    def test_overflowing_K_leaves_no_feasible_restart(self, tmp_path, capsys):
+        # a NaN objective value is a wall, like an infeasible point
+        out = tmp_path / "s.jsonl"
+        assert main(["search", "--n", "5", "--K", "1e300", "--restarts", "2", "--out", str(out)]) == 2
+        (result,) = [r for r in read_jsonl(out) if r["record"] == "result"]
+        assert result["best"] is None
+        assert [run["status"] for run in result["runs"]] == ["infeasible_start"] * 2
+        assert capsys.readouterr().err == ""
 
 
 class TestThresholdCommand:
@@ -281,7 +309,7 @@ class TestThresholdCommand:
         assert capsys.readouterr().err == f"error: need samples >= 1, got {samples}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--K", "0"], ["--K", "nan"]], ids=["K-zero", "K-nan"])
+    @pytest.mark.parametrize("flags", [["--K", "0"], ["--K", "nan"], ["--K", "inf"]], ids=["K-zero", "K-nan", "K-inf"])
     def test_invalid_K_exits_2(self, flags, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
         assert main(["threshold", "--check", "L3_5_a", "--n", "5", "--samples", "20", *flags, "--out", str(out)]) == 2
@@ -296,8 +324,9 @@ class TestThresholdCommand:
             (["--check", "L3_2", "--n", "5", "--k", "6"], "k=6 out of range for n=5"),
             (["--check", "L3_2", "--n", "5", "--lo", "1e4", "--hi", "10"], "need 0 < lo < hi"),
             (["--check", "L3_2", "--n", "5", "--lo", "10", "--hi", "10"], "need 0 < lo < hi"),
+            (["--check", "L3_2", "--n", "5", "--hi", "inf"], "need 0 < lo < hi < inf, got lo=10.0, hi=inf"),
         ],
-        ids=["unknown-check", "n-below-min", "k-above-n", "lo-above-hi", "lo-equals-hi"],
+        ids=["unknown-check", "n-below-min", "k-above-n", "lo-above-hi", "lo-equals-hi", "hi-inf"],
     )
     def test_invalid_request_runs_no_probe(self, flags, message, monkeypatch, tmp_path, capsys):
         def probe(*args, **kwargs):

@@ -19,14 +19,19 @@ from symcone.matrix_rows import _rows_l35a, _rows_l35b
 from symcone.registry import REGISTRY
 from symcone.quadforms import (
     _relmin,
-    abcd_batch,
-    h_matrix_batch,
+    a_form,
+    b_form,
+    c_form,
+    d_form,
+    h_form,
+    h_ratio,
     key_matrix_batch,
     lemma41_gap_batch,
+    reduced_tables,
     rhs_combination_batch,
 )
 from symcone.scalar_rows import _ineq
-from symcone.symfun import batch_coeffs, batch_excl1_table
+from symcone.symfun import batch_coeffs, batch_excl1_table, batch_excl2_table
 
 from oracles import sample_rows
 
@@ -145,15 +150,29 @@ class TestKeyMatrix:
             assert np.all(np.isfinite(out[~outside]))
 
 
+def reduced_forms(X, k, i0):
+    """A, B, C and D at level k on kappa without entry i0."""
+    Y, E, S = reduced_tables(X, i0, (k - 3, k - 2, k - 1, k))
+    return a_form(E, S, k), b_form(E, S, k), c_form(Y, E, S, k), d_form(E, k)
+
+
+def h_matrix(X, i0):
+    """H on kappa without entry i0, with the ratio r of `h_ratio`."""
+    n = X.shape[1]
+    Y = np.delete(X, i0, axis=1)
+    r, _ = h_ratio(batch_coeffs(Y), n)
+    return h_form(Y, batch_excl2_table(Y, (n - 5, n - 3)), r)
+
+
 class TestAbcd:
     def test_shapes_and_symmetry(self):
         X = np.array([[5.0, 4.0, 3.0, 2.0, 1.0]])
-        for M in abcd_batch(X, 3, 1):
+        for M in reduced_forms(X, 3, 1):
             assert M.shape == (1, 4, 4)
             assert np.array_equal(M[0], M[0].T)
 
     def test_b_hand_example(self):
-        _, B, _, _ = abcd_batch(np.ones((1, 5)), 3, 0)
+        _, B, _, _ = reduced_forms(np.ones((1, 5)), 3, 0)
         assert np.allclose(np.diag(B[0]), 6.0)
         off = B[0][~np.eye(4, dtype=bool)]
         assert np.allclose(off, -2.0)
@@ -161,7 +180,7 @@ class TestAbcd:
     def test_d_is_rank_one_gram(self):
         rng = make_rng(11)
         X = sample_rows(rng, 20, 6, 4, 30.0)[0]
-        _, _, _, D = abcd_batch(X, 4, 0)
+        D = d_form(batch_excl1_table(X[:, 1:]), 4)
         for row, e in zip(X, D):
             scale = np.abs(e).max()
             for p in range(4):
@@ -175,16 +194,26 @@ class TestAbcd:
         rng = make_rng(12)
         n, k = 6, 4
         X = sample_rows(rng, 100, n, k, 100.0)[0]
-        A, B, _, D = abcd_batch(X, k, 0)
+        A, B, _, D = reduced_forms(X, k, 0)
         for M in (A, B, D):
             fro = np.linalg.norm(M, axis=(1, 2))
             assert np.all(_relmin(M) * fro >= -1e-9 * np.maximum(fro, 1.0))
 
 
 class TestHMatrix:
+    def test_vanishing_denominator_gives_minus_one(self):
+        # kappa|i = (5, 1, -1, -2, -3) has sigma_{n-5} = sigma_1 = 0 at n = 6:
+        # the checks that read r give the row the slack -1
+        X = np.array([[5.0, 4.0, 1.0, -1.0, -2.0, -3.0]])
+        r, ok = h_ratio(batch_coeffs(np.delete(X, 1, axis=1)), 6)
+        assert ok.tolist() == [False] and np.isfinite(r).all()
+        P = {"n": 6, "k": 4, "i0": 1, "K": (None,), "kappa1": None}
+        for check_id in ("L6_4_H", "T6_1_s615", "L6_2_bound"):
+            assert REGISTRY[check_id].rows(X, {}, P).tolist() == [-1.0]
+
     def test_shape_and_symmetry(self):
         X = np.array([[5.0, 4.0, 3.0, 2.0, 1.0]])
-        M = h_matrix_batch(X, 1)[0]
+        M = h_matrix(X, 1)[0]
         assert M.shape == (4, 4)
         assert np.array_equal(M, M.T)
 
@@ -194,7 +223,7 @@ class TestHMatrix:
         kappa = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         i0 = 1
         red = np.delete(kappa, i0)
-        M = h_matrix_batch(kappa[None], i0)[0]
+        M = h_matrix(kappa[None], i0)[0]
         for j in range(4):
             expect = s_excl(2, red**2, j)
             assert M[j, j] == pytest.approx(expect, rel=1e-12)
@@ -318,7 +347,7 @@ class TestRhsAndGap:
         # the combination is (1/c) [alpha A + sigma_k B + C] - D
         X = kappa[None]
         s_ii = batch_coeffs(np.delete(X, 1, axis=1))[:, 2]
-        D = abcd_batch(X, 3, 1)[3]
+        D = d_form(batch_excl1_table(np.delete(X, 1, axis=1)), 3)
         R1 = rhs_combination_batch(X, 3, 1, 10.0, True, s_ii)
         R2 = rhs_combination_batch(X, 3, 1, 20.0, True, s_ii)
         assert np.allclose((R1 + D) * c1, (R2 + D) * c2, rtol=1e-12)
@@ -382,6 +411,23 @@ class TestMinEig:
         M = np.eye(4)
         M[0, 1] = M[1, 0] = np.inf
         assert not np.isfinite(_relmin(M[None])[0])
+        M[2, 2] = 1e200  # its square overflows next to the inf, without a warning
+        assert np.isnan(_relmin(M[None])[0])
+
+    def test_all_inf_matrix_is_nan_and_keeps_the_others(self):
+        # eigvalsh does not converge on an all-inf matrix, so it never sees one
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(3, 5, 5))
+        M = A + A.transpose(0, 2, 1)
+        out = _relmin(np.concatenate([M[:1], np.full((1, 5, 5), np.inf), M[1:]]))
+        assert np.isnan(out[1])
+        assert np.delete(out, 1).tobytes() == _relmin(M).tobytes()
+
+    def test_entries_past_2_to_1023_keep_their_sign(self):
+        # the scale 2^e of a largest entry >= 2^1023 is 2^1024, which is not a float
+        out = _relmin(np.array([[[1e308, 0.0], [0.0, -1e308]], [[1e308, 0.0], [0.0, 1e308]]]))
+        assert out[0] == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-12)
+        assert out[1] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
 
 class TestDilationCovariance:

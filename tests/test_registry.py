@@ -16,6 +16,7 @@ import pytest
 import symcone.matrix_rows as matrix_rows
 import symcone.quadforms as quadforms
 import symcone.registry as registry
+import symcone.symfun as symfun
 
 from symcone import (
     DomainError,
@@ -193,7 +194,8 @@ class TestRunCheck:
     @pytest.mark.parametrize(
         "fields",
         [{"K": 0.0}, {"K": -1.0}, {"K": math.nan}, {"kappa1": 0.0}, {"kappa1": -5.0}, {"kappa1": math.nan},
-         {"tol": math.nan}, {"tol": -1e-12}, {"psd_eps": math.nan}, {"psd_eps": math.inf}],
+         {"tol": math.nan}, {"tol": -1e-12}, {"psd_eps": math.nan}, {"psd_eps": math.inf}, {"K": math.inf},
+         {"kappa1": math.inf}],
     )
     def test_invalid_scale_or_tolerance(self, fields):
         with pytest.raises(InvalidInputError, match=f"need (a finite )?{next(iter(fields))}"):
@@ -250,12 +252,24 @@ class TestNonFiniteRows:
         assert res.min_slack == 0.0
 
     def test_asymptotic_nan_fails_every_point(self, monkeypatch):
+        # NaN rows at the top point make the sweep ERROR, as in a fixed check
         cid = _local_check(monkeypatch, "ASYMPTOTIC", _fill_rows(np.nan))
         res = run_check(cid, n=5, samples=50, seed=0)
-        assert res.verdict == "FAIL"
+        assert res.verdict == "ERROR"
+        assert res.details["error"] == "50 rows gave a NaN slack"
         assert res.kappa1_star is None
         assert not any(p["passed"] for p in res.details["points"])
         assert res.details["nonfinite_rows"] == 50 * len(res.details["points"])
+
+    def test_asymptotic_nan_below_the_top_fails_only_its_point(self, monkeypatch):
+        def rows(X, aux, P):
+            return np.full(X.shape[0], np.nan if P["kappa1"] == 10.0 else 0.0)
+
+        cid = _local_check(monkeypatch, "ASYMPTOTIC", rows)
+        res = run_check(cid, n=5, samples=50, seed=0)
+        assert res.verdict == "THRESHOLD" and res.kappa1_star == 100.0
+        assert [p["passed"] for p in res.details["points"]] == [False] + [True] * 5
+        assert res.details["nonfinite_rows"] == 50
 
     def test_asymptotic_all_excluded_top_point_is_error(self, monkeypatch):
         cid = _local_check(monkeypatch, "ASYMPTOTIC", _fill_rows(np.inf))
@@ -404,6 +418,39 @@ class TestSweepGroups:
         calls.clear()
         run_checks([(check_id, dataclasses.replace(ctx, K=1e1))], jobs=1)
         assert calls == grid
+
+
+class TestTablesOncePerBlock:
+    """A rows call computes each sigma table it reads once and solves all its
+    forms in one eigensolve."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_no_repeated_table_and_one_eigensolve(self, monkeypatch, n):
+        blocks, solves = [], []
+        dp, relmin = symfun.batch_coeffs_t, matrix_rows._relmin
+
+        def dp_spy(XT, top=None):
+            blocks.append((XT.shape, XT.dtype.str, XT.tobytes()))
+            return dp(XT, top)
+
+        def relmin_spy(M):
+            solves.append(M.shape)
+            return relmin(M)
+
+        monkeypatch.setattr(symfun, "batch_coeffs_t", dp_spy)
+        monkeypatch.setattr(matrix_rows, "_relmin", relmin_spy)
+        for check in registry_list():
+            if n < check.min_n:
+                continue
+            ctx = RunContext(n=n, samples=64, seed=11)
+            levels, groups, Ks = registry._grid(check, ctx)
+            P = registry._params(n, levels[0], ctx.i - 1, Ks, groups[-1])
+            X, aux = registry._SAMPLERS[check.sampler](P, make_rng(n), 64)
+            blocks.clear()
+            solves.clear()
+            check.rows(X, aux, P)
+            assert len(set(blocks)) == len(blocks), f"{check.id}: a sigma table computed twice"
+            assert len(solves) <= 1, f"{check.id}: {len(solves)} eigensolves"
 
 
 class TestClassifyCase:
