@@ -9,12 +9,11 @@ from .errors import (
     SamplingExhaustedError,
     SymconeError,
 )
+from .hypotheses import CaseLabel, classify_case
 from .registry import (
-    CaseLabel,
     CheckResult,
     LemmaCheck,
     RunContext,
-    classify_case,
     registry_list,
     run_check,
     run_checks,
@@ -38,12 +37,13 @@ __all__ = [
     # cones
     "sample_batch",
     "make_rng",
-    # registry
+    # hypotheses
     "CaseLabel",
+    "classify_case",
+    # registry
     "CheckResult",
     "LemmaCheck",
     "RunContext",
-    "classify_case",
     "registry_list",
     "run_check",
     "run_checks",

@@ -46,6 +46,7 @@ class CaseLabel:
 
 
 _CASE_ORDER = ("A", "B1", "B2", "B3", "C")
+_TAIL_CASES = ("B3", "C")  # the cases `_sampler_tail_cases` draws
 
 
 def classify_masks(X: np.ndarray, i0: int) -> Dict[str, np.ndarray]:
@@ -195,7 +196,7 @@ def _uniform(u: np.ndarray, low, high) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _sampler_tail_cases(P, rng, B, *, cases=("B3", "C")):
+def _sampler_tail_cases(P, rng, B):
     """Constructive draw for the tail cases B3 / C at any scale.
 
     Both cases pin sigma_{n-2}(kappa|i) to a near-zero value T1 while
@@ -211,7 +212,7 @@ def _sampler_tail_cases(P, rng, B, *, cases=("B3", "C")):
     k1 = P["kappa1"]
     i0 = P["i0"]
     d0 = 1.0 / (32.0 * n * (n - 2))
-    pred = _case_predicate(i0, cases)
+    pred = _case_predicate(i0, _TAIL_CASES)
     counts = {
         "finite": 0, "gamma_k": 0, "kappa1_target": 0, "near_top": 0,
         "sigma_k_range": 0, "predicate": 0, "discriminant": 0,

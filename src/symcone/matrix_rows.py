@@ -17,7 +17,7 @@ import numpy as np
 
 from .quadforms import (
     _add_diag, _relmin, _with_diag, a_form, b_form, c_form, d_form, divdiff_exp_scaled, divdiff_ratio, h_form,
-    h_ratio, key_matrix_from_parts, lemma41_gap_batch, reduced_tables,
+    h_ratio, inv_c, key_matrix_batch, reduced_tables, rhs_combination_batch,
 )
 from .scalar_rows import _ineq, _mag
 from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
@@ -154,9 +154,9 @@ def _rows_l35a(X, aux, P):
     dd = divdiff_exp_scaled(X, X[:, i0][:, None], top[:, None])
     term = dd * E[:, :, k - 1] * h**2
     term[:, i0] = 0.0
-    lhs = w[:, i0] * (K * gsum**2 - spq) + 2.0 * term.sum(axis=1)
     rhs = (1.0 / logP) * w[:, i0] * E[:, i0, k - 1] * h[:, i0] ** 2
-    return _ineq(lhs, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing K term is a NaN slack
+        return _ineq(w[:, i0] * (K * gsum**2 - spq) + 2.0 * term.sum(axis=1), rhs)
 
 
 def _rows_l35b(X, aux, P):
@@ -245,7 +245,7 @@ def _rows_s602(X, aux, P):
     Y, E, S = reduced_tables(X, i0, (k - 3, k - 2, k - 1))
     c = batch_coeffs(X)
     s_ii = order(batch_coeffs(Y), n - 3)
-    denom = K * X[:, i0] * s_ii - 1.0
+    denom = inv_c(K, X[:, i0], s_ii)
     ok = denom > 0.0
     cc = 1.0 / np.where(ok, denom, 1.0)
     pen = (1.0 / 20.0) * s_ii**2
@@ -261,22 +261,21 @@ def _rows_key(X, aux, P):
     k = P["k"]
     i0 = P["i0"]
     K = np.array(P["K"])[:, None]
-    v = order(batch_excl1_table(X), k - 1)
-    with np.errstate(over="ignore"):  # an overflowing K kappa_i v_i is inside the hypothesis
-        ok = K * X[:, i0] * v[:, i0] > 1.0
-    M = key_matrix_from_parts(X, v, batch_excl2_table(X, (k - 2,))[k - 2], i0, K)
-    return np.where(ok, _relmin(M), np.inf)
+    M, T1 = key_matrix_batch(X, k, i0, K)
+    return np.where(inv_c(K, X[:, i0], T1[:, i0, k - 1]) > 0.0, _relmin(M), np.inf)
 
 
 def _rows_gap(X, aux, P, *, with_kappa_i_sq):
+    """LHS - RHS of the section-4 matrix inequality, both sides multiplied by
+    kappa_i K (sigma_k^{ii})^2 - sigma_k^{ii} (positive where c > 0) as in the
+    proof's final line: PSD iff keyform >= (1/sigma_k^{ii}) [alpha A + sigma_k B + C - c D]."""
     k = P["k"]
     i0 = P["i0"]
     K = np.array(P["K"])[:, None]
-    T1 = batch_excl1_table(X)
-    ok = K * X[:, i0] * T1[:, i0, k - 1] > 1.0
-    out = np.full(ok.shape, np.inf)
-    rows = ok.any(axis=0)
-    if rows.any():
-        G = lemma41_gap_batch(X[rows], k, i0, K, with_kappa_i_sq, T1[rows])
-        out[ok] = _relmin(G[ok[:, rows]])
-    return out
+    G, T1 = key_matrix_batch(X, k, i0, K)
+    s_ii = T1[:, i0, k - 1]
+    keep = np.delete(np.arange(X.shape[1]), i0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing K term is a NaN slack
+        G *= (X[:, i0] * K * s_ii**2 - s_ii)[..., None, None]
+        G[..., keep[:, None], keep] -= rhs_combination_batch(X, k, i0, K, with_kappa_i_sq, s_ii)
+    return np.where(inv_c(K, X[:, i0], s_ii) > 0.0, _relmin(G), np.inf)

@@ -31,9 +31,20 @@ from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
 # ---------------------------------------------------------------------------
 
 
-def key_matrix_batch(X: np.ndarray, k: int, i0: int, K) -> np.ndarray:
+def key_matrix_batch(X: np.ndarray, k: int, i0: int, K):
+    """The key matrices of the rows X (B, n), and the single-exclusion table
+    T1 = batch_excl1_table(X) they are built from, for the caller to reuse."""
+    T1 = batch_excl1_table(X)
     S = batch_excl2_table(X, (k - 2,))[k - 2]
-    return key_matrix_from_parts(X, order(batch_excl1_table(X), k - 1), S, i0, K)
+    return key_matrix_from_parts(X, order(T1, k - 1), S, i0, K), T1
+
+
+def inv_c(K, ki, s_ii):
+    """1/c = K kappa_i sigma_{k-1}(kappa|i) - 1; the section-4 hypothesis c > 0
+    holds where it is > 0.  An overflowing K term is +inf, inside the
+    hypothesis, and the slack it feeds is NaN."""
+    with np.errstate(over="ignore"):
+        return K * ki * s_ii - 1  # an int 1 keeps a Fraction row exact
 
 
 def key_matrix_from_parts(X: np.ndarray, v: np.ndarray, S: np.ndarray, i0: int, K) -> np.ndarray:
@@ -118,35 +129,16 @@ def rhs_combination_batch(
     X: np.ndarray, k: int, i0: int, K, with_kappa_i_sq: bool, s_ii: np.ndarray
 ) -> np.ndarray:
     """(1/c) [alpha A + sigma_k B + C - c D], s_ii = sigma_{k-1}(kappa|i) of each
-    row and 1/c = K kappa_i s_ii - 1.  Where 1/c <= 0 (outside the hypothesis)
+    row and 1/c = `inv_c`.  Where 1/c <= 0 (outside the hypothesis)
     c is taken as 1, and the caller masks the result."""
     Y, E, S = reduced_tables(X, i0, (k - 3, k - 2, k - 1, k))
     A, Bm, C, D = a_form(E, S, k), b_form(E, S, k), c_form(Y, E, S, k), d_form(E, k)
     sk = batch_coeffs(X)[:, k]
-    denom = K * X[:, i0] * s_ii - 1.0
+    denom = inv_c(K, X[:, i0], s_ii)
     c = 1.0 / np.where(denom > 0.0, denom, 1.0)
     alpha = X[:, i0] ** 2 if with_kappa_i_sq else np.ones(X.shape[0])
     comb = alpha[:, None, None] * A + sk[:, None, None] * Bm + C - c[..., None, None] * D
     return denom[..., None, None] * comb
-
-
-def lemma41_gap_batch(
-    X: np.ndarray, k: int, i0: int, K, with_kappa_i_sq: bool, T1: np.ndarray
-) -> np.ndarray:
-    """LHS - RHS of the section-4 matrix inequality, in consistently scaled form.
-
-    Both sides are multiplied by kappa_i K (sigma_k^{ii})^2 - sigma_k^{ii}
-    (positive whenever c > 0), matching the proof's final line; the result is
-    PSD iff  keyform >= (1/sigma_k^{ii}) [alpha A + sigma_k B + C - c D].
-    T1 = batch_excl1_table(X) serves both sides.
-    """
-    s_ii = T1[:, i0, k - 1]
-    mult = X[:, i0] * K * s_ii**2 - s_ii
-    S = batch_excl2_table(X, (k - 2,))[k - 2]
-    G = mult[..., None, None] * key_matrix_from_parts(X, order(T1, k - 1), S, i0, K)
-    keep = np.delete(np.arange(X.shape[1]), i0)
-    G[..., keep[:, None], keep] -= rhs_combination_batch(X, k, i0, K, with_kappa_i_sq, s_ii)
-    return G
 
 
 # ---------------------------------------------------------------------------

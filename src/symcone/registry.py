@@ -59,7 +59,7 @@ import numpy as np
 
 from .cones import make_rng
 from .errors import InvalidInputError, SamplingExhaustedError, SymconeError
-from .hypotheses import _BLOCK, _SAMPLERS, CaseLabel, classify_case, classify_masks
+from .hypotheses import _BLOCK, _SAMPLERS
 from .matrix_rows import (
     _rows_a_psd, _rows_b_psd, _rows_d_gram, _rows_gap, _rows_key, _rows_l32, _rows_l34, _rows_l35a, _rows_l35b,
     _rows_l52, _rows_l53, _rows_l56, _rows_l61, _rows_l62, _rows_l63, _rows_l64, _rows_s601, _rows_s602, _rows_s615,
@@ -72,14 +72,10 @@ from .scalar_rows import (
 )
 
 __all__ = [
-    "CaseLabel",
     "CheckResult",
     "LemmaCheck",
     "RunContext",
-    "classify_case",
-    "classify_masks",
     "registry_list",
-    "resolve_jobs",
     "run_check",
     "run_checks",
     "witness_slack",

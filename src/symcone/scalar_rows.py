@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .quadforms import inv_c
 from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
 
 
@@ -47,7 +48,7 @@ def _rows_id1(X, aux, P):
     ki = X[:, 0]
     kj = X[:, 1]
     aj = s_jj + (ki + kj) * s2
-    invc = K * ki * s_ii - 1
+    invc = inv_c(K, ki, s_ii)
     t1 = ki * K * s_ii * s_jj * (-s_jj + 2 * ki * s2)
     t2 = -(ki**2) * s2**2
     t3 = aj * invc * s_ii

@@ -35,7 +35,7 @@ import numpy as np
 
 from .cones import _EPS, SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, check_regime_level, make_rng, sample_batch
 from .errors import InvalidInputError, SamplingExhaustedError
-from .quadforms import _relmin, key_matrix_batch, key_matrix_from_parts
+from .quadforms import _relmin, inv_c, key_matrix_batch, key_matrix_from_parts
 from .registry import RunContext, _check_for, run_check
 from .symfun import batch_coeffs, batch_coeffs_t
 
@@ -161,7 +161,7 @@ def _assemble(U: np.ndarray, cfg: SearchConfig, k: int, target: np.ndarray) -> T
         v = np.empty_like(kap)
         v[:, :m] = (c[k - 1, 2 : m + 2] + x * c[k - 2, 2 : m + 2]).T
         v[:, m] = c[k - 1, 1]
-        ok &= cfg.K * kap[:, cfg.i - 1] * v[:, cfg.i - 1] > 1.0
+        ok &= inv_c(cfg.K, kap[:, cfg.i - 1], v[:, cfg.i - 1]) > 0.0
         w = c[k - 2, 2:]  # the sets (j, n-1) stand as they are; the others gain x
         if k > 2:
             w[m:] += x * c[k - 3, m + 2 :]
@@ -194,7 +194,7 @@ def _exact_key(kap: List[float], cfg: SearchConfig, k: int) -> np.ndarray:
     q = [Fraction(float(v)) for v in kap]
     D = max(f.denominator for f in q)
     X = np.array([[f.numerator * (D // f.denominator) for f in q]], dtype=object)
-    M = key_matrix_batch(X, k, cfg.i - 1, Fraction(cfg.K) / D**k)
+    M, _ = key_matrix_batch(X, k, cfg.i - 1, Fraction(cfg.K) / D**k)
     return (M / D ** (k - 1)).astype(float)
 
 

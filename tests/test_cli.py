@@ -181,14 +181,19 @@ class TestVerify:
         assert not out.exists()
 
     def test_overflowing_K_is_an_error(self, tmp_path, capsys):
-        # K = 1e300 overflows the key form's K term: its rows have a NaN
-        # slack, and NaN rows at the top point make the sweep ERROR
+        # K = 1e300 overflows the K term of every K-taking check, silently:
+        # the rows it feeds have a NaN slack, and NaN rows at the top point
+        # make the sweep ERROR.  T6.1's form reads only c, which is 0 there.
         out = tmp_path / "r.jsonl"
-        argv = ["verify", "--n", "5", "--only", "C3_1_key", "--K", "1e300", "--samples", "10", "--out", str(out)]
+        only = ["L3_5_a", "T6_1_s602", "C3_1_key", "S7_case_key", "L4_1_gap", "L4_1_gap_alt"]
+        argv = ["verify", "--n", "5", "--only", ",".join(only), "--K", "1e300", "--samples", "10", "--out", str(out)]
         assert main(argv) == 2
-        (result,) = [r for r in read_jsonl(out) if r["record"] == "result"]
-        assert result["verdict"] == "ERROR"
-        assert result["details"]["error"] == "10 rows gave a NaN slack"
+        results = {r["id"]: r for r in read_jsonl(out) if r["record"] == "result"}
+        assert sorted(results) == sorted(only)
+        assert results.pop("T6_1_s602")["verdict"] == "THRESHOLD"
+        for result in results.values():
+            assert result["verdict"] == "ERROR"
+            assert result["details"]["error"] == "10 rows gave a NaN slack"
         assert capsys.readouterr().err == ""
 
     def test_no_applicable_check_exits_2(self, tmp_path, capsys):

@@ -25,8 +25,8 @@ from symcone.quadforms import (
     d_form,
     h_form,
     h_ratio,
+    inv_c,
     key_matrix_batch,
-    lemma41_gap_batch,
     reduced_tables,
     rhs_combination_batch,
 )
@@ -91,7 +91,7 @@ class TestKeyMatrix:
     def test_exact_on_fractions(self, n, k):
         X = sample_rows(make_rng(20 + n), 2, n, k, 1e3)[0]
         F = np.array([[Fraction(float(v)) for v in row] for row in X], dtype=object)
-        M = key_matrix_batch(F, k, 1, Fraction(1000))
+        M, _ = key_matrix_batch(F, k, 1, Fraction(1000))
         assert M.dtype == object
         for b in range(2):
             assert M[b].tolist() == exact_key_matrix(list(F[b]), k, 1, Fraction(1000))
@@ -99,7 +99,7 @@ class TestKeyMatrix:
 
     def test_hand_example_all_ones(self):
         assert key_c(np.ones(5), 3, 0, 1.0) == pytest.approx(0.2)
-        M = key_matrix_batch(np.ones((1, 5)), 3, 0, 1.0)[0]
+        M = key_matrix_batch(np.ones((1, 5)), 3, 0, 1.0)[0][0]
         assert M[0, 0] == pytest.approx(30.0)
         for j in range(1, 5):
             assert M[j, j] == pytest.approx(48.0)
@@ -107,14 +107,15 @@ class TestKeyMatrix:
         assert np.allclose(off, 33.0)
 
     def test_zero_xi(self):
-        M = key_matrix_batch(np.ones((1, 5)), 3, 1, 2.0)[0]
+        M = key_matrix_batch(np.ones((1, 5)), 3, 1, 2.0)[0][0]
         assert np.zeros(5) @ M @ np.zeros(5) == 0.0
 
     def test_scalar_oracle_agreement(self):
         rng = make_rng(10)
         n, k, i0, K = 6, 4, 1, 10.0
         X = sample_rows(rng, 20, n, k, 50.0)[0]
-        M = key_matrix_batch(X, k, i0, K)
+        M, T1 = key_matrix_batch(X, k, i0, K)
+        assert T1.tobytes() == batch_excl1_table(X).tobytes()
         g = np.random.default_rng(0)
         for row, Mb in zip(X, M):
             for _ in range(10):
@@ -124,7 +125,7 @@ class TestKeyMatrix:
                 assert abs(a - b) <= 1e-9 * (1.0 + abs(a) + abs(b))
 
     def test_symmetric(self):
-        M = key_matrix_batch(np.array([[4.0, 3.0, 2.0, 1.0, 0.5]]), 3, 1, 5.0)[0]
+        M = key_matrix_batch(np.array([[4.0, 3.0, 2.0, 1.0, 0.5]]), 3, 1, 5.0)[0][0]
         assert np.array_equal(M, M.T)
 
     @pytest.mark.parametrize("k", [0, -1, 6])
@@ -331,12 +332,34 @@ class TestRhsAndGap:
         assert np.allclose(a, b, rtol=1e-12)
 
     def test_gap_is_lhs_minus_rhs(self):
+        # the gap rows scale the key build by kappa_i K s_ii^2 - s_ii and
+        # subtract the scaled combination on j != i
         rng = make_rng(14)
         X = sample_rows(rng, 10, 6, 4, 50.0)[0]
-        G = lemma41_gap_batch(X, 4, 1, 10.0, True, batch_excl1_table(X))
+        k, i0, K = 4, 1, 10.0
+        G, T1 = key_matrix_batch(X, k, i0, K)
+        s_ii = T1[:, i0, k - 1]
+        keep = np.delete(np.arange(6), i0)
+        G *= (X[:, i0] * K * s_ii**2 - s_ii)[:, None, None]
+        G[:, keep[:, None], keep] -= rhs_combination_batch(X, k, i0, K, True, s_ii)
         for gap in G:
             assert np.array_equal(gap, gap.T)
             assert np.all(np.isfinite(gap))
+        out = REGISTRY["L4_1_gap"].rows(X, {}, {"n": 6, "k": k, "i0": i0, "K": (K,), "kappa1": None})
+        assert np.all(inv_c(K, X[:, i0], s_ii) > 0.0)
+        assert out[0].tobytes() == _relmin(G).tobytes()
+
+    def test_inv_c_is_positive_where_the_product_exceeds_one(self):
+        # the hypothesis c > 0 is K kappa_i s_ii > 1 bit for bit: at one, the
+        # floats next to it, an overflowing product (inside) and NaN
+        edges = [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), np.inf, np.nan]
+        K = np.array(edges + [1e300]) * 4.0
+        ki = np.array([0.5] * 5 + [1e300])
+        s_ii = np.array([0.5] * 5 + [1e10])
+        with np.errstate(over="ignore"):
+            want = K * ki * s_ii > 1.0
+        assert want.tolist() == [False, True, False, True, False, True]
+        assert np.array_equal(inv_c(K, ki, s_ii) > 0.0, want)
 
     def test_doubling_K_shrinks_c(self):
         kappa = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
@@ -438,7 +461,7 @@ class TestDilationCovariance:
         kappa = np.array([4.0, 3.9, 2.0, 1.0, 0.5])
         k, i0, K = 3, 1, 10.0
         t = 2.0
-        Ma, Mb = key_matrix_batch(np.stack([kappa, t * kappa]), k, i0, K)
+        (Ma, Mb), _ = key_matrix_batch(np.stack([kappa, t * kappa]), k, i0, K)
         v = np.array([s_excl(k - 1, kappa, j) for j in range(5)])
         grad_term_a = K * kappa[i0] * np.outer(v, v)
         rest_a = Ma - grad_term_a

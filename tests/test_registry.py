@@ -145,7 +145,7 @@ class TestRunCheck:
         out = matrix_rows._rows_key(X, {}, {"k": k, "i0": i0, "K": (K,)})[0]
         assert 0 < ok.sum() < ok.size
         assert np.array_equal(np.isinf(out), ~ok)
-        assert out[ok].tobytes() == _relmin(key_matrix_batch(X[ok], k, i0, K)).tobytes()
+        assert out[ok].tobytes() == _relmin(key_matrix_batch(X[ok], k, i0, K)[0]).tobytes()
 
     @pytest.mark.parametrize("i", [0, 6, 9])
     def test_near_top_index_out_of_range(self, i):

@@ -2,7 +2,7 @@
 
 The oracles are the row-major forms of `cones._candidates` and
 `cones._feasible_mask` (`oracles.sample_rows`), and below, of
-`registry.classify_masks` and the tail-case draw: one `rng.uniform` call per
+`hypotheses.classify_masks` and the tail-case draw: one `rng.uniform` call per
 quantity, sorting every candidate, the sigma_k(|kappa|) noise DP on every
 row.  The samplers must return the same rows bit for bit (compared as
 uint64) and tally the same rejections.
@@ -17,7 +17,8 @@ import symcone.cones as cones
 import symcone.hypotheses as hypotheses
 from symcone.cones import SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, make_rng, rejection_sample, sample_batch
 from symcone.errors import SamplingExhaustedError
-from symcone.registry import ASYM_KAPPA1_GRID, classify_masks
+from symcone.hypotheses import classify_masks
+from symcone.registry import ASYM_KAPPA1_GRID
 from symcone.symfun import batch_coeffs_t
 
 from oracles import feasible, rowwise_coeffs, sample_rows, sampler_counts
@@ -147,7 +148,7 @@ def _params(n, kappa1, cases):
 def test_tail_cases_sampler(n, kappa1, seen_counts):
     P = _params(n, kappa1, ("B3", "C"))
     seed = 1000 * n + int(math.log10(kappa1))
-    X, aux = hypotheses._sampler_tail_cases(P, make_rng(seed), 300, cases=P["cases"])
+    X, aux = hypotheses._sampler_tail_cases(P, make_rng(seed), 300)
     ref, counts = _tail_cases(P, make_rng(seed), 300)
     _same(X, ref)
     assert aux == {}
@@ -230,9 +231,9 @@ def test_exhausted_sample_batch_counts():
 
 def test_exhausted_tail_cases_counts(monkeypatch):
     monkeypatch.setattr(hypotheses, "_SAMPLER_BUDGET", 3 * 4096)
-    P = _params(6, 1e6, ("B3",))
+    P = _params(6, 1e6, ("B3", "C"))
     with pytest.raises(SamplingExhaustedError) as got:
-        hypotheses._sampler_tail_cases(P, make_rng(3), 100_000, cases=P["cases"])
+        hypotheses._sampler_tail_cases(P, make_rng(3), 100_000)
     with pytest.raises(SamplingExhaustedError) as want:
         _tail_cases(P, make_rng(3), 100_000, budget=3 * 4096)
     _assert_counts(got.value.rejection_counts, want.value.rejection_counts)

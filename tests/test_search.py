@@ -50,7 +50,7 @@ class TestMinimizeLambda:
         assert abs(kappa[0] - 1e3) <= 0.01 * 1e3
         assert kappa[1] > kappa[0] - np.sqrt(kappa[0]) / 5
         # the recorded value matches a fresh eigen-evaluation of the key form
-        M = key_matrix_batch(kappa[None], 3, 1, 1e3)[0]
+        M = key_matrix_batch(kappa[None], 3, 1, 1e3)[0][0]
         fro = float(np.linalg.norm(M))
         lam = float(np.linalg.eigvalsh(M)[0]) / max(fro, 1e-300)
         assert abs(lam - w.value) <= 1e-10
@@ -64,7 +64,7 @@ class TestMinimizeLambda:
         assert refined  # roundoff-negative end points exist on this cell
         for w in refined:
             F = np.array([[Fraction(v) for v in w.kappa]], dtype=object)
-            M = key_matrix_batch(F, 3, cfg.i - 1, Fraction(cfg.K)).astype(float)
+            M = key_matrix_batch(F, 3, cfg.i - 1, Fraction(cfg.K))[0].astype(float)
             assert w.refined_value == _relmin(M)[0]
 
     @pytest.mark.parametrize("K", [1e3, 0.1])  # 0.1 has the denominator 2**55
@@ -79,7 +79,7 @@ class TestMinimizeLambda:
             wide = [1e4, 9999.5, 3.0, -2.5, 1e-300, 0.1, 7.0, -0.0, 1.0 / 3.0][:n]
             for row in [*kap.tolist(), wide]:
                 F = np.array([[Fraction(v) for v in row]], dtype=object)
-                want = key_matrix_batch(F, k, cfg.i - 1, Fraction(K)).astype(float)
+                want = key_matrix_batch(F, k, cfg.i - 1, Fraction(K))[0].astype(float)
                 assert np.array_equal(search._exact_key(row, cfg, k).view(np.uint64), want.view(np.uint64))
 
     def test_deterministic(self):
@@ -370,7 +370,7 @@ class TestAssemble:
                 ok = np.array([reason == "feasible" for reason, _ in ref])
                 assert np.array_equal(f == np.inf, ~ok)
                 X = np.array([kap for _, kap in ref if kap is not None])
-                want = _relmin(key_matrix_batch(X, k, i - 1, cfg.K))
+                want = _relmin(key_matrix_batch(X, k, i - 1, cfg.K)[0])
                 assert f[ok].tobytes() == want.tobytes()
                 margin_only += int((batch_coeffs(X)[:, k] <= 0.0).sum())
         assert margin_only > 0
