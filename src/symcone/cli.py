@@ -281,11 +281,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    request = dict(lo=args.lo, hi=args.hi, samples=args.samples, seed=args.seed, K=args.K, k=args.k)
+    request = dict(lo=args.lo, hi=args.hi, steps=args.steps, samples=args.samples, seed=args.seed, K=args.K, k=args.k)
     _threshold_context(args.check, args.n, **request)
     with _writer(args, _options(args)) as emit:
         try:
-            result = threshold_bisect(args.check, args.n, steps=args.steps, **request)
+            result = threshold_bisect(args.check, args.n, **request)
         except SymconeError as exc:
             emit({"record": "summary", "error": str(exc)})
             return 2

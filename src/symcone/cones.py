@@ -38,7 +38,7 @@ SIGMA_RANGE_NOISE_FACTOR = 64.0
 # The sigma_k window [N0, N] of the conjecture regime, shared by the regime
 # samplers of the lemma registry and by the key-form search.
 SIGMA_K_WINDOW = (1.0, 10.0)
-_BATCH = 2048
+_BLOCK = 2048  # rows per block, of a sampler's draws and of a check's evaluation
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -215,7 +215,7 @@ def sample_batch(
         return X[_feasible_mask(X, k, kappa1, near_top_index, counts, predicate)]
 
     return rejection_sample(
-        draw, count, lambda left, room: min(_BATCH, max(64, 4 * left), room), max_attempts, counts, "sampling"
+        draw, count, lambda left, room: min(_BLOCK, max(64, 4 * left), room), max_attempts, counts, "sampling"
     )
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .cones import (
     SIGMA_K_WINDOW,
+    _BLOCK,
     _descending,
     _feasible_mask,
     rejection_sample,
@@ -30,7 +31,6 @@ from .symfun import batch_coeffs_t
 
 __all__ = ["CaseLabel", "classify_case", "classify_masks"]
 
-_BLOCK = 2048  # rows per block, of a sampler's draws and of a check's evaluation
 _SAMPLER_BUDGET = 400_000
 
 
@@ -89,6 +89,8 @@ def classify_case(kappa, i: int) -> CaseLabel:
     arr = np.asarray(kappa, dtype=float)
     if arr.ndim != 1 or arr.size < 4:
         raise InvalidInputError("classify_case needs a 1-D vector with n >= 4")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("kappa contains non-finite entries")
     if np.any(np.diff(arr) > 0):
         raise InvalidInputError("classify_case requires kappa sorted descending")
     if not 1 <= i <= arr.size:

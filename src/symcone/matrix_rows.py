@@ -9,6 +9,10 @@ statements use the inequality slack of `scalar_rows`.
 P["K"] is a tuple of K values.  A statement with K (`uses_K`) builds its
 K-free tables once and returns (len(P["K"]), B) slacks, one row per K, each
 with the bits of a call at that K alone.
+
+A statement over the positions j != i stacks its candidate slacks on a
+leading axis in ascending j (`_rows_l34`: both bounds at each j) and reduces
+it once with `np.minimum.reduce`, as `_rows_l52` reduces its orders.
 """
 
 from __future__ import annotations
@@ -93,49 +97,35 @@ def _rows_l32(X, aux, P):
     i0 = P["i0"]
     eps = 1.0 / (3.0 * k)
     top = X[:, 0]
+    l = np.delete(np.arange(n), i0)
     E = batch_excl1_table(X)
-    S = batch_excl2_table(X, (k - 2,))[k - 2]
-    s_ii = order(E, k - 1)[:, i0]
-    best = np.full(X.shape[0], np.inf)
-    for l in range(n):
-        if l == i0:
-            continue
-        s2 = S[:, i0, l]
-        wl = np.exp(X[:, l] - top)
-        dd = divdiff_exp_scaled(X[:, l], X[:, i0], top)
-        lhs = (2.0 - eps) * (wl * s2 + dd * E[:, l, k - 1])
-        rhs = wl * s_ii / X[:, 0]
-        best = np.minimum(best, _ineq(lhs, rhs))
-    return best
+    s2 = batch_excl2_table(X, (k - 2,))[k - 2][:, i0, l].T
+    wl = np.exp(X.T[l] - top)
+    dd = divdiff_exp_scaled(X.T[l], X[:, i0], top)
+    lhs = (2.0 - eps) * (wl * s2 + dd * E[:, l, k - 1].T)
+    rhs = wl * E[:, i0, k - 1] / X[:, 0]
+    return np.minimum.reduce(_ineq(lhs, rhs), axis=0)
 
 
 def _rows_l34(X, aux, P):
     n = X.shape[1]
     k = P["k"]
     i0 = P["i0"]
+    j = np.delete(np.arange(n), i0)
     E = batch_excl1_table(X)
-    S = batch_excl2_table(X, (k - 2,))[k - 2]
-    s_ii = order(E, k - 1)[:, i0]
-    ki = X[:, i0]
-    best = np.full(X.shape[0], np.inf)
-    for j in range(n):
-        if j == i0:
-            continue
-        kj = X[:, j]
-        s_jj = E[:, j, k - 1]
-        s2 = S[:, i0, j]
-        aj = s_jj + (ki + kj) * s2
-        lhs = 2.0 * ki * divdiff_ratio(ki - kj) * s_jj
-        best = np.minimum(best, _ineq(lhs, aj))
-        # the L-quantity, scaled by e^{-|kappa_i - kappa_j|} to stay finite
-        upper = ki > kj
-        Lsc = np.where(
-            upper,
-            (ki + kj) * s_ii - 2.0 * ki * np.exp(np.minimum(kj - ki, 0.0)) * s_jj,
-            2.0 * ki * s_jj - (ki + kj) * np.exp(np.minimum(ki - kj, 0.0)) * s_ii,
-        )
-        best = np.minimum(best, Lsc / (1.0 + np.abs(Lsc)))
-    return best
+    s_ii = E[:, i0, k - 1]
+    ki, kj = X[:, i0], X.T[j]
+    s_jj = E[:, j, k - 1].T
+    aj = s_jj + (ki + kj) * batch_excl2_table(X, (k - 2,))[k - 2][:, i0, j].T
+    lhs = 2.0 * ki * divdiff_ratio(ki - kj) * s_jj
+    # the L-quantity, scaled by e^{-|kappa_i - kappa_j|} to stay finite
+    Lsc = np.where(
+        ki > kj,
+        (ki + kj) * s_ii - 2.0 * ki * np.exp(np.minimum(kj - ki, 0.0)) * s_jj,
+        2.0 * ki * s_jj - (ki + kj) * np.exp(np.minimum(ki - kj, 0.0)) * s_ii,
+    )
+    both = np.stack([_ineq(lhs, aj), Lsc / (1.0 + np.abs(Lsc))], axis=1)  # (j, 2, B): both bounds at each j
+    return np.minimum.reduce(both.reshape(-1, X.shape[0]), axis=0)
 
 
 def _rows_l35a(X, aux, P):
@@ -170,17 +160,11 @@ def _rows_l35b(X, aux, P):
     E = batch_excl1_table(X)
     s_ii = order(E, k - 1)[:, i0]
     s2 = batch_excl2_table(X, (k - 2,))[k - 2][:, i0, :]  # zero at l = i0
-    mask = np.ones(n, dtype=bool)
-    mask[i0] = False
+    mask = np.arange(n) != i0
     lhs = 2.0 * (w[:, mask] * s2[:, mask] * h[:, mask] ** 2).sum(axis=1)
     rhs = (1.0 / logP) * s_ii * (w[:, mask] * h[:, mask] ** 2).sum(axis=1)
-    best = _ineq(lhs, rhs)
-    for l in range(n):
-        if l == i0:
-            continue
-        v = 2.0 * X[:, 0] * s2[:, l] - s_ii
-        best = np.minimum(best, v / (1.0 + np.abs(v)))
-    return best
+    v = 2.0 * X[:, 0] * s2[:, mask].T - s_ii  # the scalar sufficient bound at each l != i0
+    return np.minimum.reduce(np.concatenate([_ineq(lhs, rhs)[None], v / (1.0 + np.abs(v))]), axis=0)
 
 
 def _rows_l61(X, aux, P):
@@ -216,15 +200,11 @@ def _rows_l63(X, aux, P):
     s2b = cbar[:, n - 2]
     s3 = cbar[:, n - 3]
     s5 = order(cbar, n - 5)
-    s6j, s2j = order(T1, n - 6), order(T1, n - 2)
-    best = np.full(X.shape[0], np.inf)
-    for j in range(n - 1):
-        t1 = -s2b * s6j[:, j]
-        t2 = -s2j[:, j] * s6j[:, j]
-        t3 = (1.0 / 40.0) * s3 * s5
-        v = t1 + t2 + t3
-        best = np.minimum(best, v / _mag(t1, t2, t3))
-    return best
+    s6j, s2j = order(T1, n - 6).T, order(T1, n - 2).T  # (j, B), j over the entries of kappa|i
+    t1 = -s2b * s6j
+    t2 = -s2j * s6j
+    t3 = (1.0 / 40.0) * s3 * s5
+    return np.minimum.reduce((t1 + t2 + t3) / _mag(t1, t2, t3), axis=0)
 
 
 def _rows_s601(X, aux, P):

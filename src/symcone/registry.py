@@ -57,9 +57,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from .cones import make_rng
+from .cones import _BLOCK, make_rng
 from .errors import InvalidInputError, SamplingExhaustedError, SymconeError
-from .hypotheses import _BLOCK, _SAMPLERS
+from .hypotheses import _SAMPLERS
 from .matrix_rows import (
     _rows_a_psd, _rows_b_psd, _rows_d_gram, _rows_gap, _rows_key, _rows_l32, _rows_l34, _rows_l35a, _rows_l35b,
     _rows_l52, _rows_l53, _rows_l56, _rows_l61, _rows_l62, _rows_l63, _rows_l64, _rows_s601, _rows_s602, _rows_s615,

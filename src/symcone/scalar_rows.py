@@ -5,6 +5,12 @@ Signature: rows(X, aux, P) -> (B,) slacks, one per row of X.  Rows excluded
 by a hypothesis guard return +inf.  An identity's slack is
 -|residual| / (1 + the sum of its term magnitudes) (`_iden`), an
 inequality's (lhs - rhs) / (1 + |lhs| + |rhs|) (`_ineq`).
+
+A statement over an index set (every level l < k, pair p < q, position j)
+stacks its candidate slacks on a leading axis in the statement's order and
+reduces it once with `np.minimum.reduce`: the loop's minima in the loop's
+order.  Two keep a loop: `_rows_l51`, whose inner sum is ragged in k, and
+`_rows_l21`, whose per-level `einsum` has no fixed summation order batched.
 """
 
 from __future__ import annotations
@@ -15,6 +21,11 @@ import numpy as np
 
 from .quadforms import inv_c
 from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
+
+
+def _binom(n: int) -> np.ndarray:
+    """C(n, m) for m = 0..n, as integers."""
+    return np.array([math.comb(n, m) for m in range(n + 1)])
 
 
 def _mag(*terms) -> np.ndarray:
@@ -137,30 +148,24 @@ def _rows_l51(X, aux, P):
 
 def _rows_l54(X, aux, P):
     n = X.shape[1]
-    c = batch_coeffs(X)
-    T = batch_excl1_table(X)
-    best = np.full(X.shape[0], np.inf)
-    for s in range(1, n + 1):
-        prods = T[:, :, n - s] * T[:, :, n - 1]
-        r1 = c[:, n - s] * c[:, n - 1]
-        r2 = -(s + 1) * c[:, n] * order(c, n - s - 1)
-        best = np.minimum(best, _iden(prods.sum(axis=1) - (r1 + r2), np.abs(prods).sum(axis=1), r1, r2))
-    return best
+    s = np.arange(1, n + 1)
+    c = np.concatenate([batch_coeffs(X).T, np.zeros((1, X.shape[0]), dtype=X.dtype)])  # c[-1]: sigma_{-1} = 0
+    T = np.ascontiguousarray(batch_excl1_table(X).transpose(2, 0, 1))  # (order, B, i): each sum over i contiguous
+    prods = T[n - s] * T[n - 1]
+    r1 = c[n - s] * c[n - 1]
+    r2 = -(s + 1)[:, None] * c[n] * c[n - s - 1]
+    return np.minimum.reduce(_iden(prods.sum(axis=2) - (r1 + r2), np.abs(prods).sum(axis=2), r1, r2), axis=0)
 
 
 def _rows_l55(X, aux, P):
     n = X.shape[1]
     T = batch_excl1_table(X)
-    P4 = batch_excl2_table(X, (n - 4,))[n - 4]
-    best = np.full(X.shape[0], np.inf)
-    for j in range(n):
-        lhs = (P4[:, j, :] ** 2).sum(axis=1)
-        r1 = 3 * order(T, n - 4)[:, j] ** 2
-        r2 = -2 * order(T, n - 5)[:, j] * order(T, n - 3)[:, j]
-        r3 = -4 * order(T, n - 6)[:, j] * order(T, n - 2)[:, j]
-        r4 = -6 * order(T, n - 7)[:, j] * order(T, n - 1)[:, j]
-        best = np.minimum(best, _iden(lhs - (r1 + r2 + r3 + r4), lhs, r1, r2, r3, r4))
-    return best
+    lhs = (batch_excl2_table(X, (n - 4,))[n - 4] ** 2).sum(axis=2).T
+    r1 = 3 * order(T, n - 4).T ** 2
+    r2 = -2 * order(T, n - 5).T * order(T, n - 3).T
+    r3 = -4 * order(T, n - 6).T * order(T, n - 2).T
+    r4 = -6 * order(T, n - 7).T * order(T, n - 1).T
+    return np.minimum.reduce(_iden(lhs - (r1 + r2 + r3 + r4), lhs, r1, r2, r3, r4), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,41 +175,33 @@ def _rows_l55(X, aux, P):
 
 def _rows_newton(X, aux, P):
     n = X.shape[1]
-    c = batch_coeffs(X)
-    best = np.full(X.shape[0], np.inf)
-    for k in range(2, n + 1):
-        lhs = (c[:, k - 1] / math.comb(n, k - 1)) ** 2
-        rhs = c[:, k] * c[:, k - 2] / (math.comb(n, k) * math.comb(n, k - 2))
-        best = np.minimum(best, _ineq(lhs, rhs))
-    return best
+    k = np.arange(2, n + 1)
+    c = batch_coeffs(X).T
+    b = _binom(n)[:, None]
+    lhs = (c[k - 1] / b[k - 1]) ** 2
+    rhs = c[k] * c[k - 2] / (b[k] * b[k - 2])
+    return np.minimum.reduce(_ineq(lhs, rhs), axis=0)
 
 
 def _rows_maclaurin(X, aux, P):
     n = X.shape[1]
     k = P["k"]
-    c = batch_coeffs(X)
-    rk = (c[:, k] / math.comb(n, k)) ** (1.0 / k)
-    best = np.full(X.shape[0], np.inf)
-    for l in range(1, k):
-        rl = (c[:, l] / math.comb(n, l)) ** (1.0 / l)
-        best = np.minimum(best, (rl - rk) / (1.0 + rl + rk))
-    return best
+    c = batch_coeffs(X).T
+    # one scalar exponent per level: numpy takes x ** 0.5 as sqrt, an array exponent as pow
+    r = np.stack([(c[l] / math.comb(n, l)) ** (1.0 / l) for l in range(1, k + 1)])
+    return np.minimum.reduce((r[:-1] - r[-1]) / (1.0 + r[:-1] + r[-1]), axis=0)
 
 
 def _rows_gen_newton(X, aux, P):
     n = X.shape[1]
     k = P["k"]
-    c = batch_coeffs(X)
-    best = np.full(X.shape[0], np.inf)
-    for s in range(1, k + 1):
-        for r in range(1, s + 1):
-            lhs = c[:, s] * c[:, k] / (math.comb(n, s) * math.comb(n, k))
-            if k + r > n:
-                rhs = np.zeros(X.shape[0])
-            else:
-                rhs = c[:, s - r] * c[:, k + r] / (math.comb(n, s - r) * math.comb(n, k + r))
-            best = np.minimum(best, _ineq(lhs, rhs))
-    return best
+    c = batch_coeffs(X).T
+    b = _binom(n)[:, None]
+    s, r = np.add(np.tril_indices(k), 1)  # every 1 <= r <= s <= k, s-major
+    kr = np.minimum(k + r, n)  # sigma_{k+r} = 0 past n
+    lhs = c[s] * c[k] / (b[s] * b[k])
+    rhs = np.where((k + r <= n)[:, None], c[s - r] * c[kr] / (b[s - r] * b[kr]), 0.0)
+    return np.minimum.reduce(_ineq(lhs, rhs), axis=0)
 
 
 def _rows_l21(X, aux, P):
@@ -233,27 +230,20 @@ def _rows_l22(X, aux, P):
     n = X.shape[1]
     k = P["k"]
     theta = math.sqrt(k * (n - k) / (n - 1.0))
-    E = batch_excl1_table(X)
-    Pk1 = batch_excl2_table(X, (k - 1,))[k - 1]
-    best = np.full(X.shape[0], np.inf)
-    for a in range(n):
-        for b in range(a + 1, n):
-            lhs = theta * E[:, b, k - 1]
-            rhs = np.abs(Pk1[:, a, b])
-            best = np.minimum(best, _ineq(lhs, rhs))
-    return best
+    a, b = np.triu_indices(n, 1)  # every pair a < b, a-major
+    lhs = theta * batch_excl1_table(X)[:, b, k - 1].T
+    rhs = np.abs(batch_excl2_table(X, (k - 1,))[k - 1][:, a, b].T)
+    return np.minimum.reduce(_ineq(lhs, rhs), axis=0)
 
 
 def _rows_l23(X, aux, P):
     n = X.shape[1]
     k = P["k"]
-    c = batch_coeffs(X)
-    best = np.full(X.shape[0], np.inf)
-    for s in range(0, k + 1):
-        lhs = X[:, 0] ** s * c[:, k - s] / c[:, k]
-        rhs = math.comb(n, k - s) / math.comb(n, k)
-        best = np.minimum(best, _ineq(lhs, rhs))
-    return best
+    s = np.arange(k + 1)
+    c = batch_coeffs(X).T
+    b = _binom(n)
+    lhs = X[:, 0] ** s[:, None] * c[k - s] / c[k]
+    return np.minimum.reduce(_ineq(lhs, (b[k - s] / b[k])[:, None]), axis=0)
 
 
 def _rows_l24a(X, aux, P):
@@ -278,48 +268,33 @@ def _rows_l24b(X, aux, P):
 
 def _rows_l25(X, aux, P):
     k = P["k"]
-    c = batch_coeffs(X)
-    best = np.full(X.shape[0], np.inf)
-    for s in range(1, k):
-        prod = np.prod(X[:, :s], axis=1)
-        best = np.minimum(best, _ineq(c[:, s], prod))
-    return best
+    prod = np.cumprod(X[:, : k - 1], axis=1).T  # row s - 1: the product of the s largest entries
+    return np.minimum.reduce(_ineq(batch_coeffs(X).T[1:k], prod), axis=0)
 
 
 def _rows_l26(X, aux, P):
     n = X.shape[1]
     k = P["k"]
     theta = 1.0 / (n ** (n - k) * math.comb(n, k))
-    c = batch_coeffs(X)
-    E = batch_excl1_table(X)
-    best = np.full(X.shape[0], np.inf)
-    for j in range(k):
-        lhs = E[:, j, k - 1]
-        rhs = theta * c[:, k] / X[:, j]
-        best = np.minimum(best, _ineq(lhs, rhs))
-    return best
+    lhs = batch_excl1_table(X)[:, :k, k - 1].T
+    rhs = theta * batch_coeffs(X)[:, k] / X[:, :k].T
+    return np.minimum.reduce(_ineq(lhs, rhs), axis=0)
 
 
 def _rows_l58(X, aux, P):
     n = X.shape[1]
-    c = batch_coeffs(X)
-    P4 = batch_excl2_table(X, (n - 4,))[n - 4]
-    lhs = 4.0 * order(c, n - 4) ** 2
-    best = np.full(X.shape[0], np.inf)
-    for j in range(n):
-        rhs = (P4[:, j, :] ** 2).sum(axis=1)
-        best = np.minimum(best, _ineq(lhs, rhs))
-    return best
+    lhs = 4.0 * order(batch_coeffs(X), n - 4) ** 2
+    rhs = (batch_excl2_table(X, (n - 4,))[n - 4] ** 2).sum(axis=2).T
+    return np.minimum.reduce(_ineq(lhs, rhs), axis=0)
 
 
 def _rows_l59(X, aux, P):
     n = X.shape[1]
     cb = batch_coeffs(X[:, 1:])
     ratio = order(cb, n - 3) / X[:, 0] ** (n - 3)
-    best = np.full(X.shape[0], np.inf)
-    for delta in (0.1, 0.3):
-        dp = min(delta ** (n - 2) / 2 ** (n - 1), delta ** (n - 1))
-        hyp = (-X[:, n - 1] >= delta * X[:, 0]) | (X[:, n - 2] >= delta * X[:, 0])
-        val = (ratio - dp) / (1.0 + np.abs(ratio) + dp)
-        best = np.minimum(best, np.where(hyp, val, np.inf))
-    return best
+    delta = np.array([[0.1], [0.3]])
+    d = delta.astype(object)  # Python float powers: numpy's array pow may round them differently
+    dp = np.minimum(d ** (n - 2) / 2 ** (n - 1), d ** (n - 1)).astype(float)
+    hyp = (-X[:, n - 1] >= delta * X[:, 0]) | (X[:, n - 2] >= delta * X[:, 0])
+    val = (ratio - dp) / (1.0 + np.abs(ratio) + dp)
+    return np.minimum.reduce(np.where(hyp, val, np.inf), axis=0)

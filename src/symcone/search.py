@@ -373,12 +373,14 @@ class ThresholdResult:
 
 
 def _threshold_context(
-    check_id: str, n: int, lo: float, hi: float, samples: int, seed: int, K: Optional[float], k: Optional[int]
+    check_id: str, n: int, lo: float, hi: float, steps: int, samples: int, seed: int, K: Optional[float], k: Optional[int]
 ) -> RunContext:
     """The run of every `threshold_bisect` probe, less its scale.  Raises
     InvalidInputError on a request no probe could run, before any probe."""
     if not 0 < lo < hi < math.inf:
         raise InvalidInputError(f"need 0 < lo < hi < inf, got lo={lo}, hi={hi}")
+    if steps < 0:
+        raise InvalidInputError(f"need steps >= 0, got {steps}")
     ctx = RunContext(n=n, samples=samples, seed=seed, K=K, k=k)
     _check_for(check_id, ctx)
     return ctx
@@ -401,7 +403,7 @@ def threshold_bisect(
     only claim validity above some scale); endpoint flags report when the
     bracket never straddles the transition.
     """
-    ctx = _threshold_context(check_id, n, lo, hi, samples, seed, K, k)
+    ctx = _threshold_context(check_id, n, lo, hi, steps, samples, seed, K, k)
     history: List[dict] = []
     evaluations = 0
 

@@ -330,8 +330,9 @@ class TestThresholdCommand:
             (["--check", "L3_2", "--n", "5", "--lo", "1e4", "--hi", "10"], "need 0 < lo < hi"),
             (["--check", "L3_2", "--n", "5", "--lo", "10", "--hi", "10"], "need 0 < lo < hi"),
             (["--check", "L3_2", "--n", "5", "--hi", "inf"], "need 0 < lo < hi < inf, got lo=10.0, hi=inf"),
+            (["--check", "L3_4", "--n", "6", "--lo", "1", "--steps", "-3"], "need steps >= 0, got -3"),
         ],
-        ids=["unknown-check", "n-below-min", "k-above-n", "lo-above-hi", "lo-equals-hi", "hi-inf"],
+        ids=["unknown-check", "n-below-min", "k-above-n", "lo-above-hi", "lo-equals-hi", "hi-inf", "steps-negative"],
     )
     def test_invalid_request_runs_no_probe(self, flags, message, monkeypatch, tmp_path, capsys):
         def probe(*args, **kwargs):
@@ -342,6 +343,15 @@ class TestThresholdCommand:
         assert main(["threshold", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
+
+
+    def test_zero_steps_probes_only_the_ends(self, tmp_path):
+        out = tmp_path / "t.jsonl"
+        argv = ["threshold", "--check", "L3_4", "--n", "6", "--lo", "1", "--steps", "0", "--samples", "100"]
+        assert main([*argv, "--out", str(out)]) == 0
+        result = [r for r in read_jsonl(out) if r["record"] == "result"][0]
+        assert [h["kappa1"] for h in result["history"]] == [1e6, 1.0]
+        assert result["evaluations"] == 2
 
 
 COMMANDS = pytest.mark.parametrize(

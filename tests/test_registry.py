@@ -453,7 +453,31 @@ class TestTablesOncePerBlock:
             assert len(solves) <= 1, f"{check.id}: {len(solves)} eigensolves"
 
 
+class TestRowIndependence:
+    """A row's slack does not depend on the other rows of its block: the
+    slacks of a block are the slacks of its splits, bit for bit."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("check_id", [c.id for c in registry_list()])
+    def test_block_equals_its_splits(self, check_id, n):
+        check = registry.REGISTRY[check_id]
+        ctx = RunContext(n=n, samples=64, seed=11)
+        levels, groups, Ks = registry._grid(check, ctx)
+        P = registry._params(n, levels[0], ctx.i - 1, Ks, groups[-1])
+        X, aux = registry._SAMPLERS[check.sampler](P, make_rng(n), 64)
+        whole = check.rows(X, aux, P)
+        parts = [check.rows(X[a:b], {key: v[a:b] for key, v in aux.items()}, P) for a, b in ((0, 1), (1, 40), (40, 64))]
+        assert np.array_equal(whole.view(np.uint64), np.concatenate(parts, axis=-1).view(np.uint64))
+
+
 class TestClassifyCase:
+    @pytest.mark.parametrize(
+        "kappa", [[np.inf, 1, 1, 1, 1], [5, 4, 3, 2, -np.inf], [5, 4, np.nan, 2, 1]], ids=["inf", "-inf", "nan"]
+    )
+    def test_non_finite_is_invalid(self, kappa):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            classify_case(np.array(kappa, dtype=float), 2)
+
     def test_all_positive_is_c(self):
         label = classify_case(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), 2)
         assert label.primary == "C"
