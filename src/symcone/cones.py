@@ -2,8 +2,8 @@
 
 Gamma_k is the open cone {sigma_1 > 0, ..., sigma_k > 0}.  A draw is kept
 only if the exact sign of each computed sigma_m is positive (no tolerance),
-so a returned sample re-validates with the same sigma DP.  The barred cone of
-level m, which allows sigma_m = 0, has its own sampler (`sample_bar_batch`).
+so a returned sample re-validates with the same sigma DP.  The catalog's
+other hypothesis samplers, the barred cone's among them, are in `hypotheses`.
 
 `sample_batch` draws the conjecture regime, at a level 2 <= k <= n - 1:
 kappa_1 pinned near a target scale, an index i near the top
@@ -218,17 +218,3 @@ def sample_batch(
         draw, count, lambda left, room: min(_BLOCK, max(64, 4 * left), room), max_attempts, counts, "sampling"
     )
 
-
-def sample_bar_batch(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
-    """Vectors in the barred cone of level m (dimension m), sorted descending.
-
-    Interior points are positive vectors; 40% of the draws are boundary
-    points, constructed explicitly by zeroing one entry (sigma_m = 0
-    exactly), since the boundary has measure zero and is unreachable by
-    rejection.
-    """
-    X = np.exp(rng.uniform(-1.0, 3.0, (count, m)))
-    hit = rng.uniform(size=count) < 0.4
-    cols = rng.integers(0, m, size=count)
-    X[hit, cols[hit]] = 0.0
-    return _descending(X)

@@ -2,10 +2,12 @@
 
 The case classifier sorts a vector at level k = n - 2 into the five regions
 A, B1, B2, B3 and C of the paper's proof.  Each sampler draws exactly B rows
-that satisfy one check's hypothesis, as `sampler(P, rng, B) -> (X, aux)`;
-`_SAMPLERS` names the variants the catalog uses.  A sampler that cannot
-realize its hypothesis within its budget raises `SamplingExhaustedError`
-with the rejection breakdown.
+that satisfy one check's hypothesis, and nothing else, as
+`sampler(P, rng, B) -> X`; `_SAMPLERS` names the variants the catalog uses.
+A statement that also reads per-row auxiliary draws (a constant K, a
+direction xi or h) names them, and `_AUX` draws each one after the rows, on
+the same stream.  A sampler that cannot realize its hypothesis within its
+budget raises `SamplingExhaustedError` with the rejection breakdown.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .cones import (
     _descending,
     _feasible_mask,
     rejection_sample,
-    sample_bar_batch,
     sample_batch,
 )
 from .errors import DomainError, InvalidInputError
@@ -116,13 +117,18 @@ def _case_predicate(i0: int, cases: Tuple[str, ...]):
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis samplers.  Each returns (X, aux) with exactly B rows; its
-# options are keyword arguments, bound per variant in `_SAMPLERS`.
+# Hypothesis samplers.  Each draws exactly B rows as `sampler(P, rng, B) -> X`;
+# its options are keyword arguments, bound per variant in `_SAMPLERS`.
 # ---------------------------------------------------------------------------
 
 
-def _draw_gamma(rng, B: int, n: int, k: int, force_neg: int = 0, barred: bool = False) -> np.ndarray:
-    """Cone members with generic scales; optionally force trailing negatives."""
+def _sampler_real(P, rng, B):
+    return rng.normal(0.0, 1.0, (B, P["n"])) * 10.0 ** rng.uniform(-1.0, 2.0, (B, 1))
+
+
+def _sampler_gamma(P, rng, B, *, force_neg=0, barred=False):
+    """Gamma_k members (closed cone if `barred`) at generic scales; optionally force trailing negatives."""
+    n, k = P["n"], P["k"]
     counts = {"membership": 0}
 
     def draw(blk):
@@ -145,29 +151,20 @@ def _draw_gamma(rng, B: int, n: int, k: int, force_neg: int = 0, barred: bool = 
     return rejection_sample(draw, B, lambda left, room: _BLOCK, _SAMPLER_BUDGET, counts, "gamma sampler")
 
 
-def _sampler_real(P, rng, B, *, aux_K=False):
-    n = P["n"]
-    X = rng.normal(0.0, 1.0, (B, n)) * 10.0 ** rng.uniform(-1.0, 2.0, (B, 1))
-    aux = {}
-    if aux_K:
-        aux["K"] = 10.0 ** rng.uniform(0.0, 3.0, B)
-    return X, aux
-
-
-def _sampler_cone(P, rng, B, *, force_neg=0, aux_xi=False):
-    X = _draw_gamma(rng, B, P["n"], P["k"], force_neg=force_neg)
-    aux = {}
-    if aux_xi:
-        aux["xi"] = rng.normal(0.0, 1.0, (B, P["n"]))
-    return X, aux
-
-
 def _sampler_bar(P, rng, B):
-    return sample_bar_batch(rng, B, P["n"]), {}
+    """Vectors in the barred cone of level n (dimension n), sorted descending.
 
-
-def _sampler_bark(P, rng, B):
-    return _draw_gamma(rng, B, P["n"], P["k"], barred=True), {}
+    Interior points are positive vectors; 40% of the draws are boundary
+    points, constructed explicitly by zeroing one entry (sigma_n = 0
+    exactly), since the boundary has measure zero and is unreachable by
+    rejection.
+    """
+    n = P["n"]
+    X = np.exp(rng.uniform(-1.0, 3.0, (B, n)))
+    hit = rng.uniform(size=B) < 0.4
+    cols = rng.integers(0, n, size=B)
+    X[hit, cols[hit]] = 0.0
+    return _descending(X)
 
 
 def _sampler_l59(P, rng, B):
@@ -189,7 +186,7 @@ def _sampler_l59(P, rng, B):
         counts["hypothesis"] += int((member & ~hyp).sum())
         return X[member & hyp]
 
-    return rejection_sample(draw, B, lambda left, room: _BLOCK, _SAMPLER_BUDGET, counts, "scale sampler"), {}
+    return rejection_sample(draw, B, lambda left, room: _BLOCK, _SAMPLER_BUDGET, counts, "scale sampler")
 
 
 def _uniform(u: np.ndarray, low, high) -> np.ndarray:
@@ -268,32 +265,34 @@ def _sampler_tail_cases(P, rng, B):
         X = _descending(np.ascontiguousarray(XT.T))
         return X[_feasible_mask(X, k, k1, i0 + 1, counts, pred)]
 
-    return rejection_sample(draw, B, lambda left, room: 4096, _SAMPLER_BUDGET, counts, "tail-case sampler"), {}
+    return rejection_sample(draw, B, lambda left, room: 4096, _SAMPLER_BUDGET, counts, "tail-case sampler")
 
 
-def _sampler_main(P, rng, B, *, cases=None, aux_h=False):
+def _sampler_main(P, rng, B, *, cases=None):
     """The conjecture-regime sampler: kappa_1 pinned, index i near the top,
     sigma_k in SIGMA_K_WINDOW; optional case conditioning."""
     pred = _case_predicate(P["i0"], cases) if cases else None
-    X = sample_batch(rng, B, P["n"], P["k"], P["kappa1"], near_top_index=P["i0"] + 1, predicate=pred)
-    aux = {}
-    if aux_h:
-        aux["h"] = rng.normal(0.0, 1.0, (B, P["n"]))
-    return X, aux
+    return sample_batch(rng, B, P["n"], P["k"], P["kappa1"], near_top_index=P["i0"] + 1, predicate=pred)
 
 
 _SAMPLERS = {
     "real": _sampler_real,
-    "real_K": functools.partial(_sampler_real, aux_K=True),
-    "cone": _sampler_cone,
-    "cone_xi": functools.partial(_sampler_cone, aux_xi=True),
-    "cone_neg1": functools.partial(_sampler_cone, force_neg=1),
-    "cone_neg2": functools.partial(_sampler_cone, force_neg=2),
+    "cone": _sampler_gamma,
+    "cone_neg1": functools.partial(_sampler_gamma, force_neg=1),
+    "cone_neg2": functools.partial(_sampler_gamma, force_neg=2),
     "bar": _sampler_bar,
-    "bark": _sampler_bark,
+    "bark": functools.partial(_sampler_gamma, barred=True),
     "l59": _sampler_l59,
     "main": _sampler_main,
-    "main_h": functools.partial(_sampler_main, aux_h=True),
     "main_abb2": functools.partial(_sampler_main, cases=("A", "B1", "B2")),
     "tail_cases": _sampler_tail_cases,
 }
+
+
+def _normal_rows(P, rng, B):
+    return rng.normal(0.0, 1.0, (B, P["n"]))
+
+
+# The per-row auxiliary draws a statement can declare in `LemmaCheck.aux`, each as `draw(P, rng, B)`:
+# the constant K of L4_2_id1 and the directions xi of L2_1_guan and h of L3_5.
+_AUX = {"K": lambda P, rng, B: 10.0 ** rng.uniform(0.0, 3.0, B), "xi": _normal_rows, "h": _normal_rows}

@@ -117,14 +117,16 @@ def _rows_l34(X, aux, P):
     ki, kj = X[:, i0], X.T[j]
     s_jj = E[:, j, k - 1].T
     aj = s_jj + (ki + kj) * batch_excl2_table(X, (k - 2,))[k - 2][:, i0, j].T
-    lhs = 2.0 * ki * divdiff_ratio(ki - kj) * s_jj
+    with np.errstate(over="ignore", invalid="ignore"):  # kappa_j - kappa_i > ~709: lhs = +-inf, slack +-1
+        lhs = 2.0 * ki * divdiff_ratio(ki - kj) * s_jj
+        bound = np.where(np.isinf(lhs), np.sign(lhs), _ineq(lhs, aj))
     # the L-quantity, scaled by e^{-|kappa_i - kappa_j|} to stay finite
     Lsc = np.where(
         ki > kj,
         (ki + kj) * s_ii - 2.0 * ki * np.exp(np.minimum(kj - ki, 0.0)) * s_jj,
         2.0 * ki * s_jj - (ki + kj) * np.exp(np.minimum(ki - kj, 0.0)) * s_ii,
     )
-    both = np.stack([_ineq(lhs, aj), Lsc / (1.0 + np.abs(Lsc))], axis=1)  # (j, 2, B): both bounds at each j
+    both = np.stack([bound, Lsc / (1.0 + np.abs(Lsc))], axis=1)  # (j, 2, B): both bounds at each j
     return np.minimum.reduce(both.reshape(-1, X.shape[0]), axis=0)
 
 

@@ -2,8 +2,9 @@
 
 Each check has a stable id and a kind; what it checks is a row-parallel slack
 function (`scalar_rows`, `matrix_rows`), a named hypothesis sampler
-(`hypotheses`) and its default levels k.  This module holds the catalog and
-the runner.  The slack conventions are uniform across the catalog:
+(`hypotheses`), the per-row auxiliary draws its statement reads (`aux`) and
+its default levels k.  This module holds the catalog and the runner.  The
+slack conventions are uniform across the catalog:
 
   IDENTITY    slack = -|lhs - rhs| / (1 + sum of |term| magnitudes).
               Magnitude (not value) normalization: identities whose sides
@@ -59,7 +60,7 @@ import numpy as np
 
 from .cones import _BLOCK, make_rng
 from .errors import InvalidInputError, SamplingExhaustedError, SymconeError
-from .hypotheses import _SAMPLERS
+from .hypotheses import _AUX, _SAMPLERS
 from .matrix_rows import (
     _rows_a_psd, _rows_b_psd, _rows_d_gram, _rows_gap, _rows_key, _rows_l32, _rows_l34, _rows_l35a, _rows_l35b,
     _rows_l52, _rows_l53, _rows_l56, _rows_l61, _rows_l62, _rows_l63, _rows_l64, _rows_s601, _rows_s602, _rows_s615,
@@ -127,7 +128,7 @@ class LemmaCheck:
     id: str
     kind: str  # IDENTITY | INEQUALITY | PSD | ASYMPTOTIC
     description: str
-    sampler: str
+    sampler: str  # a key of hypotheses._SAMPLERS
     rows: Callable  # rows(X, aux, P) -> (B,) or (len(P["K"]), B) slacks
     k_values: Callable  # k_values(n) -> default levels
     min_n: int = 3
@@ -135,11 +136,12 @@ class LemmaCheck:
     psd_scaled: bool = False  # tolerance: psd_eps instead of tol
     default_kappa1: Optional[float] = None  # fixed-scale case checks
     k_strict: bool = False  # the statement holds at k_values(n) only
+    aux: Tuple[str, ...] = ()  # the per-row draws rows reads from aux, keys of hypotheses._AUX
 
 
 _CATALOG = (
     # -- identities ---------------------------------------------------------
-    LemmaCheck("L4_2_id1", "IDENTITY", "diagonal entry identity for the reduced key form", "real_K", _rows_id1, _k_top),
+    LemmaCheck("L4_2_id1", "IDENTITY", "diagonal entry identity for the reduced key form", "real", _rows_id1, _k_top, aux=("K",)),
     LemmaCheck("L4_2_id2", "IDENTITY", "off-diagonal product identity for the reduced key form", "real", _rows_id2, _k_top, min_n=3),
     LemmaCheck("L4_2_id3", "IDENTITY", "pair-sum expansion of (s^ii + s^jj)(kappa_i + kappa_j)", "real", _rows_id3, _k_top),
     LemmaCheck("L4_2_id4", "IDENTITY", "triple-exclusion expansion of s^qq s^{ii,pp} - s^ii s^{pp,qq}", "real", _rows_id4, _k_top, min_n=3),
@@ -151,7 +153,7 @@ _CATALOG = (
     LemmaCheck("newton", "INEQUALITY", "normalized log-concavity of the sigma_k sequence on R^n", "real", _rows_newton, _k_free),
     LemmaCheck("maclaurin", "INEQUALITY", "monotonicity of normalized sigma_k roots on the cone", "cone", _rows_maclaurin, _k_range(2, 0), k_strict=True),
     LemmaCheck("gen_newton", "INEQUALITY", "shifted product comparison of normalized sigma values", "cone", _rows_gen_newton, _k_range(2, 0), k_strict=True),
-    LemmaCheck("L2_1_guan", "INEQUALITY", "concavity-type quadratic comparison between levels l < k", "cone_xi", _rows_l21, _k_range(2, 0), min_n=4, k_strict=True),
+    LemmaCheck("L2_1_guan", "INEQUALITY", "concavity-type quadratic comparison between levels l < k", "cone", _rows_l21, _k_range(2, 0), min_n=4, k_strict=True, aux=("xi",)),
     LemmaCheck("L2_2_theta", "INEQUALITY", "double exclusion dominated by Theta times single exclusion", "cone", _rows_l22, _k_range(2, 0), min_n=4, k_strict=True),
     LemmaCheck("L2_3_ratio", "INEQUALITY", "kappa_1^s sigma_{k-s} / sigma_k bounded below by binomials", "cone", _rows_l23, _k_range(2, 0), k_strict=True),
     LemmaCheck("L2_4a", "INEQUALITY", "negative entry bounded by (n-k)/k times the top entry", "cone_neg1", _rows_l24a, _k_range(2, -1), k_strict=True),
@@ -173,8 +175,8 @@ _CATALOG = (
     # -- asymptotic ---------------------------------------------------------
     LemmaCheck("L3_2", "ASYMPTOTIC", "weighted second-derivative lower bound at large top scale", "main", _rows_l32, _k_top, min_n=5),
     LemmaCheck("L3_4", "ASYMPTOTIC", "divided-difference upper bound for the diagonal weights a_j", "main", _rows_l34, _k_top, min_n=5),
-    LemmaCheck("L3_5_a", "ASYMPTOTIC", "first test-function inequality with the K-weighted square", "main_h", _rows_l35a, _k_top, min_n=5, uses_K=True),
-    LemmaCheck("L3_5_b", "ASYMPTOTIC", "second test-function inequality and its scalar sufficient bound", "main_h", _rows_l35b, _k_top, min_n=5),
+    LemmaCheck("L3_5_a", "ASYMPTOTIC", "first test-function inequality with the K-weighted square", "main", _rows_l35a, _k_top, min_n=5, uses_K=True, aux=("h",)),
+    LemmaCheck("L3_5_b", "ASYMPTOTIC", "second test-function inequality and its scalar sufficient bound", "main", _rows_l35b, _k_top, min_n=5, aux=("h",)),
     LemmaCheck("L6_1_ratio", "ASYMPTOTIC", "ratio sigma_{n-3}/sigma_{n-5} of the reduced vector bounded", "main_abb2", _rows_l61, _k_top, min_n=5, k_strict=True),
     LemmaCheck("L6_2_bound", "ASYMPTOTIC", "(8/9) kappa_i^2 A dominates the ratio-weighted R form", "main_abb2", _rows_l62, _k_top, min_n=5, psd_scaled=True, k_strict=True),
     LemmaCheck("L6_3_bound", "ASYMPTOTIC", "scalar bound with the 1/40 product margin", "main_abb2", _rows_l63, _k_top, min_n=5, k_strict=True),
@@ -333,6 +335,12 @@ def _block_tally(check, P, X, aux, slacks) -> _Tally:
     return _Tally(best, wit, int(used.sum()), int(nan.sum()), int(excluded.sum()))
 
 
+def _draw(check: LemmaCheck, P: dict, rng, B: int) -> Tuple[np.ndarray, dict]:
+    """B rows of the check's hypothesis, then on the same stream the per-row draws its statement names."""
+    X = _SAMPLERS[check.sampler](P, rng, B)
+    return X, {name: _AUX[name](P, rng, B) for name in check.aux}
+
+
 def _eval_point(check, P, rng, samples) -> _Tally:
     """The tally of `samples` rows, each evaluated at every K of P["K"].
 
@@ -346,7 +354,7 @@ def _eval_point(check, P, rng, samples) -> _Tally:
     drawn = 0
     while drawn < samples:
         B = min(_BLOCK, samples - drawn)
-        X, aux = _SAMPLERS[check.sampler](P, rng, B)
+        X, aux = _draw(check, P, rng, B)
         slacks = np.broadcast_to(check.rows(X, aux, P), (len(per_K), B))
         tallies = [t.merge(_block_tally(check, Pa, X, aux, sa)) for t, Pa, sa in zip(tallies, per_K, slacks)]
         drawn += B

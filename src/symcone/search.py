@@ -382,7 +382,9 @@ def _threshold_context(
     if steps < 0:
         raise InvalidInputError(f"need steps >= 0, got {steps}")
     ctx = RunContext(n=n, samples=samples, seed=seed, K=K, k=k)
-    _check_for(check_id, ctx)
+    check = _check_for(check_id, ctx)
+    if check.kind != "ASYMPTOTIC" and check.default_kappa1 is None:
+        raise InvalidInputError(f"{check_id} does not depend on kappa_1: every probe would draw the same rows")
     return ctx
 
 
@@ -421,11 +423,12 @@ def threshold_bisect(
     lo_ok = probe(lo)
     if lo_ok:
         return ThresholdResult(check_id, n, lo, lo, hi, True, False, evaluations, history)
-    a, b = math.log(lo), math.log(hi)  # fail at a, pass at b
+    a, b, star = math.log(lo), math.log(hi), hi  # fail at a, pass at b, whose probed scale is star
     for _ in range(steps):
         mid = 0.5 * (a + b)
-        if probe(math.exp(mid)):
-            b = mid
+        g = math.exp(mid)
+        if probe(g):
+            b, star = mid, g
         else:
             a = mid
-    return ThresholdResult(check_id, n, math.exp(b), lo, hi, False, False, evaluations, history)
+    return ThresholdResult(check_id, n, star, lo, hi, False, False, evaluations, history)

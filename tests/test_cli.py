@@ -1,6 +1,7 @@
 """Command-line interface: JSONL schema, exit codes, determinism."""
 
 import json
+import math
 import os
 import platform
 import subprocess
@@ -196,6 +197,20 @@ class TestVerify:
             assert result["details"]["error"] == "10 rows gave a NaN slack"
         assert capsys.readouterr().err == ""
 
+    def test_l34_at_huge_kappa1_is_finite_and_silent(self):
+        # At kappa_1 = 1e9 the divided difference of L3_4's first bound
+        # overflows where kappa_j > kappa_i; its slack there is the limit 1.
+        # A subprocess, so a RuntimeWarning would reach the stderr read here.
+        src = os.path.dirname(os.path.dirname(symcone.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = ["verify", "--n", "5", "--only", "L3_4", "--kappa1", "1e9", "--samples", "50"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "symcone", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        (result,) = [r for r in map(json.loads, proc.stdout.splitlines()) if r["record"] == "result"]
+        assert math.isfinite(result["min_slack"]) and result["details"]["nonfinite_rows"] == 0
+
     def test_no_applicable_check_exits_2(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         assert main(["verify", "--n", "4", "--only", "C3_1_key", "--out", str(out)]) == 2
@@ -331,8 +346,12 @@ class TestThresholdCommand:
             (["--check", "L3_2", "--n", "5", "--lo", "10", "--hi", "10"], "need 0 < lo < hi"),
             (["--check", "L3_2", "--n", "5", "--hi", "inf"], "need 0 < lo < hi < inf, got lo=10.0, hi=inf"),
             (["--check", "L3_4", "--n", "6", "--lo", "1", "--steps", "-3"], "need steps >= 0, got -3"),
+            (["--check", "newton", "--n", "5", "--samples", "50", "--steps", "2"], "newton does not depend on kappa_1"),
         ],
-        ids=["unknown-check", "n-below-min", "k-above-n", "lo-above-hi", "lo-equals-hi", "hi-inf", "steps-negative"],
+        ids=[
+            "unknown-check", "n-below-min", "k-above-n", "lo-above-hi", "lo-equals-hi", "hi-inf", "steps-negative",
+            "kappa1-free",
+        ],
     )
     def test_invalid_request_runs_no_probe(self, flags, message, monkeypatch, tmp_path, capsys):
         def probe(*args, **kwargs):
@@ -352,6 +371,7 @@ class TestThresholdCommand:
         result = [r for r in read_jsonl(out) if r["record"] == "result"][0]
         assert [h["kappa1"] for h in result["history"]] == [1e6, 1.0]
         assert result["evaluations"] == 2
+        assert result["kappa1_star"] == 1e6  # the probed scale, not exp(log(1e6))
 
 
 COMMANDS = pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from symcone import (
     sample_batch,
     sigma,
 )
-from symcone.cones import sample_bar_batch
+from symcone.hypotheses import _sampler_bar
 
 from oracles import in_gamma, sample_rows
 
@@ -180,7 +180,7 @@ class TestSampleBarBatch:
     def test_barred_membership_with_boundary(self):
         rng = make_rng(9)
         m = 4
-        X = sample_bar_batch(rng, 200, m)
+        X = _sampler_bar({"n": m}, rng, 200)
         hit_boundary = 0
         for row in X:
             assert in_gamma(row, m, barred=True)

@@ -71,6 +71,26 @@ class TestCatalog:
         }
         assert expected <= ids
 
+    @pytest.mark.parametrize("check_id", [c.id for c in registry_list()])
+    def test_sampler_draws_rows_and_aux_is_declared(self, check_id):
+        # A sampler returns its B rows and nothing else; `_draw` appends the
+        # statement's declared auxiliary draws after them on the same stream.
+        check = registry.REGISTRY[check_id]
+        assert check.sampler in registry._SAMPLERS
+        assert set(check.aux) <= set(registry._AUX)
+        n = max(5, check.min_n)
+        ctx = RunContext(n=n, samples=8, seed=1)
+        levels, groups, Ks = registry._grid(check, ctx)
+        P = registry._params(n, levels[0], ctx.i - 1, Ks, groups[-1])
+        X = registry._SAMPLERS[check.sampler](P, make_rng(n), 8)
+        assert type(X) is np.ndarray and X.shape == (8, n)
+        drawn, aux = registry._draw(check, P, make_rng(n), 8)
+        assert np.array_equal(drawn.view(np.uint64), X.view(np.uint64))
+        assert list(aux) == list(check.aux) and all(len(v) == 8 for v in aux.values())
+
+    def test_every_sampler_is_used(self):
+        assert {c.sampler for c in registry_list()} == set(registry._SAMPLERS)
+
 
 def _fraction_rows(rng, shape):
     num = rng.integers(-60, 61, shape)
@@ -88,7 +108,7 @@ class TestExactIdentities:
         rng = np.random.default_rng(11)
         for n in range(max(3, check.min_n), 8):
             X = _fraction_rows(rng, (4, n))
-            aux = {"K": _fraction_rows(rng, (4,))} if check.sampler == "real_K" else {}
+            aux = {"K": _fraction_rows(rng, (4,))} if "K" in check.aux else {}
             for k in check.k_values(n):
                 slack = check.rows(X, aux, {"n": n, "k": k})
                 assert [s == 0 for s in slack] == [True] * 4, (n, k, slack)
@@ -384,7 +404,7 @@ class TestSweepGroups:
         # row, what a call at each K alone gives.
         check = registry.REGISTRY[check_id]
         P = registry._params(n, check.k_values(n)[0], 1, registry.ASYM_K_GRID, 1e3)
-        X, aux = registry._SAMPLERS[check.sampler](P, make_rng(n), 200)
+        X, aux = registry._draw(check, P, make_rng(n), 200)
         grid = check.rows(X, aux, P)
         assert grid.shape == (len(registry.ASYM_K_GRID), 200)
         for a, K in enumerate(registry.ASYM_K_GRID):
@@ -445,7 +465,7 @@ class TestTablesOncePerBlock:
             ctx = RunContext(n=n, samples=64, seed=11)
             levels, groups, Ks = registry._grid(check, ctx)
             P = registry._params(n, levels[0], ctx.i - 1, Ks, groups[-1])
-            X, aux = registry._SAMPLERS[check.sampler](P, make_rng(n), 64)
+            X, aux = registry._draw(check, P, make_rng(n), 64)
             blocks.clear()
             solves.clear()
             check.rows(X, aux, P)
@@ -464,7 +484,7 @@ class TestRowIndependence:
         ctx = RunContext(n=n, samples=64, seed=11)
         levels, groups, Ks = registry._grid(check, ctx)
         P = registry._params(n, levels[0], ctx.i - 1, Ks, groups[-1])
-        X, aux = registry._SAMPLERS[check.sampler](P, make_rng(n), 64)
+        X, aux = registry._draw(check, P, make_rng(n), 64)
         whole = check.rows(X, aux, P)
         parts = [check.rows(X[a:b], {key: v[a:b] for key, v in aux.items()}, P) for a, b in ((0, 1), (1, 40), (40, 64))]
         assert np.array_equal(whole.view(np.uint64), np.concatenate(parts, axis=-1).view(np.uint64))
@@ -556,7 +576,7 @@ def _exhausting_sampler(monkeypatch, exhaust):
     def sampler(P, rng, B):
         if exhaust(P):
             raise SamplingExhaustedError("test budget spent", {"test_constraint": 7})
-        return rng.standard_normal((B, P["n"])), {}
+        return rng.standard_normal((B, P["n"]))
 
     monkeypatch.setitem(registry._SAMPLERS, "test_exhaust", sampler)
     return "test_exhaust"
@@ -648,7 +668,7 @@ class TestWorkerCount:
         def sampler(P, rng, B):
             if P["kappa1"] == 1e3 and B < registry._BLOCK:
                 raise SamplingExhaustedError("test budget spent", {"test_constraint": 7})
-            return rng.standard_normal((B, P["n"])), {}
+            return rng.standard_normal((B, P["n"]))
 
         monkeypatch.setitem(registry._SAMPLERS, "test_exhaust", sampler)
         cid = _local_check(monkeypatch, "ASYMPTOTIC", _fill_rows(0.0), sampler="test_exhaust", uses_K=True)

@@ -148,10 +148,10 @@ def _params(n, kappa1, cases):
 def test_tail_cases_sampler(n, kappa1, seen_counts):
     P = _params(n, kappa1, ("B3", "C"))
     seed = 1000 * n + int(math.log10(kappa1))
-    X, aux = hypotheses._sampler_tail_cases(P, make_rng(seed), 300)
+    X = hypotheses._sampler_tail_cases(P, make_rng(seed), 300)
     ref, counts = _tail_cases(P, make_rng(seed), 300)
     _same(X, ref)
-    assert aux == {}
+    assert isinstance(X, np.ndarray) and X.shape == (300, n)  # the rows and nothing else
     _assert_counts(seen_counts[-1], counts)
     assert counts["discriminant"] and counts["predicate"]
 
@@ -162,7 +162,7 @@ def test_tail_cases_sampler(n, kappa1, seen_counts):
 def test_main_sampler(n, kappa1, cases, seen_counts):
     P = _params(n, kappa1, cases)
     seed = 2000 * n + int(math.log10(kappa1))
-    X, _ = hypotheses._sampler_main(P, make_rng(seed), 200, cases=cases)
+    X = hypotheses._sampler_main(P, make_rng(seed), 200, cases=cases)
     pred = _pred(1, cases) if cases else None
     ref, counts = sample_rows(make_rng(seed), 200, n, n - 2, kappa1, 2, SIGMA_K_WINDOW, pred)
     _same(X, ref)
