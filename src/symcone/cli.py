@@ -65,8 +65,8 @@ def _jdump(obj) -> str:
         return "{" + ",".join(f"{_jdump(str(k))}:{_jdump(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_jdump(v) for v in obj) + "]"
-    if dataclasses.is_dataclass(obj):
-        return _jdump(dataclasses.asdict(obj))
+    if dataclasses.is_dataclass(obj):  # its __dict__ holds the fields in order
+        return _jdump(vars(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -239,8 +239,7 @@ def _cmd_verify(args) -> int:
             if isinstance(res, SymconeError):
                 rec = {"record": "result", "id": cid, "n": ctx.n, "verdict": "ERROR", "details": {"error": str(res)}}
             else:
-                rec = dataclasses.asdict(res)
-                rec["record"] = "result"
+                rec = {**vars(res), "record": "result"}
             emit(rec)
             if rec["verdict"] == "ERROR":
                 worst = max(worst, 2)
@@ -260,11 +259,9 @@ def _cmd_search(args) -> int:
         restarts=args.restarts,
         seed=args.seed,
     )
-    with _writer(args, {"config": dataclasses.asdict(cfg)}) as emit:
+    with _writer(args, {"config": cfg}) as emit:
         result = minimize_lambda(cfg)
-        rec = dataclasses.asdict(result)
-        rec["record"] = "result"
-        emit(rec)
+        emit({**vars(result), "record": "result"})
         # Negative beyond the PSD tolerance, both in float and exactly built.
         negative = (
             result.best is not None
@@ -289,9 +286,7 @@ def _cmd_threshold(args) -> int:
         except SymconeError as exc:
             emit({"record": "summary", "error": str(exc)})
             return 2
-        rec = dataclasses.asdict(result)
-        rec["record"] = "result"
-        emit(rec)
+        emit({**vars(result), "record": "result"})
         emit({"record": "summary", "kappa1_star": result.kappa1_star})
     return 1 if result.none_pass else 0
 

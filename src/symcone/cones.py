@@ -85,11 +85,12 @@ def _candidates(rng: np.random.Generator, B: int, n: int, k: int, kappa1: float,
                 XT[j] *= np.where(rng.uniform(size=B) < 0.25, -0.3, 1.0)
     lo, hi = SIGMA_K_WINDOW
     target = np.exp(rng.uniform(math.log(lo), math.log(hi), B))
-    c = batch_coeffs_t(XT[: n - 1])
-    bad = c[k - 1] <= 0
-    # a row without a positive slope gets an infinite last entry, which
-    # the finite check of `_feasible_mask` rejects
-    XT[n - 1] = np.where(bad, np.inf, (target - c[k]) / np.where(bad, 1.0, c[k - 1]))
+    # a row without a positive slope, or whose sigmas overflow at a huge kappa1, gets
+    # a non-finite last entry, which the finite check of `_feasible_mask` rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = batch_coeffs_t(XT[: n - 1])
+        bad = c[k - 1] <= 0
+        XT[n - 1] = np.where(bad, np.inf, (target - c[k]) / np.where(bad, 1.0, c[k - 1]))
     return _descending(np.ascontiguousarray(XT.T))
 
 
@@ -117,7 +118,8 @@ def _feasible_mask(
     ok = np.isfinite(XT).all(axis=0)
     live = int(np.count_nonzero(ok))
     counts["finite"] += B - live
-    c = batch_coeffs_t(XT if live == B else np.where(ok, XT, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # a row whose sigmas overflow fails a test below
+        c = batch_coeffs_t(XT if live == B else np.where(ok, XT, 0.0))
     m = (c[1 : k + 1] > 0.0).all(axis=0)
     counts["gamma_k"] += int(np.count_nonzero(ok & ~m))
     ok &= m

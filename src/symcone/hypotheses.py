@@ -230,37 +230,39 @@ def _sampler_tail_cases(P, rng, B):
         kap1 = k1 * (1.0 + _uniform(u[0], -0.005, 0.005))
         ki = kap1 - u[1] * np.sqrt(kap1) / n  # uniform(0, 1) is u itself
         st = np.exp(_uniform(u[2], *log_st))  # sigma_k target
-        # The discriminant of the root quadratic is only nonnegative when the
-        # middle entries are O(sigma_k / kappa_1^2) and (for positive targets)
-        # |T1| = O(sigma_k^2 / kappa_1^3); span those windows in log scale.
-        lo_m = np.log(st * 1e-4 / (k1 * k1))
-        mids = np.exp(_uniform(u[3 : 3 + nm].reshape(blk, nm), lo_m[:, None], log_mid))
-        mids *= np.where(u[3 + nm : 3 + 2 * nm].reshape(blk, nm) < 0.5, -1.0, 1.0)
-        pre = np.empty((n - 3, blk))  # reduced prefix, one column per draw
-        pre[0] = kap1
-        pre[1:] = mids.T
-        cp = batch_coeffs_t(pre)
-        s5, s4, s3 = cp[n - 5], cp[n - 4], cp[n - 3]
-        sgn = np.where(u[3 + 2 * nm] < 0.5, 1.0, -1.0)
-        T1 = sgn * st * 10.0 ** _uniform(u[4 + 2 * nm], lo_e, hi_e)
-        T2 = (st - T1) / ki
-        det = s4 * s4 - s5 * s3
-        safe = np.abs(det) > 0.0
-        det = np.where(safe, det, 1.0)
-        # x + y and x y; sigma_{n-2} of the n-3 prefix entries is zero
-        xs = (s4 * (T2 - s3) - s5 * T1) / det
-        xp = (s4 * T1 - s3 * (T2 - s3)) / det
-        disc = xs * xs - 4.0 * xp
-        safe &= disc >= 0.0
-        rows = np.flatnonzero(safe)
-        counts["discriminant"] += blk - rows.size
-        if not rows.size:
-            return np.empty((0, n))
-        xs, r = xs[rows], np.sqrt(disc[rows])
-        XT = np.empty((n, rows.size))
-        XT[: n - 3] = pre[:, rows]
-        XT[n - 3] = (xs + r) / 2.0
-        XT[n - 2] = (xs - r) / 2.0
+        # A draw whose products overflow at a huge kappa_1 fails the discriminant or the finite test.
+        with np.errstate(all="ignore"):
+            # The discriminant of the root quadratic is only nonnegative when the
+            # middle entries are O(sigma_k / kappa_1^2) and (for positive targets)
+            # |T1| = O(sigma_k^2 / kappa_1^3); span those windows in log scale.
+            lo_m = np.log(st * 1e-4 / (k1 * k1))
+            mids = np.exp(_uniform(u[3 : 3 + nm].reshape(blk, nm), lo_m[:, None], log_mid))
+            mids *= np.where(u[3 + nm : 3 + 2 * nm].reshape(blk, nm) < 0.5, -1.0, 1.0)
+            pre = np.empty((n - 3, blk))  # reduced prefix, one column per draw
+            pre[0] = kap1
+            pre[1:] = mids.T
+            cp = batch_coeffs_t(pre)
+            s5, s4, s3 = cp[n - 5], cp[n - 4], cp[n - 3]
+            sgn = np.where(u[3 + 2 * nm] < 0.5, 1.0, -1.0)
+            T1 = sgn * st * 10.0 ** _uniform(u[4 + 2 * nm], lo_e, hi_e)
+            T2 = (st - T1) / ki
+            det = s4 * s4 - s5 * s3
+            safe = np.abs(det) > 0.0
+            det = np.where(safe, det, 1.0)
+            # x + y and x y; sigma_{n-2} of the n-3 prefix entries is zero
+            xs = (s4 * (T2 - s3) - s5 * T1) / det
+            xp = (s4 * T1 - s3 * (T2 - s3)) / det
+            disc = xs * xs - 4.0 * xp
+            safe &= disc >= 0.0
+            rows = np.flatnonzero(safe)
+            counts["discriminant"] += blk - rows.size
+            if not rows.size:
+                return np.empty((0, n))
+            xs, r = xs[rows], np.sqrt(disc[rows])
+            XT = np.empty((n, rows.size))
+            XT[: n - 3] = pre[:, rows]
+            XT[n - 3] = (xs + r) / 2.0
+            XT[n - 2] = (xs - r) / 2.0
         XT[n - 1] = ki[rows]
         X = _descending(np.ascontiguousarray(XT.T))
         return X[_feasible_mask(X, k, k1, i0 + 1, counts, pred)]

@@ -41,11 +41,12 @@ fold: a fixed check is one group of points at its scale, one per level, and a
 group stops at its first point whose sampler ran dry.  A sweep is one group,
 and one point, per kappa_1.  K enters only the slack, so K is an axis of it:
 a point's parameters carry its whole K grid as a tuple, each block of rows
-is drawn once and its rows function called once, and row a of the returned
-(K, B) slacks is tallied under the a-th K (common random numbers).  The
-point's stream is labelled with the grid's first K, so a run with K pinned
-to that value draws the same rows, and a draw that runs dry leaves the whole
-group without rows.
+is drawn once and its rows function called once, and the returned (K, B)
+slacks fold into one tally whose witness records the K of its minimum
+(common random numbers across K).  On a tie the earlier block wins, then
+the earlier K, then the earlier row.  The point's stream is labelled with
+the grid's first K, so a run with K pinned to that value draws the same
+rows, and a draw that runs dry leaves the whole group without rows.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def _params(n: int, k: Optional[int], i0: int, Ks: tuple, kappa1: Optional[float
 
 
 def _make_witness(check, P, X, aux, j, slack) -> dict:
-    wit = {
+    return {
         "check": check.id,
         "kappa": [float(v) for v in X[j]],
         "k": P["k"],
@@ -285,19 +286,23 @@ def _make_witness(check, P, X, aux, j, slack) -> dict:
             for key, val in aux.items()
         },
     }
-    return wit
 
 
 def witness_slack(witness: dict) -> float:
-    """Re-evaluate a stored witness; reproduces the recorded slack."""
-    check = REGISTRY[witness["check"]]
-    X = np.asarray(witness["kappa"], dtype=float)[None, :]
-    aux = {
-        key: (np.full(1, val) if np.ndim(val) == 0 else np.asarray(val, dtype=float)[None, :])
-        for key, val in witness.get("aux", {}).items()
-    }
-    P = _params(X.shape[1], witness.get("k"), int(witness.get("i", 1)) - 1, (witness.get("K"),), witness.get("kappa1"))
-    return float(np.ravel(check.rows(X, aux, P))[0])
+    """Re-evaluate a stored witness; reproduces the recorded slack.  Raises
+    InvalidInputError unless the witness has every key a run records (the
+    slack aside), names a check, and holds one vector kappa with 1 <= i <= n."""
+    missing = [key for key in ("check", "kappa", "k", "i", "K", "kappa1", "aux") if key not in witness]
+    if missing:
+        raise InvalidInputError(f"witness lacks {missing}")
+    if witness["check"] not in REGISTRY:
+        raise InvalidInputError(f"unknown check id: {witness['check']!r}")
+    X = np.asarray(witness["kappa"], dtype=float)
+    if X.ndim != 1 or not 1 <= witness["i"] <= X.size:
+        raise InvalidInputError(f"need one vector kappa and 1 <= i <= n, got shape {X.shape} and i={witness['i']}")
+    aux = {key: np.asarray(val, dtype=float)[None, ...] for key, val in witness["aux"].items()}
+    P = _params(X.size, witness["k"], int(witness["i"]) - 1, (witness["K"],), witness["kappa1"])
+    return float(np.ravel(REGISTRY[witness["check"]].rows(X[None, :], aux, P))[0])
 
 
 class _Tally(NamedTuple):
@@ -318,20 +323,22 @@ class _Tally(NamedTuple):
 
 
 def _block_tally(check, P, X, aux, slacks) -> _Tally:
-    """The tally of one block of rows.
+    """The tally of one block of rows, from its (len(P["K"]), B) slack grid.
 
     A +inf slack marks a row outside the check's hypothesis and a NaN slack
     a row that could not be evaluated; neither enters the minimum.  Both are
-    counted: the folds refuse to pass on NaN rows and report the excluded ones.
+    counted, once per K: the folds refuse to pass on NaN rows and report the
+    excluded ones.  The minimum is the first in (K, row) order, so on a tie
+    the earlier K keeps the witness, which records its own K.
     """
     nan = np.isnan(slacks)
     excluded = slacks == np.inf
     used = ~nan & ~excluded
     best, wit = math.inf, None
     if np.any(used):
-        j = int(np.argmin(np.where(used, slacks, np.inf)))
-        best = float(slacks[j])
-        wit = _make_witness(check, P, X, aux, j, best)
+        a, j = np.unravel_index(int(np.argmin(np.where(used, slacks, np.inf))), slacks.shape)
+        best = float(slacks[a, j])
+        wit = _make_witness(check, dict(P, K=P["K"][a]), X, aux, j, best)
     return _Tally(best, wit, int(used.sum()), int(nan.sum()), int(excluded.sum()))
 
 
@@ -346,19 +353,17 @@ def _eval_point(check, P, rng, samples) -> _Tally:
 
     Each block is drawn once and goes through one rows call for the whole
     K grid; a K-free rows function's (B,) slacks stand for every K.  The
-    tallies of the Ks merge in K order, so on a tie the earlier K keeps the
-    witness, which records its own K.
+    block tallies merge in draw order, so on a tie the earlier block keeps
+    the witness, then the earlier K, then the earlier row.
     """
-    per_K = [dict(P, K=K) for K in P["K"]]
-    tallies = [_Tally()] * len(per_K)
-    drawn = 0
+    tally, drawn = _Tally(), 0
     while drawn < samples:
         B = min(_BLOCK, samples - drawn)
         X, aux = _draw(check, P, rng, B)
-        slacks = np.broadcast_to(check.rows(X, aux, P), (len(per_K), B))
-        tallies = [t.merge(_block_tally(check, Pa, X, aux, sa)) for t, Pa, sa in zip(tallies, per_K, slacks)]
+        slacks = np.broadcast_to(check.rows(X, aux, P), (len(P["K"]), B))
+        tally = tally.merge(_block_tally(check, P, X, aux, slacks))
         drawn += B
-    return functools.reduce(_Tally.merge, tallies)
+    return tally
 
 
 class _Point(NamedTuple):

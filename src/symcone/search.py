@@ -93,8 +93,8 @@ class SearchRun:
     start_feasible: bool
     nfev: int  # objective rows of this restart, the start-point check included
     nit: int  # Nelder-Mead iterations, counted from 1 as scipy does
-    status: str  # infeasible_start | converged | maxiter | infeasible_end
-    value: Optional[float] = None  # the end point's value, None without one
+    status: str  # infeasible_start | converged | maxiter
+    value: Optional[float] = None  # the best vertex's value, None after an infeasible start
 
 
 @dataclass
@@ -204,7 +204,7 @@ def _nelder_mead(
     maxiter: int,
     xatol: float,
     fatol: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nelder-Mead from each row of x0 (R, N), all problems in lockstep.
 
     func(U, r) returns the values of the rows of U, row j being a point of
@@ -216,10 +216,10 @@ def _nelder_mead(
     sort and the stopping rule are those of scipy's `_minimize_neldermead`
     (not adaptive, no bounds), so the iterates are the same bits.
 
-    Returns the best vertex (R, N), the iteration and evaluation counts, and
-    whether the tolerance test stopped the problem (else maxiter did).  The
-    evaluation counts are scipy's: a candidate point counts only where
-    scipy evaluates it.
+    Returns the best vertex (R, N) and its value (R,), the iteration and
+    evaluation counts, and whether the tolerance test stopped the problem
+    (else maxiter did).  The value is scipy's `fun`, and the evaluation
+    counts are scipy's: a candidate point counts only where scipy evaluates it.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     # The four candidates a * xbar + b * worst; (-b) * w = -(b * w) exactly.
@@ -239,7 +239,7 @@ def _nelder_mead(
     # s, fs and nf hold the active problems act only; a problem's results
     # are written out when it stops.  Active problems share their iteration
     # count, so only convergence can shrink the active set.
-    x, nit, nfev = np.empty((R, N)), np.full(R, maxiter), np.empty(R, dtype=int)
+    x, fx, nit, nfev = np.empty((R, N)), np.empty(R), np.full(R, maxiter), np.empty(R, dtype=int)
     converged = np.zeros(R, dtype=bool)
     act, nf, r4 = ar, np.full(R, N + 1), np.tile(ar, 4)
     with np.errstate(invalid="ignore"):  # inf - inf at the walls
@@ -249,7 +249,8 @@ def _nelder_mead(
                 done[done] = np.maximum.reduce(np.abs(s[done, 1:] - s[done, :1]), axis=(1, 2)) <= xatol
                 if done.any():
                     stop = act[done]
-                    converged[stop], nit[stop], x[stop], nfev[stop] = True, it, s[done, 0], nf[done]
+                    converged[stop], nit[stop], nfev[stop] = True, it, nf[done]
+                    x[stop], fx[stop] = s[done, 0], fs[done, 0]
                     act, s, fs, nf = act[~done], s[~done], fs[~done], nf[~done]
                     if not act.size:
                         break
@@ -285,8 +286,8 @@ def _nelder_mead(
 
             ind = np.argsort(fs, axis=1)
             s, fs = s[ar[:, None], ind], fs[ar[:, None], ind]
-    x[act], nfev[act] = s[:, 0], nf
-    return x, nit, nfev, converged
+    x[act], fx[act], nfev[act] = s[:, 0], fs[:, 0], nf
+    return x, fx, nit, nfev, converged
 
 
 def _starts(cfg: SearchConfig, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -324,23 +325,14 @@ def minimize_lambda(cfg: SearchConfig) -> SearchResult:
             rows += len(U)
             return _objective(U, cfg, k, t[r])
 
-        x, nit, nfev, converged = _nelder_mead(objective, U0[run], cfg.maxiter, 1e-10 * cfg.kappa1, 1e-14)
-        kap, ok, (v, S) = _assemble(x, cfg, k, t)
-        M = key_matrix_from_parts(kap[ok], v[ok], S[ok], cfg.i - 1, cfg.K)
-        value = np.full(run.size, np.nan)
-        vecs = np.full((run.size, cfg.n, cfg.n), np.nan)
-        value[ok] = _relmin(M)
-        vecs[ok] = np.linalg.eigh(M)[1]
+        # A best vertex is never worse than its feasible start: every end point is feasible.
+        x, fx, nit, nfev, converged = _nelder_mead(objective, U0[run], cfg.maxiter, 1e-10 * cfg.kappa1, 1e-14)
+        kap, _, (v, S) = _assemble(x, cfg, k, t)
+        vecs = np.linalg.eigh(key_matrix_from_parts(kap, v, S, cfg.i - 1, cfg.K))[1]
         for j, r in enumerate(run):
-            rec = runs[r]
-            rec.nfev += int(nfev[j])
-            rec.nit = int(nit[j])
-            if not ok[j]:
-                rec.status = "infeasible_end"
-                continue
-            rec.status = "converged" if converged[j] else "maxiter"
-            rec.value = float(value[j])
-            candidates.append(SearchWitness(kappa=kap[j].tolist(), value=rec.value, xi=vecs[j, :, 0].tolist()))
+            status = "converged" if converged[j] else "maxiter"
+            runs[r] = SearchRun(True, runs[r].nfev + int(nfev[j]), int(nit[j]), status, float(fx[j]))
+            candidates.append(SearchWitness(kappa=kap[j].tolist(), value=runs[r].value, xi=vecs[j, :, 0].tolist()))
 
     candidates.sort(key=lambda w: w.value)
     ranked = candidates[:10]

@@ -436,3 +436,27 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        ("verify --n 5 --only L3_2 --kappa1 1e100 --samples 20 --jobs 1", 2, ""),
+        ("verify --n 5 --only C3_1_key --kappa1 1e300 --samples 20 --jobs 1", 2, ""),
+        ("verify --n 6 --only S7_case_key --kappa1 1e60 --samples 20 --jobs 1", 2, ""),
+        ("verify --n 6 --only S7_case_key --kappa1 1e100 --samples 20 --jobs 1", 2, ""),
+        (
+            "search --n 5 --k 4 --kappa1 1e100 --restarts 2", 2,
+            "error: sampling exhausted after 100000 draws (0/2 accepted); "
+            "most-rejecting constraint: finite (100000 rejections)\n",
+        ),
+        ("threshold --check L3_2 --n 5 --hi 1e100 --steps 1 --samples 20", 1, ""),
+    ],
+    ids=["L3_2", "C3_1_key", "S7_case_key-1e60", "S7_case_key-1e100", "search", "threshold"],
+)
+def test_huge_scale_candidates_are_rejected_silently(argv, code, err, tmp_path, capsys):
+    # Candidates whose arithmetic overflows at a huge kappa_1 are rejected
+    # and counted; numpy must not warn about them.  In process, so the
+    # test run's error::RuntimeWarning filter turns a warning into a failure.
+    assert main([*argv.split(), "--out", str(tmp_path / "r.jsonl")]) == code
+    assert capsys.readouterr().err == err

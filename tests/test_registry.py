@@ -337,6 +337,27 @@ class TestDeterminismAndWitness:
         if res.kind != "ASYMPTOTIC":  # a fixed check here evaluates every row it draws
             assert res.samples == samples
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda w: w.pop("i"), id="no-i"),
+            pytest.param(lambda w: w.pop("aux"), id="no-aux"),
+            pytest.param(lambda w: w.pop("check"), id="no-check"),
+            pytest.param(lambda w: w.update(check="nope"), id="unknown-check"),
+            pytest.param(lambda w: w.update(kappa=[w["kappa"]] * 2), id="2d-kappa"),
+            pytest.param(lambda w: w.update(kappa=[]), id="empty-kappa"),
+            pytest.param(lambda w: w.update(i=len(w["kappa"]) + 1), id="i-above-n"),
+        ],
+    )
+    def test_malformed_witness_is_invalid(self, edit):
+        # Each edit leaves a witness no run records: without "i" a replay
+        # would have to guess the near-top index, and the slack depends on it.
+        witness = run_check("C3_1_key", n=5, samples=100, seed=1).witness
+        assert witness_slack(witness) == witness["slack"]
+        edit(witness)
+        with pytest.raises(InvalidInputError):
+            witness_slack(witness)
+
     def test_run_and_replay_see_the_same_params(self, monkeypatch):
         seen = {"run": set(), "replay": set()}
         phase = ["run"]
@@ -411,6 +432,26 @@ class TestSweepGroups:
             one = check.rows(X, aux, dict(P, K=(K,)))
             assert np.array_equal(grid[a].view(np.uint64), one[0].view(np.uint64)), K
         assert np.isfinite(grid).any()
+
+    def test_ties_go_to_the_earlier_block_then_K_then_row(self, monkeypatch):
+        # Two blocks of four rows at three Ks, with the least slack 1 at
+        # (block 0, K 1, row 2), (block 0, K 2, row 0) and (block 1, K 0, row 1):
+        # the earlier block wins, and within it the earlier K before the earlier row.
+        planted = iter([[[4, 4, 4, 4], [4, 4, 1, 4], [1, 4, 4, 4]], [[4, 1, 4, 4], [4, 4, 4, 4], [4, 4, 4, 4]]])
+        drawn = []
+
+        def rows(X, aux, P):
+            drawn.append(X)
+            return np.array(next(planted), dtype=float)
+
+        check = LemmaCheck("test_local", "ASYMPTOTIC", "planted ties", "real", rows, lambda n: (3,), uses_K=True)
+        monkeypatch.setattr(registry, "_BLOCK", 4)
+        P = registry._params(5, 3, 1, (1e1, 1e2, 1e3), 1e3)
+        tally = registry._eval_point(check, P, make_rng(0), 8)
+        assert len(drawn) == 2
+        assert (tally.best, tally.used, tally.nonfinite, tally.excluded) == (1.0, 24, 0, 0)
+        assert (tally.witness["K"], tally.witness["slack"]) == (1e2, 1.0)
+        assert tally.witness["kappa"] == drawn[0][2].tolist()
 
     @pytest.mark.parametrize("check_id", K_CHECKS)
     def test_one_rows_call_per_block(self, monkeypatch, check_id):

@@ -19,7 +19,7 @@ from symcone import (
     threshold_bisect,
 )
 from symcone.cones import SIGMA_RANGE_NOISE_FACTOR
-from symcone.quadforms import _relmin, key_matrix_batch
+from symcone.quadforms import _relmin, key_matrix_batch, key_matrix_from_parts
 from symcone.symfun import batch_coeffs, batch_excl1_table, batch_excl2_table
 
 from oracles import in_gamma
@@ -129,18 +129,11 @@ class TestMinimizeLambda:
         starts = [r for r in res.runs if not r.start_feasible]
         assert starts and all(r.status == "infeasible_start" and r.nfev == 1 and r.nit == 0 for r in starts)
         assert all(r.value is None for r in starts)
-
-    def test_infeasible_end_point_is_recorded_not_ranked(self, monkeypatch):
-        def stuck_at_zero(func, x0, maxiter, xatol, fatol):
-            R = len(x0)
-            return np.zeros_like(x0), np.full(R, 3), np.full(R, 7), np.zeros(R, dtype=bool)
-
-        monkeypatch.setattr(search, "_nelder_mead", stuck_at_zero)
-        res = minimize_lambda(small_cfg(restarts=3))
-        assert res.best is None and res.ranked == [] and res.restarts_used == 0
-        assert [(r.status, r.nfev, r.nit, r.value) for r in res.runs] == [("infeasible_end", 8, 3, None)] * 3
-        assert res.evaluations == 24
-        assert (res.objective_calls, res.objective_rows) == (1, 3)  # the start-point check only
+        # A feasible start ends feasible, with the engine's value: the key
+        # form at the end point, bit for bit.
+        assert len(ended) == len(res.runs) - len(starts)
+        for w in res.ranked:
+            assert w.value == _relmin(key_matrix_batch(np.array([w.kappa]), 3, 1, 1e3)[0])[0]
 
     def test_objective_accounting(self):
         cfg = small_cfg(seed=0, restarts=6)
@@ -188,7 +181,7 @@ class TestLockstepNelderMead:
         optimize = pytest.importorskip("scipy.optimize")
         U0, f = _objective_of(cfg)
         opts = {"maxiter": cfg.maxiter, "xatol": 1e-10 * cfg.kappa1, "fatol": 1e-14}
-        x, nit, nfev, converged = search._nelder_mead(f, U0, cfg.maxiter, opts["xatol"], opts["fatol"])
+        x, fx, nit, nfev, converged = search._nelder_mead(f, U0, cfg.maxiter, opts["xatol"], opts["fatol"])
         runs = minimize_lambda(cfg).runs
         for r in range(cfg.restarts):  # infeasible starts included: an all-+inf simplex
             with np.errstate(invalid="ignore"):  # scipy's stopping test sees inf - inf too
@@ -196,10 +189,12 @@ class TestLockstepNelderMead:
                     lambda u: float(f(u[None, :], np.array([r]))[0]), U0[r], method="Nelder-Mead", options=opts
                 )
             assert x[r].tobytes() == ref.x.tobytes()
+            assert fx[r] == ref.fun
             assert (nit[r], nfev[r], converged[r]) == (ref.nit, ref.nfev, ref.status == 0)
             if runs[r].start_feasible:
                 assert (runs[r].nit, runs[r].nfev) == (ref.nit, ref.nfev + 1)
                 assert runs[r].status == ("converged" if ref.status == 0 else "maxiter")
+                assert runs[r].value == ref.fun
 
     @pytest.mark.parametrize("N", [1, 2, 4, 9, 20])
     def test_matches_scipy_on_walled_valley(self, N):
@@ -209,7 +204,7 @@ class TestLockstepNelderMead:
         X0[0] = 0.0  # zero coordinates take the zdelt step
         X0[1] = 3.0  # outside the wall: every vertex is +inf
         opts = {"maxiter": 120, "xatol": 1e-8, "fatol": 1e-10}
-        x, nit, nfev, converged = search._nelder_mead(_walled_rosenbrock, X0, 120, opts["xatol"], opts["fatol"])
+        x, fx, nit, nfev, converged = search._nelder_mead(_walled_rosenbrock, X0, 120, opts["xatol"], opts["fatol"])
         for r in range(6):
             with np.errstate(invalid="ignore"):
                 ref = optimize.minimize(
@@ -219,6 +214,7 @@ class TestLockstepNelderMead:
                     options=opts,
                 )
             assert x[r].tobytes() == ref.x.tobytes()
+            assert fx[r] == ref.fun
             assert (nit[r], nfev[r], converged[r]) == (ref.nit, ref.nfev, ref.status == 0)
 
     def test_lockstep_equals_each_start_alone(self):
@@ -255,7 +251,7 @@ class TestLockstepNelderMead:
             calls.append(r.copy())
             return func(U, r)
 
-        _, nit, nfev, _ = search._nelder_mead(counted, X0, *args)
+        _, _, nit, nfev, _ = search._nelder_mead(counted, X0, *args)
         assert np.array_equal(calls[0], np.repeat(np.arange(R), N + 1))
         steps, shrink_calls, shrunk, j = 0, 0, np.zeros(R, dtype=int), 1
         while j < len(calls):
@@ -374,6 +370,32 @@ class TestAssemble:
                 assert f[ok].tobytes() == want.tobytes()
                 margin_only += int((batch_coeffs(X)[:, k] <= 0.0).sum())
         assert margin_only > 0
+
+    def test_objective_rows_are_independent(self):
+        # A row's value does not depend on the other rows of its call: the
+        # engine evaluates every restart's points in one call, and the search
+        # reports the engine's values.  At K = 1e133 the key form of start 3
+        # has an overflowing Frobenius norm (the rescaled path of `_relmin`),
+        # and a NaN row is infeasible (the masked path of `_objective`).
+        cfg = SearchConfig(n=5, k=3, K=1e133, kappa1=1e4, restarts=12, seed=3)
+        U0, target = search._starts(cfg, 3)
+        kap, ok, (v, S) = search._assemble(U0, cfg, 3, target)
+        M = key_matrix_from_parts(kap, v, S, cfg.i - 1, cfg.K)
+        with np.errstate(over="ignore"):
+            big = np.isinf(np.sqrt(np.sum(M * M, axis=(1, 2))))
+        assert ok.all() and np.flatnonzero(big).tolist() == [3]
+        plain = np.flatnonzero(~big)
+
+        def f(rows, extra=np.empty((0, 3)), t_extra=np.empty(0)):
+            return search._objective(np.concatenate([extra, U0[rows]]), cfg, 3, np.r_[t_extra, target[rows]])
+
+        alone = f(plain)
+        with_infeasible = f(plain, np.array([[999.0, np.nan, 1.0]]), np.array([2.0]))
+        everything = f(np.arange(12))
+        assert np.isfinite(everything).all() and with_infeasible[0] == np.inf
+        assert with_infeasible[1:].tobytes() == alone.tobytes() == everything[plain].tobytes()
+        assert f(np.arange(12)[::-1])[::-1].tobytes() == everything.tobytes()
+        assert f([3]).tobytes() == everything[3:4].tobytes()
 
     def test_objective_is_inf_exactly_where_infeasible(self):
         cfg = small_cfg(seed=0, restarts=6)
