@@ -162,10 +162,12 @@ def _rows_l35b(X, aux, P):
     E = batch_excl1_table(X)
     s_ii = order(E, k - 1)[:, i0]
     s2 = batch_excl2_table(X, (k - 2,))[k - 2][:, i0, :]  # zero at l = i0
-    mask = np.arange(n) != i0
-    lhs = 2.0 * (w[:, mask] * s2[:, mask] * h[:, mask] ** 2).sum(axis=1)
-    rhs = (1.0 / logP) * s_ii * (w[:, mask] * h[:, mask] ** 2).sum(axis=1)
-    v = 2.0 * X[:, 0] * s2[:, mask].T - s_ii  # the scalar sufficient bound at each l != i0
+    # C-contiguous columns l != i0, so that each row's sum runs over its own last axis
+    others = np.delete(np.arange(n), i0)
+    w, s2, h2 = (np.ascontiguousarray(a[:, others]) for a in (w, s2, h**2))
+    lhs = 2.0 * (w * s2 * h2).sum(axis=1)
+    rhs = (1.0 / logP) * s_ii * (w * h2).sum(axis=1)
+    v = 2.0 * X[:, 0] * s2.T - s_ii  # the scalar sufficient bound at each l != i0
     return np.minimum.reduce(np.concatenate([_ineq(lhs, rhs)[None], v / (1.0 + np.abs(v))]), axis=0)
 
 

@@ -2,7 +2,8 @@
 forked worker processes and returns the outcomes in item order.
 
 The workers inherit `fn` and `items` from the fork, so nothing is sent to
-them, and each sends back one pickled message; outcomes must pickle.
+them, and each sends back one pickled message; outcomes must pickle.  It is
+built on plain POSIX calls, without `multiprocessing` or `/dev/shm`.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def _keep_worker_heap() -> None:
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-def _work(fn: Callable, items: Sequence, counter, lock, pipe: Tuple[int, int], sigint) -> None:
-    """Body of a forked worker: put back the SIGINT handler `sigint`, claim
-    items until none is left, send one message, exit."""
+def _work(fn: Callable, items: Sequence, counter, token: Tuple[int, int], pipe: Tuple[int, int], mask) -> None:
+    """Body of a forked worker: put back the signal mask `mask`, claim items
+    until none is left, send one message, exit."""
     global _IN_WORKER
     code = 1
     try:
@@ -67,15 +68,16 @@ def _work(fn: Callable, items: Sequence, counter, lock, pipe: Tuple[int, int], s
         import signal
         import traceback
 
-        signal.signal(signal.SIGINT, sigint)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(pipe[0])
         _IN_WORKER = True
         _keep_worker_heap()
         done = []
         while True:
-            with lock:
-                j = counter.value
-                counter.value = j + 1
+            os.read(token[0], 1)  # take the token: the counter is ours until we put it back
+            j = int.from_bytes(counter[:8], "little")
+            counter[:8] = (j + 1).to_bytes(8, "little")
+            os.write(token[1], b"\0")
             if j >= len(items):
                 break
             try:
@@ -93,49 +95,46 @@ def _work(fn: Callable, items: Sequence, counter, lock, pipe: Tuple[int, int], s
         os._exit(code)
 
 
-def _fork_join(fn: Callable, items: Sequence, workers: int, ctx) -> list:
+def _fork_join(fn: Callable, items: Sequence, workers: int) -> list:
     """Outcomes of fn on `items` in order, from `workers` children forked from this process.
 
-    The children inherit fn and the items, claim item indices from a shared
-    counter and each write one pickled list of (index, outcome) to its own
-    pipe.  This process never calls fn and never tunes its own allocator.
-    However this function exits, every child still running is killed, and
-    every child is reaped.
+    The children inherit fn and the items, claim item indices one at a time
+    and each write one pickled list of (index, outcome) to its own pipe.  The
+    next index lives in one shared anonymous page, guarded by a one-byte token
+    in a second pipe (a 1-byte pipe read is atomic).  This process never calls
+    fn and never tunes its own allocator.  However this function exits, every
+    child still running is killed, and every child is reaped.
 
     A SIGINT that arrives while os.fork runs its at-fork hooks would be
     raised inside a hook, where Python only reports it and the run goes on.
-    So each fork runs under a SIGINT handler that only records the signal.
-    The child puts the previous handler back before it starts work; this
-    process puts it back once the child is in `pids`, then acts on a
-    recorded signal as that handler would have.
+    So SIGINT is blocked around each fork.  The child puts the previous mask
+    back before it starts work, and this process once the child is in `pids`,
+    which delivers a SIGINT held meanwhile.
     """
+    import mmap
     import pickle
     import select
     import signal
 
-    counter = ctx.RawValue("q", 0)
-    lock = ctx.Lock()
+    counter = mmap.mmap(-1, 8)  # MAP_SHARED | MAP_ANONYMOUS, zero-filled
+    token = os.pipe()
+    os.write(token[1], b"\0")
     pids: Dict[int, int] = {}  # read end of a child's pipe -> its pid, until reaped
     try:
         for _ in range(workers):
             pipe = os.pipe()
-            held = []
-            prev = signal.signal(signal.SIGINT, lambda signum, frame: held.append(signum))
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, items, counter, lock, pipe, prev)
+                    _work(fn, items, counter, token, pipe, mask)
                 pids[pipe[0]] = pid
             except BaseException:
                 os.close(pipe[0])
                 raise
             finally:
                 os.close(pipe[1])
-                signal.signal(signal.SIGINT, prev)
-            if held and prev == signal.SIG_DFL:
-                os.kill(os.getpid(), signal.SIGINT)
-            elif held and callable(prev):
-                prev(signal.SIGINT, None)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         chunks: Dict[int, List[bytes]] = {r: [] for r in pids}
         poller = select.poll()
         for r in pids:
@@ -160,6 +159,8 @@ def _fork_join(fn: Callable, items: Sequence, workers: int, ctx) -> list:
                 pass
             os.waitpid(pid, 0)
             os.close(r)
+        os.close(token[0])
+        os.close(token[1])
     outcomes = [None] * len(items)
     for parts in chunks.values():
         for j, out in pickle.loads(b"".join(parts)):
@@ -170,21 +171,18 @@ def _fork_join(fn: Callable, items: Sequence, workers: int, ctx) -> list:
 def fork_map(fn: Callable, items: Sequence, jobs: int) -> list:
     """[fn(item) for item in items], on min(jobs, len(items)) forked workers.
 
-    Runs in this process with one worker, inside a worker, without the
-    fork start method, or while other threads run (a fork could copy a
-    lock one of them holds).  An exception that fn raises propagates; the
-    first in item order wins, as in process, with the worker's traceback as
-    its cause.  A worker that dies raises RuntimeError naming its exit
-    status (minus the signal number for a signal).
+    Runs in this process with one worker, inside a worker, without os.fork,
+    or while other threads run (a fork could copy a lock one of them holds).
+    An exception that fn raises propagates; the first in item order wins, as
+    in process, with the worker's traceback as its cause.  A worker that dies
+    raises RuntimeError naming its exit status (minus the signal number for a
+    signal).
     """
     workers = min(jobs, len(items))
-    if workers > 1 and not _IN_WORKER and threading.active_count() == 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            outcomes = _fork_join(fn, items, workers, multiprocessing.get_context("fork"))
-            for out in outcomes:
-                if isinstance(out, _Raised):
-                    raise out.exc from RuntimeError(f"in a worker:\n{out.trace}")
-            return outcomes
+    if workers > 1 and not _IN_WORKER and hasattr(os, "fork") and threading.active_count() == 1:
+        outcomes = _fork_join(fn, items, workers)
+        for out in outcomes:
+            if isinstance(out, _Raised):
+                raise out.exc from RuntimeError(f"in a worker:\n{out.trace}")
+        return outcomes
     return [fn(item) for item in items]

@@ -1,11 +1,16 @@
 """parallel.fork_map on toy functions, independent of the registry."""
 
+import json
+import mmap
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import symcone
 from symcone.parallel import fork_map
 
 
@@ -75,3 +80,47 @@ def test_nested_map_stays_in_its_worker():
 
 def test_no_items():
     assert fork_map(lambda x: x, [], 2) == []
+
+
+def test_each_item_runs_once_under_contention():
+    # More workers than CPUs on items that take no time, so the workers
+    # contend for the counter; a lost update would run some item twice.
+    items = list(range(20_000))
+    runs = mmap.mmap(-1, len(items))  # shared with the workers: each item's run count
+
+    def fn(x):
+        runs[x] += 1
+        return x
+
+    def timeout(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        assert fork_map(fn, items, 8) == items
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert runs[:] == bytes([1]) * len(items)
+    assert_no_child_left()
+
+
+FRESH = """
+import json, os, sys, time
+import symcone
+from symcone.parallel import fork_map
+pids = fork_map(lambda x: time.sleep(0.05) or os.getpid(), list(range(4)), 2)
+print(json.dumps([os.getpid(), pids, [m for m in ("multiprocessing", "_multiprocessing") if m in sys.modules]]))
+"""
+
+
+def test_forks_without_multiprocessing():
+    # A fresh interpreter, so that no other test has imported the module.
+    src = os.path.dirname(os.path.dirname(symcone.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", FRESH], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    parent, pids, loaded = json.loads(proc.stdout)
+    assert len(pids) == 4 and parent not in pids
+    assert loaded == []

@@ -516,15 +516,28 @@ class TestTablesOncePerBlock:
 
 class TestRowIndependence:
     """A row's slack does not depend on the other rows of its block: the
-    slacks of a block are the slacks of its splits, bit for bit."""
+    slacks of a block are the slacks of its splits, bit for bit.
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
+    n = 9 puts 8 terms in a sum over the entries but one, where numpy's
+    pairwise summation starts; the lowest kappa_1 group spreads the weights
+    that the top group's draws make nearly one-hot."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 9])
     @pytest.mark.parametrize("check_id", [c.id for c in registry_list()])
     def test_block_equals_its_splits(self, check_id, n):
+        self._check(check_id, n, -1)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 9])
+    @pytest.mark.parametrize("check_id", [c.id for c in registry_list()])
+    def test_block_equals_its_splits_at_the_lowest_kappa1(self, check_id, n):
+        self._check(check_id, n, 0)
+
+    @staticmethod
+    def _check(check_id, n, group):
         check = registry.REGISTRY[check_id]
         ctx = RunContext(n=n, samples=64, seed=11)
         levels, groups, Ks = registry._grid(check, ctx)
-        P = registry._params(n, levels[0], ctx.i - 1, Ks, groups[-1])
+        P = registry._params(n, levels[0], ctx.i - 1, Ks, groups[group])
         X, aux = registry._draw(check, P, make_rng(n), 64)
         whole = check.rows(X, aux, P)
         parts = [check.rows(X[a:b], {key: v[a:b] for key, v in aux.items()}, P) for a, b in ((0, 1), (1, 40), (40, 64))]
