@@ -2,14 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .cones import make_rng, sample_batch
+from .cones import CaseLabel, classify_case, make_rng, sample_batch
 from .errors import (
     DomainError,
     InvalidInputError,
     SamplingExhaustedError,
     SymconeError,
 )
-from .hypotheses import CaseLabel, classify_case
 from .registry import (
     CheckResult,
     LemmaCheck,
@@ -37,7 +36,6 @@ __all__ = [
     # cones
     "sample_batch",
     "make_rng",
-    # hypotheses
     "CaseLabel",
     "classify_case",
     # registry

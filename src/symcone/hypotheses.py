@@ -1,9 +1,10 @@
-"""The hypotheses of the registry's checks: case classification and samplers.
+"""The hypothesis samplers of the registry's checks.
 
-The case classifier sorts a vector at level k = n - 2 into the five regions
-A, B1, B2, B3 and C of the paper's proof.  Each sampler draws exactly B rows
-that satisfy one check's hypothesis, and nothing else, as
-`sampler(P, rng, B) -> X`; `_SAMPLERS` names the variants the catalog uses.
+Each sampler draws exactly B rows that satisfy one check's hypothesis, and
+nothing else, as `sampler(P, rng, B) -> X`; `_SAMPLERS` names the variants
+the catalog uses.  The conjecture-regime sampler `cones.sample_batch` is one
+of them as it stands, and with its case conditioning bound; the tail-case
+sampler here shares its accept test `cones._feasible_mask`.
 A statement that also reads per-row auxiliary draws (a constant K, a
 direction xi or h) names them, and `_AUX` draws each one after the rows, on
 the same stream.  A sampler that cannot realize its hypothesis within its
@@ -14,106 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
 
 import numpy as np
 
-from .cones import (
-    SIGMA_K_WINDOW,
-    _BLOCK,
-    _descending,
-    _feasible_mask,
-    rejection_sample,
-    sample_batch,
-)
-from .errors import DomainError, InvalidInputError
+from .cones import SIGMA_K_WINDOW, _BLOCK, _REGIME_COUNTS, _descending, _feasible_mask, rejection_sample, sample_batch
 from .symfun import batch_coeffs_t
 
-__all__ = ["CaseLabel", "classify_case", "classify_masks"]
-
 _SAMPLER_BUDGET = 400_000
-
-
-# ---------------------------------------------------------------------------
-# Case classification at level k = n - 2.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CaseLabel:
-    primary: str
-    labels: Tuple[str, ...]
-
-
-_CASE_ORDER = ("A", "B1", "B2", "B3", "C")
-_TAIL_CASES = ("B3", "C")  # the cases `_sampler_tail_cases` draws
-
-
-def classify_masks(X: np.ndarray, i0: int) -> Dict[str, np.ndarray]:
-    """Boolean case masks for rows sorted descending, at level k = n - 2.
-
-    The five regions are decided by the sign of sigma_{n-2}(kappa|i), the
-    signs of the two smallest entries, and two product criteria with margin
-    delta_0 = 1/(32 n (n-2)).  The seam sigma_{n-2}(kappa|i) = 0 belongs to C.
-    B1 and B2 may overlap; membership is reported for all of them.
-    """
-    XT = np.ascontiguousarray(X.T)
-    return _case_masks(XT, batch_coeffs_t(XT), i0)
-
-
-def _case_masks(XT: np.ndarray, c: np.ndarray, i0: int) -> Dict[str, np.ndarray]:
-    """`classify_masks` on the columns of XT (n, B), given their sigma table c."""
-    n = XT.shape[0]
-    cb = batch_coeffs_t(np.delete(XT, i0, axis=0))
-    sbar, s3bar = cb[n - 2], cb[n - 3]
-    sk = c[n - 2]
-    d0 = 1.0 / (32.0 * n * (n - 2))
-    top = XT[0].copy()
-    for j in range(1, n - 2):
-        top *= XT[j]
-    A = (sbar <= 0.0) & (XT[n - 2] <= 0.0)
-    Breg = (sbar <= 0.0) & (XT[n - 1] < 0.0) & (XT[n - 2] > 0.0)
-    b1 = XT[i0] * s3bar >= (1.0 + d0) * sk
-    b2 = top >= 2.0 * (n - 2) * sk
-    return {
-        "A": A,
-        "B1": Breg & b1,
-        "B2": Breg & b2,
-        "B3": Breg & ~b1 & ~b2,
-        "C": sbar >= 0.0,
-    }
-
-
-def classify_case(kappa, i: int) -> CaseLabel:
-    """Case of one vector (sorted descending) at level k = n - 2; i is 1-based."""
-    arr = np.asarray(kappa, dtype=float)
-    if arr.ndim != 1 or arr.size < 4:
-        raise InvalidInputError("classify_case needs a 1-D vector with n >= 4")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("kappa contains non-finite entries")
-    if np.any(np.diff(arr) > 0):
-        raise InvalidInputError("classify_case requires kappa sorted descending")
-    if not 1 <= i <= arr.size:
-        raise InvalidInputError(f"i={i} out of range [1, {arr.size}]")
-    masks = classify_masks(arr[None, :], i - 1)
-    labels = tuple(name for name in _CASE_ORDER if bool(masks[name][0]))
-    if not labels:
-        raise DomainError("vector falls outside the five-case partition")
-    return CaseLabel(primary=labels[0], labels=labels)
-
-
-def _case_predicate(i0: int, cases: Tuple[str, ...]):
-    """A `sample_batch` predicate keeping the columns that fall in any of `cases`."""
-
-    def pred(XT: np.ndarray, c: np.ndarray) -> np.ndarray:
-        masks = _case_masks(XT, c, i0)
-        keep = np.zeros(XT.shape[1], dtype=bool)
-        for name in cases:
-            keep |= masks[name]
-        return keep
-
-    return pred
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +119,7 @@ def _sampler_tail_cases(P, rng, B):
     k1 = P["kappa1"]
     i0 = P["i0"]
     d0 = 1.0 / (32.0 * n * (n - 2))
-    pred = _case_predicate(i0, _TAIL_CASES)
-    counts = {
-        "finite": 0, "gamma_k": 0, "kappa1_target": 0, "near_top": 0,
-        "sigma_k_range": 0, "predicate": 0, "discriminant": 0,
-    }
+    counts = dict.fromkeys(_REGIME_COUNTS + ("discriminant",), 0)
     nm = n - 4
     log_st = tuple(map(math.log, SIGMA_K_WINDOW))
     log_mid = math.log(0.9 * k1)
@@ -265,16 +169,9 @@ def _sampler_tail_cases(P, rng, B):
             XT[n - 2] = (xs - r) / 2.0
         XT[n - 1] = ki[rows]
         X = _descending(np.ascontiguousarray(XT.T))
-        return X[_feasible_mask(X, k, k1, i0 + 1, counts, pred)]
+        return X[_feasible_mask(X, k, k1, i0 + 1, counts, ("B3", "C"))]
 
     return rejection_sample(draw, B, lambda left, room: 4096, _SAMPLER_BUDGET, counts, "tail-case sampler")
-
-
-def _sampler_main(P, rng, B, *, cases=None):
-    """The conjecture-regime sampler: kappa_1 pinned, index i near the top,
-    sigma_k in SIGMA_K_WINDOW; optional case conditioning."""
-    pred = _case_predicate(P["i0"], cases) if cases else None
-    return sample_batch(rng, B, P["n"], P["k"], P["kappa1"], near_top_index=P["i0"] + 1, predicate=pred)
 
 
 _SAMPLERS = {
@@ -285,8 +182,8 @@ _SAMPLERS = {
     "bar": _sampler_bar,
     "bark": functools.partial(_sampler_gamma, barred=True),
     "l59": _sampler_l59,
-    "main": _sampler_main,
-    "main_abb2": functools.partial(_sampler_main, cases=("A", "B1", "B2")),
+    "main": sample_batch,
+    "main_abb2": functools.partial(sample_batch, cases=("A", "B1", "B2")),
     "tail_cases": _sampler_tail_cases,
 }
 

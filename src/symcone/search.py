@@ -36,7 +36,7 @@ import numpy as np
 from .cones import _EPS, SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, check_regime_level, make_rng, sample_batch
 from .errors import InvalidInputError, SamplingExhaustedError
 from .quadforms import _relmin, inv_c, key_matrix_batch, key_matrix_from_parts
-from .registry import RunContext, _check_for, run_check
+from .registry import RunContext, _check_for, _params, run_check
 from .symfun import batch_coeffs, batch_coeffs_t
 
 __all__ = [
@@ -293,7 +293,7 @@ def _nelder_mead(
 def _starts(cfg: SearchConfig, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The free coordinates of every restart's start point and its sigma_k
     target.  Raises SamplingExhaustedError when no start can be drawn."""
-    starts = sample_batch(make_rng(cfg.seed), cfg.restarts, cfg.n, k, cfg.kappa1, near_top_index=cfg.i)
+    starts = sample_batch(_params(cfg.n, k, cfg.i - 1, (cfg.K,), cfg.kappa1), make_rng(cfg.seed), cfg.restarts)
     # Rescale so kappa_1 sits exactly at the pinned scale (samples jitter it
     # by 0.5%); keep each row's own sigma_k as its slice target so the
     # re-solved last entry reproduces a feasible point.

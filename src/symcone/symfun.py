@@ -33,7 +33,9 @@ __all__ = ["sigma"]
 
 
 def sigma(k: int, kappa) -> float:
-    """sigma_k of one finite 1-D vector."""
+    """sigma_k of one finite 1-D vector at an integer level k."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidInputError(f"k must be an integer, got {k!r}")
     arr = np.asarray(kappa, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidInputError(f"kappa must be a 1-D vector, got shape {arr.shape}")

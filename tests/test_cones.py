@@ -12,14 +12,21 @@ from symcone import (
     sample_batch,
     sigma,
 )
+import symcone.cones as cones
+from symcone.cones import classify_masks
 from symcone.hypotheses import _sampler_bar
 
 from oracles import in_gamma, sample_rows
 
 
+def regime(n, k, kappa1, i):
+    """The parameters P of `sample_batch` for the 1-based near-top index i."""
+    return {"n": n, "k": k, "kappa1": kappa1, "i0": i - 1}
+
+
 def draw_one(seed, n, k, kappa1, near_top_index):
     """One feasible vector from a fresh stream: `sample_batch` with count 1."""
-    return sample_batch(make_rng(seed), 1, n, k, kappa1, near_top_index)[0]
+    return sample_batch(regime(n, k, kappa1, near_top_index), make_rng(seed), 1)[0]
 
 
 def normalize(kappa, k, target):
@@ -135,7 +142,7 @@ class TestSampleBatch:
     def test_invariants_on_every_row(self):
         rng = make_rng(5)
         n, k = 6, 4
-        X = sample_batch(rng, 300, n, k, 1e3, near_top_index=2)
+        X = sample_batch(regime(n, k, 1e3, 2), rng, 300)
         assert X.shape == (300, n)
         for row in X:
             assert in_gamma(row, k)
@@ -149,17 +156,18 @@ class TestSampleBatch:
     def test_first_partials_positive(self):
         # d sigma_3 / d kappa_p = sigma_2(kappa|p)
         rng = make_rng(6)
-        X = sample_batch(rng, 50, 5, 3, 100.0, near_top_index=2)
+        X = sample_batch(regime(5, 3, 100.0, 2), rng, 50)
         for row in X:
             for p in range(5):
                 assert sigma(2, np.delete(row, p)) > 0.0
 
-    def test_exhaustion_reports_counts(self):
+    def test_exhaustion_reports_counts(self, monkeypatch):
         rng = make_rng(7)
+        monkeypatch.setattr(cones, "_REGIME_BUDGET", 2000)
         with pytest.raises(SamplingExhaustedError) as exc:
             # index n: the solved last entry, far below kappa_1, would have
             # to sit within sqrt(kappa_1)/n of the top
-            sample_batch(rng, 10, 5, 3, 1e4, near_top_index=5, max_attempts=2000)
+            sample_batch(regime(5, 3, 1e4, 5), rng, 10)
         assert exc.value.rejection_counts
         assert sum(exc.value.rejection_counts.values()) > 0
 
@@ -167,13 +175,13 @@ class TestSampleBatch:
     def test_level_outside_the_regime(self, k):
         # the last entry is solved through sigma_{k-1}: 2 <= k <= n-1, as in SearchConfig
         with pytest.raises(InvalidInputError, match=f"need 2 <= k <= n-1, got k={k}, n=5"):
-            sample_batch(make_rng(7), 10, 5, k, 1e3, near_top_index=2)
+            sample_batch(regime(5, k, 1e3, 2), make_rng(7), 10)
 
-    def test_predicate_filtering(self):
-        rng = make_rng(8)
-        pred = lambda XT, c: XT[-1] < 0.0  # the columns of XT are the rows
-        X = sample_batch(rng, 50, 6, 4, 1e3, near_top_index=2, predicate=pred)
-        assert np.all(X[:, -1] < 0.0)
+    @pytest.mark.parametrize("cases", [("A",), ("B1", "B2"), ("A", "C")])
+    def test_case_conditioning(self, cases):
+        X = sample_batch(regime(6, 4, 1e3, 2), make_rng(8), 50, cases=cases)
+        masks = classify_masks(X, 1)
+        assert X.shape == (50, 6) and np.logical_or.reduce([masks[c] for c in cases]).all()
 
 
 class TestSampleBarBatch:

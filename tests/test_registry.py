@@ -552,6 +552,15 @@ class TestClassifyCase:
         with pytest.raises(InvalidInputError, match="non-finite"):
             classify_case(np.array(kappa, dtype=float), 2)
 
+    @pytest.mark.parametrize("i", [2.0, np.float64(2.0), True, None])
+    def test_non_integer_index_is_invalid(self, i):
+        with pytest.raises(InvalidInputError, match="i must be an integer"):
+            classify_case(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), i)
+
+    def test_numpy_integer_index(self):
+        kappa = np.array([3.0, 2.9, 1.0, -0.1, -0.2])
+        assert classify_case(kappa, np.int32(2)) == classify_case(kappa, 2)
+
     def test_all_positive_is_c(self):
         label = classify_case(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), 2)
         assert label.primary == "C"

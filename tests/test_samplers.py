@@ -2,7 +2,7 @@
 
 The oracles are the row-major forms of `cones._candidates` and
 `cones._feasible_mask` (`oracles.sample_rows`), and below, of
-`hypotheses.classify_masks` and the tail-case draw: one `rng.uniform` call per
+`cones.classify_masks` and the tail-case draw: one `rng.uniform` call per
 quantity, sorting every candidate, the sigma_k(|kappa|) noise DP on every
 row.  The samplers must return the same rows bit for bit (compared as
 uint64) and tally the same rejections.
@@ -15,9 +15,15 @@ import pytest
 
 import symcone.cones as cones
 import symcone.hypotheses as hypotheses
-from symcone.cones import SIGMA_K_WINDOW, SIGMA_RANGE_NOISE_FACTOR, make_rng, rejection_sample, sample_batch
+from symcone.cones import (
+    SIGMA_K_WINDOW,
+    SIGMA_RANGE_NOISE_FACTOR,
+    classify_masks,
+    make_rng,
+    rejection_sample,
+    sample_batch,
+)
 from symcone.errors import SamplingExhaustedError
-from symcone.hypotheses import classify_masks
 from symcone.registry import ASYM_KAPPA1_GRID
 from symcone.symfun import batch_coeffs_t
 
@@ -71,7 +77,7 @@ def _tail_cases(P, rng, B, budget=400_000):
     k1 = P["kappa1"]
     i0 = P["i0"]
     d0 = 1.0 / (32.0 * n * (n - 2))
-    pred = _pred(i0, P.get("cases") or ("B3", "C"))
+    pred = _pred(i0, ("B3", "C"))
     counts = sampler_counts("discriminant")
 
     def draw(blk):
@@ -139,14 +145,14 @@ def _assert_counts(got, want):
     assert all(type(v) is int for v in got.values())
 
 
-def _params(n, kappa1, cases):
-    return {"n": n, "k": n - 2, "i0": 1, "kappa1": kappa1, "cases": cases}
+def _params(n, kappa1, k=None, i=2):
+    return {"n": n, "k": n - 2 if k is None else k, "i0": i - 1, "kappa1": kappa1}
 
 
 @pytest.mark.parametrize("kappa1", ASYM_KAPPA1_GRID)
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_tail_cases_sampler(n, kappa1, seen_counts):
-    P = _params(n, kappa1, ("B3", "C"))
+    P = _params(n, kappa1)
     seed = 1000 * n + int(math.log10(kappa1))
     X = hypotheses._sampler_tail_cases(P, make_rng(seed), 300)
     ref, counts = _tail_cases(P, make_rng(seed), 300)
@@ -156,32 +162,37 @@ def test_tail_cases_sampler(n, kappa1, seen_counts):
     assert counts["discriminant"] and counts["predicate"]
 
 
-@pytest.mark.parametrize("cases", [None, MAIN_CASES], ids=["all", "cases"])
+@pytest.mark.parametrize("cases", [(), MAIN_CASES], ids=["all", "cases"])
 @pytest.mark.parametrize("kappa1", ASYM_KAPPA1_GRID)
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_main_sampler(n, kappa1, cases, seen_counts):
-    P = _params(n, kappa1, cases)
+    P = _params(n, kappa1)
     seed = 2000 * n + int(math.log10(kappa1))
-    X = hypotheses._sampler_main(P, make_rng(seed), 200, cases=cases)
+    X = sample_batch(P, make_rng(seed), 200, cases=cases)
     pred = _pred(1, cases) if cases else None
     ref, counts = sample_rows(make_rng(seed), 200, n, n - 2, kappa1, 2, SIGMA_K_WINDOW, pred)
     _same(X, ref)
     _assert_counts(seen_counts[-1], counts)
 
 
+def test_catalog_regime_samplers_are_sample_batch():
+    P = _params(6, 1e3)
+    for name, cases in (("main", ()), ("main_abb2", MAIN_CASES)):
+        _same(hypotheses._SAMPLERS[name](P, make_rng(3), 100), sample_batch(P, make_rng(3), 100, cases=cases))
+
+
 def test_sigma_window_noise_margin_both_ways(seen_counts, monkeypatch):
     # At kappa_1 = 1e6 the solved sigma_k misses the window by a few ULPs of
     # sigma_k(|kappa|), so every row is kept by the noise margin alone.
-    args = (7, 5, 1e6)
-    X = sample_batch(make_rng(11), 300, *args, near_top_index=2)
-    ref, counts = sample_rows(make_rng(11), 300, *args, near_top_index=2, sigma_k_range=SIGMA_K_WINDOW)
+    X = sample_batch(_params(7, 1e6), make_rng(11), 300)
+    ref, counts = sample_rows(make_rng(11), 300, 7, 5, 1e6, near_top_index=2, sigma_k_range=SIGMA_K_WINDOW)
     _same(X, ref)
     _assert_counts(seen_counts[-1], counts)
     sk = rowwise_coeffs(X)[:, 5]
     assert np.all((sk < 1.0) | (sk > 10.0))
     # A window just above the largest sigma_k of moderate-scale rows: that
     # row and its close neighbours are inside the margin, the rest beyond it.
-    X = sample_batch(make_rng(12), 300, 6, 4, 1e4, near_top_index=2)
+    X = sample_batch(_params(6, 1e4), make_rng(12), 300)
     sk = rowwise_coeffs(X)[:, 4]
     noise = SIGMA_RANGE_NOISE_FACTOR * _EPS * rowwise_coeffs(np.abs(X))[:, 4]
     j = int(np.argmax(sk))
@@ -198,8 +209,8 @@ def test_feasible_mask_on_a_mixed_block(monkeypatch):
     # Sampled rows, half of them not drawn near the top (index 1 pins no
     # entry and its test holds on every kept row), some broken on purpose.
     X = np.concatenate([
-        sample_batch(make_rng(14), 100, 6, 4, 100.0, near_top_index=2),
-        sample_batch(make_rng(15), 100, 6, 4, 100.0, near_top_index=1),
+        sample_batch(_params(6, 100.0), make_rng(14), 100),
+        sample_batch(_params(6, 100.0, i=1), make_rng(15), 100),
     ])
     X[0, 5] = np.inf
     X[1, 2] = np.nan
@@ -208,21 +219,24 @@ def test_feasible_mask_on_a_mixed_block(monkeypatch):
     X[20:30, 0] *= 1.5  # kappa_1 off target
     window = (2.0, 10.0)  # rows with sigma_k in [1, 2) fall outside
     got, want = sampler_counts(), sampler_counts()
-    pred = lambda XT, c: XT[0] < 100.0
     monkeypatch.setattr(cones, "SIGMA_K_WINDOW", window)
-    mask = cones._feasible_mask(X, 4, 100.0, 2, got, pred)
+    mask = cones._feasible_mask(X, 4, 100.0, 2, got, ("B1", "B2"))
     with np.errstate(invalid="ignore"):
         ref = feasible(X, 4, 100.0, 2, window, want)
-    want["predicate"] = int(np.count_nonzero(ref & ~(X[:, 0] < 100.0)))
-    assert np.array_equal(mask, ref & (X[:, 0] < 100.0))
+    with np.errstate(all="ignore"):  # the broken rows, which `ref` rejects
+        masks = classify_masks(X, 1)
+    keep = masks["B1"] | masks["B2"]
+    want["predicate"] = int(np.count_nonzero(ref & ~keep))
+    assert np.array_equal(mask, ref & keep)
     _assert_counts(got, want)
     assert all(want.values())
 
 
-def test_exhausted_sample_batch_counts():
+def test_exhausted_sample_batch_counts(monkeypatch):
     # index n: the solved last entry, far below kappa_1, must sit near the top
+    monkeypatch.setattr(cones, "_REGIME_BUDGET", 2000)
     with pytest.raises(SamplingExhaustedError) as got:
-        sample_batch(make_rng(7), 10, 5, 3, 1e4, near_top_index=5, max_attempts=2000)
+        sample_batch(_params(5, 1e4, k=3, i=5), make_rng(7), 10)
     with pytest.raises(SamplingExhaustedError) as want:
         sample_rows(make_rng(7), 10, 5, 3, 1e4, near_top_index=5, sigma_k_range=SIGMA_K_WINDOW, max_attempts=2000)
     _assert_counts(got.value.rejection_counts, want.value.rejection_counts)
@@ -231,7 +245,7 @@ def test_exhausted_sample_batch_counts():
 
 def test_exhausted_tail_cases_counts(monkeypatch):
     monkeypatch.setattr(hypotheses, "_SAMPLER_BUDGET", 3 * 4096)
-    P = _params(6, 1e6, ("B3", "C"))
+    P = _params(6, 1e6)
     with pytest.raises(SamplingExhaustedError) as got:
         hypotheses._sampler_tail_cases(P, make_rng(3), 100_000)
     with pytest.raises(SamplingExhaustedError) as want:

@@ -1,6 +1,7 @@
 """Eigenvalue minimization and threshold location."""
 
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import symcone
-from symcone import search
+from symcone import registry, search
 
 from symcone import (
     InvalidInputError,
@@ -18,7 +19,8 @@ from symcone import (
     minimize_lambda,
     threshold_bisect,
 )
-from symcone.cones import SIGMA_RANGE_NOISE_FACTOR
+from symcone.cones import SIGMA_RANGE_NOISE_FACTOR, make_rng, sample_batch
+from symcone.hypotheses import _SAMPLERS
 from symcone.quadforms import _relmin, key_matrix_batch, key_matrix_from_parts
 from symcone.symfun import batch_coeffs, batch_excl1_table, batch_excl2_table
 
@@ -406,13 +408,31 @@ class TestAssemble:
         assert np.array_equal(np.isinf(f), ~ok)
 
 
+@pytest.mark.parametrize("n, k, i", [(5, 3, 2), (7, 5, 3), (6, 4, 1)])
+def test_starts_draw_the_registry_rows(n, k, i, monkeypatch):
+    # one sampler and one P builder: the search's starts are the rows the
+    # registry's "main" sampler draws from the same P and seed
+    cfg = small_cfg(n=n, k=k, i=i, kappa1=1e4, restarts=20, seed=11)
+    drawn = []
+
+    def spy(*args, **kwargs):
+        drawn.append(sample_batch(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(search, "sample_batch", spy)
+    U0, _ = search._starts(cfg, k)
+    P = registry._params(n, k, i - 1, (cfg.K,), cfg.kappa1)
+    want = _SAMPLERS["main"](P, make_rng(cfg.seed), cfg.restarts)
+    assert want.shape == (20, n) and drawn[0].view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    assert U0.tobytes() == (want * (cfg.kappa1 / want[:, :1]))[:, 1 : n - 1].tobytes()
+
+
 def test_import_leaves_scipy_out():
     # scipy is a test-only oracle; importing it costs most of symcone's start-up time and memory
     src = str(Path(symcone.__file__).resolve().parents[1])
     code = "import sys, symcone, symcone.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={"PYTHONPATH": src}, cwd=src
-    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, cwd=src)
     assert out.stdout.strip() == "[]"
 
 

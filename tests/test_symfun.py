@@ -70,6 +70,14 @@ class TestSigma:
         with pytest.raises(InvalidInputError):
             sigma(1, (math.inf, 1.0))
 
+    @pytest.mark.parametrize("k", [2.0, np.float64(1.0), True, False, "1", None])
+    def test_non_integer_level_rejected(self, k):
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            sigma(k, (1.0, 2.0))
+
+    def test_numpy_integer_level(self):
+        assert sigma(np.int64(2), (1.0, 2.0)) == sigma(2, (1.0, 2.0)) == 2.0
+
 
 class TestSigmaAll:
     def test_two_entries(self):
