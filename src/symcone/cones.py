@@ -27,6 +27,11 @@ The case classifier, which sorts a vector at level k = n - 2 into the five
 regions A, B1, B2, B3 and C of the paper's proof, is here too: the accept
 test `_feasible_mask` conditions on a tuple of case names, so the regime's
 samplers draw one case region or a union of them.
+
+`rejection_sample` is the loop of every rejection sampler, this one and
+those of `hypotheses`: it sizes each block from the acceptance rate it
+measures, so a sampler draws about the candidates its rows need and stops
+at exactly its budget.
 """
 
 from __future__ import annotations
@@ -225,21 +230,16 @@ def _feasible_mask(
     return ok
 
 
-def rejection_sample(
-    draw: Callable[[int], np.ndarray],
-    count: int,
-    block: Callable[[int, int], int],
-    budget: int,
-    counts: dict,
-    what: str,
-) -> np.ndarray:
+def rejection_sample(draw: Callable[[int], np.ndarray], count: int, budget: int, counts: dict, what: str) -> np.ndarray:
     """Stack the rows that `draw(B)` accepts from B fresh candidates until
-    `count` rows are in, and return exactly `count` of them.
+    `count` rows are in, and return the first `count` of them.
 
-    `block(left, room)` sizes each draw from the rows still missing and the
-    draws left in the budget; a size above `room` is drawn whole.  Once
-    `budget` candidates are spent, raise SamplingExhaustedError with the
-    per-constraint rejections that `draw` tallied in `counts`.
+    Each block is sized from the acceptance rate measured so far: the draws
+    the missing rows need at that rate, plus 1/8.  The rate is taken as 1
+    before the first block, and a block that follows only empty ones is
+    full.  A block is 64 to _BLOCK draws and never more than the budget
+    left, so once exactly `budget` candidates are spent, SamplingExhaustedError
+    reports the per-constraint rejections that `draw` tallied in `counts`.
     """
     out = []
     got = 0
@@ -252,7 +252,9 @@ def rejection_sample(
                 f"most-rejecting constraint: {worst} ({counts[worst]} rejections)",
                 rejection_counts=counts,
             )
-        B = block(count - got, budget - attempts)
+        need = count - got
+        B = _BLOCK if attempts and not got else need * (attempts or 1) // (got or 1) * 9 // 8 + 1
+        B = min(max(B, 64), _BLOCK, budget - attempts)
         attempts += B
         X = draw(B)
         if X.shape[0]:
@@ -266,16 +268,17 @@ def sample_batch(P: dict, rng: np.random.Generator, B: int, *, cases: Tuple[str,
     raise: kappa_1 within 1% of P["kappa1"], entry P["i0"] + 1 (1-based)
     near the top, sigma_k in SIGMA_K_WINDOW, at a level 2 <= k = P["k"] <=
     n - 1 (InvalidInputError otherwise) and, if `cases` names any, in one of
-    those case regions at level n - 2 (see `classify_masks`).
+    those case regions, which exist at k = n - 2 only (see `classify_masks`;
+    InvalidInputError at another level).
     """
     n, k, kappa1, near_top = P["n"], P["k"], P["kappa1"], P["i0"] + 1
     check_regime_level(n, k)
+    if cases and k != n - 2:
+        raise InvalidInputError(f"the case regions exist at k = n-2 only, got k={k}, n={n}")
     counts = dict.fromkeys(_REGIME_COUNTS, 0)
 
     def draw(blk: int) -> np.ndarray:
         X = _candidates(rng, blk, n, k, kappa1, near_top)
         return X[_feasible_mask(X, k, kappa1, near_top, counts, cases)]
 
-    return rejection_sample(
-        draw, B, lambda left, room: min(_BLOCK, max(64, 4 * left), room), _REGIME_BUDGET, counts, "sampling"
-    )
+    return rejection_sample(draw, B, _REGIME_BUDGET, counts, "sampling")

@@ -7,8 +7,11 @@ of them as it stands, and with its case conditioning bound; the tail-case
 sampler here shares its accept test `cones._feasible_mask`.
 A statement that also reads per-row auxiliary draws (a constant K, a
 direction xi or h) names them, and `_AUX` draws each one after the rows, on
-the same stream.  A sampler that cannot realize its hypothesis within its
-budget raises `SamplingExhaustedError` with the rejection breakdown.
+the same stream.  The rejection samplers here share the budget
+`_SAMPLER_BUDGET` and the loop `cones.rejection_sample`, which sizes their
+blocks from the acceptance rate it measures.  A sampler that cannot realize
+its hypothesis within its budget raises `SamplingExhaustedError` with the
+rejection breakdown.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 
 import numpy as np
 
-from .cones import SIGMA_K_WINDOW, _BLOCK, _REGIME_COUNTS, _descending, _feasible_mask, rejection_sample, sample_batch
+from .cones import SIGMA_K_WINDOW, _REGIME_COUNTS, _descending, _feasible_mask, rejection_sample, sample_batch
 from .symfun import batch_coeffs_t
 
 _SAMPLER_BUDGET = 400_000
@@ -56,7 +59,7 @@ def _sampler_gamma(P, rng, B, *, force_neg=0, barred=False):
         counts["membership"] += int(blk - keep.sum())
         return X[keep]
 
-    return rejection_sample(draw, B, lambda left, room: _BLOCK, _SAMPLER_BUDGET, counts, "gamma sampler")
+    return rejection_sample(draw, B, _SAMPLER_BUDGET, counts, "gamma sampler")
 
 
 def _sampler_bar(P, rng, B):
@@ -94,7 +97,7 @@ def _sampler_l59(P, rng, B):
         counts["hypothesis"] += int((member & ~hyp).sum())
         return X[member & hyp]
 
-    return rejection_sample(draw, B, lambda left, room: _BLOCK, _SAMPLER_BUDGET, counts, "scale sampler")
+    return rejection_sample(draw, B, _SAMPLER_BUDGET, counts, "scale sampler")
 
 
 def _uniform(u: np.ndarray, low, high) -> np.ndarray:
@@ -171,7 +174,7 @@ def _sampler_tail_cases(P, rng, B):
         X = _descending(np.ascontiguousarray(XT.T))
         return X[_feasible_mask(X, k, k1, i0 + 1, counts, ("B3", "C"))]
 
-    return rejection_sample(draw, B, lambda left, room: 4096, _SAMPLER_BUDGET, counts, "tail-case sampler")
+    return rejection_sample(draw, B, _SAMPLER_BUDGET, counts, "tail-case sampler")
 
 
 _SAMPLERS = {

@@ -143,5 +143,4 @@ def sample_rows(rng, count, n, k, kappa1, near_top_index=None, sigma_k_range=Non
             X = X[keep]
         return X
 
-    block = lambda left, room: min(2048, max(64, 4 * left), room)
-    return rejection_sample(draw, count, block, max_attempts, counts, "sampling"), counts
+    return rejection_sample(draw, count, max_attempts, counts, "sampling"), counts

@@ -177,6 +177,13 @@ class TestSampleBatch:
         with pytest.raises(InvalidInputError, match=f"need 2 <= k <= n-1, got k={k}, n=5"):
             sample_batch(regime(5, k, 1e3, 2), make_rng(7), 10)
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_cases_outside_level_n_minus_2(self, k):
+        # the case regions are defined at k = n - 2 only; an empty tuple is any level
+        with pytest.raises(InvalidInputError, match=f"k = n-2 only, got k={k}, n=6"):
+            sample_batch(regime(6, k, 1e3, 2), make_rng(1), 5, cases=("A",))
+        assert sample_batch(regime(6, k, 1e3, 2), make_rng(1), 5).shape == (5, 6)
+
     @pytest.mark.parametrize("cases", [("A",), ("B1", "B2"), ("A", "C")])
     def test_case_conditioning(self, cases):
         X = sample_batch(regime(6, 4, 1e3, 2), make_rng(8), 50, cases=cases)

@@ -118,7 +118,7 @@ def _tail_cases(P, rng, B, budget=400_000):
             X = X[keep]
         return X
 
-    return rejection_sample(draw, B, lambda left, room: 4096, budget, counts, "tail-case sampler"), counts
+    return rejection_sample(draw, B, budget, counts, "tail-case sampler"), counts
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +131,9 @@ def seen_counts(monkeypatch):
     """The rejection tallies each sampler hands to `rejection_sample`."""
     seen = []
 
-    def spy(draw, count, block, budget, counts, what):
+    def spy(draw, count, budget, counts, what):
         seen.append(counts)
-        return rejection_sample(draw, count, block, budget, counts, what)
+        return rejection_sample(draw, count, budget, counts, what)
 
     monkeypatch.setattr(cones, "rejection_sample", spy)
     monkeypatch.setattr(hypotheses, "rejection_sample", spy)
@@ -286,3 +286,88 @@ def test_coefficient_major_dp_matches_rows():
         _same(batch_coeffs_t(XT), ref.T)
         for top in (0, 2, 6, 9):
             _same(batch_coeffs_t(XT, top), ref.T[: min(top, 6) + 1])
+
+
+# ---------------------------------------------------------------------------
+# The block rule of `rejection_sample`.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """(budget, [(candidates, rows accepted) per block]) of each sampler call."""
+    calls = []
+
+    def spy(draw, count, budget, counts, what):
+        log = []
+        calls.append((budget, log))
+
+        def counted(B):
+            X = draw(B)
+            log.append((B, X.shape[0]))
+            return X
+
+        return rejection_sample(counted, count, budget, counts, what)
+
+    monkeypatch.setattr(cones, "rejection_sample", spy)
+    monkeypatch.setattr(hypotheses, "rejection_sample", spy)
+    return calls
+
+
+def test_block_rule_on_a_known_rate():
+    # Half of every block is accepted: the first block assumes rate 1, the
+    # second needs (1000 - 563) rows at the measured rate 563/1126, plus 1/8.
+    log = []
+
+    def half(B):
+        log.append(B)
+        return np.zeros((B // 2, 1))
+
+    X = rejection_sample(half, 1000, 100_000, {"x": 0}, "half")
+    assert X.shape == (1000, 1)
+    assert log == [1000 * 9 // 8 + 1, 437 * 1126 // 563 * 9 // 8 + 1]
+
+
+def test_block_rule_after_empty_blocks():
+    # A block after empty ones is full, the first one at least 64, and the
+    # last one never more than the budget left.
+    log = []
+
+    def dry(B):
+        log.append(B)
+        return np.empty((0, 1))
+
+    with pytest.raises(SamplingExhaustedError, match=r"^dry exhausted after 5000 draws \(0/10 accepted\)"):
+        rejection_sample(dry, 10, 5000, {"none": 0}, "dry")
+    assert log == [64, cones._BLOCK, cones._BLOCK, 5000 - 64 - 2 * cones._BLOCK]
+
+
+REJECTION_SAMPLERS = [  # catalog sampler and its parameters
+    pytest.param("cone", _params(6, 1.0), id="gamma"),
+    pytest.param("l59", _params(6, 1.0), id="scale"),
+    pytest.param("main", _params(6, 1e3), id="regime"),
+    pytest.param("tail_cases", _params(7, 1e6), id="tail"),
+]
+
+
+@pytest.mark.parametrize("count", [1, 30, 1000, 5000])
+@pytest.mark.parametrize("name, P", REJECTION_SAMPLERS)
+def test_blocks_follow_the_acceptance_rate(name, P, count, blocks):
+    X = hypotheses._SAMPLERS[name](P, make_rng(count), count)
+    assert X.shape[0] == count
+    ((budget, log),) = blocks
+    drawn, accepted = map(sum, zip(*log))
+    assert max(B for B, _ in log) <= cones._BLOCK
+    assert drawn <= budget
+    assert accepted - count <= count / 4 + 64  # rows accepted and thrown away
+
+
+@pytest.mark.parametrize("name, P", REJECTION_SAMPLERS)
+def test_exhausted_sampler_spends_exactly_its_budget(name, P, blocks, monkeypatch):
+    budget = 3001
+    monkeypatch.setattr(hypotheses, "_SAMPLER_BUDGET", budget)
+    monkeypatch.setattr(cones, "_REGIME_BUDGET", budget)
+    with pytest.raises(SamplingExhaustedError, match=f"exhausted after {budget} draws"):
+        hypotheses._SAMPLERS[name](P, make_rng(1), budget)  # every sampler rejects some draws
+    ((_, log),) = blocks
+    assert sum(B for B, _ in log) == budget
