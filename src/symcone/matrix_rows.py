@@ -3,8 +3,9 @@ asymptotic forms swept over the top scale kappa_1.
 
 Signature: rows(X, aux, P) -> (B,) slacks, one per row of X.  Rows excluded
 by a hypothesis guard return +inf.  A form's slack is its least eigenvalue
-over its Frobenius norm (`quadforms._relmin`); the scalar asymptotic
-statements use the inequality slack of `scalar_rows`.
+over its Frobenius norm (`quadforms._relmin`), screened where P carries
+the screen's tolerance (`_slack`); the scalar asymptotic statements use the
+inequality slack of `scalar_rows`.
 
 P["K"] is a tuple of K values.  A statement with K (`uses_K`) builds its
 K-free tables once and returns (len(P["K"]), B) slacks, one row per K, each
@@ -20,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .quadforms import (
-    _add_diag, _relmin, _with_diag, a_form, b_form, c_form, d_form, divdiff_exp_scaled, divdiff_ratio, h_form,
-    h_ratio, inv_c, key_matrix_batch, reduced_tables, rhs_combination_batch,
+    _add_diag, _relmin, _screened_relmin, _with_diag, a_form, b_form, c_form, d_form, divdiff_exp_scaled,
+    divdiff_ratio, h_form, h_ratio, inv_c, key_matrix_batch, reduced_tables, rhs_combination_batch,
 )
 from .scalar_rows import _ineq, _mag
 from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
@@ -32,12 +33,23 @@ from .symfun import batch_coeffs, batch_excl1_table, batch_excl2_table, order
 # ---------------------------------------------------------------------------
 
 
+def _slack(M, P, valid=None):
+    """`_relmin` of M, or `_screened_relmin` at the tolerance P["screen"]
+    where P carries one (the registry's runs do; a replay does not).  The
+    caller masks the matrices outside `valid`."""
+    tol = P.get("screen")
+    return _relmin(M) if tol is None else _screened_relmin(M, tol, valid)
+
+
 def _rows_l52(X, aux, P):
     n = X.shape[1]
-    Pc = batch_excl2_table(X, range(n + 1))
-    M = np.stack([Pc.pop(s) for s in range(n + 1)])  # (n+1, B, n, n), one matrix per order s
-    _with_diag(M[:n], batch_excl1_table(X).transpose(2, 0, 1))  # order n is the zero matrix
-    return np.minimum.reduce(_relmin(M))
+    Pc = batch_excl2_table(X, range(1, n))
+    M = np.stack([Pc.pop(s) for s in range(1, n)])  # (n-1, B, n, n), one matrix per order s = 1..n-1
+    _with_diag(M, batch_excl1_table(X)[:, :, 1:].transpose(2, 0, 1))
+    # Order 0 is the all-ones J and order n the zero matrix on every row: one of each is solved.
+    slack = _slack(np.concatenate([np.stack([np.ones((n, n)), np.zeros((n, n))]), M.reshape(-1, n, n)]), P)
+    ends = np.broadcast_to(slack[:2, None], (2, X.shape[0]))
+    return np.minimum.reduce(np.concatenate([ends[:1], slack[2:].reshape(n - 1, X.shape[0]), ends[1:]]))
 
 
 def _rows_l53(X, aux, P):
@@ -47,7 +59,7 @@ def _rows_l53(X, aux, P):
 
 def _rows_l56(X, aux, P):
     s = P["k"]
-    return _relmin(a_form(batch_excl1_table(X), batch_excl2_table(X, (s - 2, s - 1, s)), s + 1))
+    return _slack(a_form(batch_excl1_table(X), batch_excl2_table(X, (s - 2, s - 1, s)), s + 1), P)
 
 
 def _rows_d_gram(X, aux, P):
@@ -57,7 +69,7 @@ def _rows_d_gram(X, aux, P):
 def _rows_a_psd(X, aux, P):
     k = P["k"]
     _, E, S = reduced_tables(X, 0, (k - 3, k - 2, k - 1))
-    return _relmin(a_form(E, S, k))
+    return _slack(a_form(E, S, k), P)
 
 
 def _rows_b_psd(X, aux, P):
@@ -70,7 +82,7 @@ def _rows_l64(X, aux, P):
     n = X.shape[1]
     Y = np.delete(X, P["i0"], axis=1)
     r, ok = h_ratio(batch_coeffs(Y), n)
-    return np.where(ok, _relmin(h_form(Y, batch_excl2_table(Y, (n - 5, n - 3)), r)), -1.0)
+    return np.where(ok, _slack(h_form(Y, batch_excl2_table(Y, (n - 5, n - 3)), r), P, ok), -1.0)
 
 
 def _rows_s615(X, aux, P):
@@ -83,7 +95,7 @@ def _rows_s615(X, aux, P):
         - 4.0 * order(E, n - 6) * order(E, n - 2)
         - (4.0 / 3.0) * (order(cbar, n - 5) * cbar[:, n - 3])[:, None]
     )
-    return np.where(ok, _relmin(_add_diag(h_form(Y, S, r), -Rd)), -1.0)
+    return np.where(ok, _slack(_add_diag(h_form(Y, S, r), -Rd), P, ok), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +204,7 @@ def _rows_l62(X, aux, P):
     Rd = 2.0 * order(E, n - 3) * order(E, n - 5) - 2.0 * order(E, n - 2) * order(E, n - 6)
     R = _with_diag(S[n - 3] * S[n - 5], Rd)
     G = (8.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * a_form(E, S, n - 2) - r[:, None, None] * R
-    return np.where(ok, _relmin(G), -1.0)
+    return np.where(ok, _slack(G, P, ok), -1.0)
 
 
 def _rows_l63(X, aux, P):
@@ -218,7 +230,7 @@ def _rows_s601(X, aux, P):
     Y, E, S = reduced_tables(X, i0, (k - 3, k - 2, k - 1, k))
     pen = (1.0 / 20.0) * order(batch_coeffs(Y), n - 3) ** 2
     G = (8.0 / 9.0) * (X[:, i0] ** 2)[:, None, None] * a_form(E, S, k) + c_form(Y, E, S, k)
-    return _relmin(_add_diag(G, -pen[:, None]))
+    return _slack(_add_diag(G, -pen[:, None]), P)
 
 
 def _rows_s602(X, aux, P):
@@ -238,7 +250,7 @@ def _rows_s602(X, aux, P):
         + c[:, n - 2][:, None, None] * b_form(E, S, k)
         - cc[..., None, None] * d_form(E, k)
     )
-    return np.where(ok, _relmin(_add_diag(G, pen[:, None])), np.inf)
+    return np.where(ok, _slack(_add_diag(G, pen[:, None]), P, ok), np.inf)
 
 
 def _rows_key(X, aux, P):

@@ -194,3 +194,85 @@ def _relmin(M: np.ndarray) -> np.ndarray:
         Ms = np.ldexp(M, -e[..., None, None])
         fro = np.where(big, np.sqrt(np.sum(Ms * Ms, axis=(-2, -1))), fro)
     return np.ldexp(lam, -e) / np.maximum(fro, 1e-300)
+
+
+_PILOTS = 8  # matrices eigensolved to set the screen's threshold
+_DELTA = 2.0**-40  # the screen's margin: eigvalsh's error up to about 4000 eps of the norm
+
+
+def _screened_relmin(M: np.ndarray, tol: float, valid=None) -> np.ndarray:
+    """`_relmin` of every matrix of M that could hold the least slack of the
+    matrices in `valid` (a mask of M's leading shape, default all), and a
+    certified lower bound above that least slack on the others.
+
+    The `_PILOTS` valid matrices with the least min-diagonal over norm (an
+    upper bound on the slack) are eigensolved; m* is their least slack.
+    Every other matrix goes through a Cholesky pivot test at the threshold
+    t = max(m*, tol) + _DELTA, and only the matrices that fail it are
+    eigensolved.  One that passes reads max(m*, tol) + _DELTA/2, strictly
+    above m* and tol, so it can never hold the minimum or its witness.  The
+    exact values are `_relmin`'s bits, which do not depend on the rest of
+    the stack; the lower bounds do.  A call of at most 4 * `_PILOTS` valid
+    matrices, or with a non-finite norm among them, is `_relmin` itself.
+    Matrices outside `valid` are not evaluated and read NaN.
+
+    The test factors C = fl(M/F - (t + r) I), F the Frobenius norm
+    `_relmin` divides by, from its lower triangle as `eigvalsh` reads it.
+    If floating-point Cholesky completes with positive pivots,
+    lambda_min(C) > -alpha_m tr(C), alpha_m = gamma_{m+1}/(1 - gamma_{m+1})
+    (S. M. Rump, "Verification of positive definiteness", BIT 46, 2006), and
+    as the shift is positive, tr(C) <= tr(M)/F <= sqrt(m) up to rounding, so
+    r = `_rump_shift(m)` covers it.  The roundings of M/F and of the shift,
+    and any underflow, cost about 4u, so the exact slack exceeds t - 4u, and
+    the slack eigvalsh would compute exceeds max(m*, tol) while its error
+    stays below _DELTA - 4u, about 4000 eps of the norm.  A norm below
+    2^-450 could have lost its squares to underflow; such a matrix is
+    eigensolved.
+    """
+    lead, m = M.shape[:-2], M.shape[-1]
+    M = M.reshape(-1, m, m)
+    if valid is not None:
+        out = np.full(M.shape[0], np.nan)
+        out[np.ravel(valid)] = _screened_relmin(M[np.ravel(valid)], tol)
+        return out.reshape(lead)
+    N = M.shape[0]
+    with np.errstate(over="ignore"):  # an overflowing norm takes `_relmin`'s scaled path
+        fro = np.sqrt(np.sum(M * M, axis=(-2, -1)))
+    if N <= 4 * _PILOTS or not np.isfinite(fro).all():
+        return _relmin(M).reshape(lead)
+    # M/F entry-major, (m, m, N), so that each step of the factorization is one contiguous op per entry
+    C = np.divide(M.transpose(1, 2, 0), np.maximum(fro, 2.0**-450), out=np.empty((m, m, N)))
+    diag = np.arange(m)
+    pilots = np.argpartition(C[diag, diag].min(axis=0), _PILOTS)[:_PILOTS]
+    lam = _relmin(M[pilots])
+    floor = max(float(lam.min()), tol)
+    C[diag, diag] -= floor + _DELTA + _rump_shift(m)
+    solve = ~(_cholesky_completes(C) & (fro > 2.0**-450))
+    solve[pilots] = False
+    out = np.full(N, floor + _DELTA / 2)
+    out[pilots] = lam
+    out[solve] = _relmin(M[solve])
+    return out.reshape(lead)
+
+
+def _rump_shift(m: int) -> float:
+    """alpha_m sqrt(m) for unit roundoff u = 2^-53, rounded up by 1% for the
+    roundings of F and of the trace."""
+    u = 2.0**-53
+    g = (m + 1) * u / (1.0 - (m + 1) * u)
+    return 1.01 * m**0.5 * g / (1.0 - g)
+
+
+def _cholesky_completes(C: np.ndarray) -> np.ndarray:
+    """Whether floating-point Cholesky runs to completion with positive pivots
+    on the lower triangle of each matrix of C (m, m, N), the matrices on the
+    last axis: one right-looking pass, vectorized over the matrices.  C is
+    overwritten."""
+    ok = np.ones(C.shape[-1], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # only on a matrix that fails
+        for j in range(C.shape[0]):
+            d = C[j, j]
+            ok &= d > 0.0
+            r = C[j + 1:, j] / np.sqrt(np.where(ok, d, 1.0))
+            C[j + 1:, j + 1:] -= r[:, None] * r[None, :]
+    return ok

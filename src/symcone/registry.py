@@ -47,6 +47,13 @@ slacks fold into one tally whose witness records the K of its minimum
 the earlier K, then the earlier row.  The point's stream is labelled with
 the grid's first K, so a run with K pinned to that value draws the same
 rows, and a draw that runs dry leaves the whole group without rows.
+
+A run screens its eigensolves: the points of `_plan` carry P["screen"], the
+check's tolerance, and the matrix rows functions then eigensolve only the
+rows that could hold a block's minimum (`quadforms._screened_relmin`); every
+other row reads a certified lower bound above that minimum.  So a block's
+minimum, witness and row counts are those of the exact path, which
+`witness_slack`, the search and any call without the key take.
 """
 
 from __future__ import annotations
@@ -268,7 +275,8 @@ def _grid(check: LemmaCheck, ctx: RunContext) -> Tuple[tuple, tuple, tuple]:
 
 
 def _params(n: int, k: Optional[int], i0: int, Ks: tuple, kappa1: Optional[float]) -> dict:
-    """The parameters P a rows function and its sampler see, in a run and in its replay."""
+    """The parameters P a rows function and its sampler see, in a run and in
+    its replay; a run adds the screen's tolerance (`_plan`)."""
     return {"n": n, "k": k, "i0": i0, "K": Ks, "kappa1": kappa1}
 
 
@@ -397,7 +405,7 @@ def _plan(check_id: str, ctx: RunContext) -> List[_Point]:
     sweep = check.kind == "ASYMPTOTIC"
     return [
         _Point(
-            check, _params(ctx.n, k, ctx.i - 1, Ks, g),
+            check, dict(_params(ctx.n, k, ctx.i - 1, Ks, g), screen=_tol_for(check, ctx)),
             _child_seed(ctx.seed, f"{check.id}|{ctx.n}|{k}" + (f"|{g}|{Ks[0]}" if sweep else "")), rows,
         )
         for g in groups

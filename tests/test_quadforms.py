@@ -1,5 +1,5 @@
-"""Quadratic-form builders, the Section 3 test-function rows, and the
-normalized least eigenvalue."""
+"""Quadratic-form builders, the Section 3 test-function rows, the
+normalized least eigenvalue and its screen."""
 
 import itertools
 import math
@@ -15,10 +15,12 @@ from symcone import (
     run_check,
     sigma,
 )
-from symcone.matrix_rows import _rows_l35a, _rows_l35b
-from symcone.registry import REGISTRY
+import symcone.quadforms as quadforms
+from symcone.matrix_rows import _rows_l35a, _rows_l35b, _rows_s602
+from symcone.registry import REGISTRY, _block_tally, _draw, _params
 from symcone.quadforms import (
     _relmin,
+    _screened_relmin,
     a_form,
     b_form,
     c_form,
@@ -470,3 +472,111 @@ class TestDilationCovariance:
         rest_b = Mb - grad_term_b
         assert np.allclose(grad_term_b, t ** (2 * k - 1) * grad_term_a, rtol=1e-12)
         assert np.allclose(rest_b, t ** (k - 1) * rest_a, rtol=1e-12)
+
+
+def block_tally(slacks):
+    """`registry._block_tally` of a (B,) or (nK, B) slack grid; a witness's kappa is its row index."""
+    grid = np.atleast_2d(slacks)
+    P = _params(1, None, 0, (None,) * grid.shape[0], None)
+    return _block_tally(REGISTRY["L5_2_psd"], P, np.arange(grid.shape[1], dtype=float)[:, None], {}, grid)
+
+
+def spectral_stack(rng, least):
+    """One symmetric 5 x 5 matrix per entry of `least`, with that least
+    eigenvalue and the others 1, 1.25, 1.5 and 2, in a random orthonormal basis."""
+    Q = np.linalg.qr(rng.normal(size=(len(least), 5, 5)))[0]
+    lam = np.concatenate([np.asarray(least, dtype=float)[:, None], np.tile([1.0, 1.25, 1.5, 2.0], (len(least), 1))], 1)
+    return np.einsum("bij,bj,bkj->bik", Q, lam, Q)
+
+
+class TestScreen:
+    # `_screened_relmin` against `_relmin`: the same block tally, exact bits
+    # wherever a matrix could hold the minimum, a lower bound elsewhere
+
+    TOL = 1e-8
+
+    def test_lower_bounds_and_exact_bits(self):
+        # slacks 3e-14 apart, so that dozens fall within the screen's margin of the pilots' minimum
+        rng = np.random.default_rng(5)
+        screened = 0
+        for least in (0.01 + 1e-13 * np.arange(300), rng.uniform(-0.5, 0.5, 300), np.full(300, 0.2)):
+            M = spectral_stack(rng, rng.permutation(least))
+            exact, out = _relmin(M), _screened_relmin(M, self.TOL)
+            same = out.view(np.uint64) == exact.view(np.uint64)
+            assert np.all(out[~same] < exact[~same]) and np.all(out[~same] > max(exact.min(), self.TOL))
+            assert block_tally(out) == block_tally(exact)
+            screened += np.count_nonzero(~same)
+        assert screened > 300
+
+    def test_planted_minimum_outside_the_pilots(self):
+        # diagonal rows, whose min-diagonal over norm is their slack, and at
+        # row 150 I - 0.19 J: slack 0.025, but min-diagonal over norm 0.405
+        rng = np.random.default_rng(6)
+        M = np.stack([np.diag(d) for d in rng.uniform(1.0, 2.0, (200, 5))])
+        M[150] = np.eye(5) - 0.19 * np.ones((5, 5))
+        upper = np.diagonal(M, axis1=1, axis2=2).min(axis=1) / np.linalg.norm(M, axis=(1, 2))
+        assert np.sum(upper < upper[150]) >= quadforms._PILOTS
+        exact, out = _relmin(M), _screened_relmin(M, self.TOL)
+        assert block_tally(out) == block_tally(exact)
+        assert block_tally(out).witness["kappa"] == [150.0] and out[150] == exact[150]
+
+    def test_row_tied_at_the_pilot_minimum_is_solved(self):
+        # P = diag(2, 4, 5, 6, 7) and R = [[3, 1], [1, 3]] + diag(5, 6, 7) have
+        # the same slack 2/sqrt(130), bit for bit, but R's min-diagonal is 3:
+        # P and the seven diag(1, 2, 2, 2, 2) rows are the pilots, and R comes
+        # first, so it holds the witness only if it is eigensolved
+        P = np.diag([2.0, 4.0, 5.0, 6.0, 7.0])
+        R = np.diag([3.0, 3.0, 5.0, 6.0, 7.0])
+        R[0, 1] = R[1, 0] = 1.0
+        M = np.stack([np.eye(5)] * 40)
+        M[3], M[20], M[21:28] = R, P, np.diag([1.0, 2.0, 2.0, 2.0, 2.0])
+        exact, out = _relmin(M), _screened_relmin(M, self.TOL)
+        assert exact[3].tobytes() == exact[20].tobytes()
+        assert block_tally(out) == block_tally(exact)
+        assert block_tally(out).witness["kappa"] == [3.0]
+
+    @pytest.mark.parametrize("fill", [np.inf, -1.0])
+    def test_masked_rows_are_never_pilots(self, fill):
+        # every third matrix is -I, slack -0.5, outside the mask; had they been
+        # pilots, no valid matrix would be eigensolved
+        rng = np.random.default_rng(7)
+        M = spectral_stack(rng, rng.uniform(0.05, 0.5, 120))
+        valid = np.arange(120) % 3 != 0
+        M[~valid] = -np.eye(5)
+        exact, out = _relmin(M), _screened_relmin(M, self.TOL, valid)
+        assert np.isnan(out[~valid]).all()
+        for f in (fill, np.inf):
+            assert block_tally(np.where(valid, out, f)) == block_tally(np.where(valid, exact, f))
+
+    def test_nan_row_stays_nan_and_counted(self):
+        rng = np.random.default_rng(8)
+        M = spectral_stack(rng, rng.uniform(0.05, 0.5, 100))
+        M[40, 1, 2] = M[40, 2, 1] = np.nan
+        exact, out = _relmin(M), _screened_relmin(M, self.TOL)
+        assert np.isnan(out[40])
+        assert block_tally(out) == block_tally(exact)
+        assert block_tally(out).nonfinite == 1
+
+    def test_k_stacked_rows_outside_c(self):
+        # at n = 5 and kappa_1 = 10, c > 0 fails on some rows at K = 1e-2 and on every row at 1e-4
+        check = REGISTRY["T6_1_s602"]
+        P = _params(5, 3, 1, (1e-4, 1e-2, 1.0), 10.0)
+        X, aux = _draw(check, P, make_rng(5), 200)
+        exact = _rows_s602(X, aux, P)
+        out = _rows_s602(X, aux, dict(P, screen=self.TOL))
+        excluded = np.isinf(exact).sum(axis=1)
+        assert excluded[0] == 200 and 0 < excluded[1] < 200 and excluded[2] == 0
+        assert np.array_equal(np.isinf(out), np.isinf(exact))
+        assert block_tally(out) == block_tally(exact)
+        assert np.sum(out != exact) >= 100  # the screen took part
+
+    @pytest.mark.parametrize("N", [1, 5, 4 * quadforms._PILOTS])
+    def test_small_calls_are_relmin(self, N):
+        M = spectral_stack(np.random.default_rng(N), np.linspace(-0.5, 0.5, N))
+        assert _screened_relmin(M, self.TOL).tobytes() == _relmin(M).tobytes()
+
+    def test_overflowing_norm_is_relmin(self):
+        rng = np.random.default_rng(9)
+        M = spectral_stack(rng, rng.uniform(0.05, 0.5, 100))
+        M[60] *= 1e200
+        assert _screened_relmin(M, self.TOL).tobytes() == _relmin(M).tobytes()

@@ -375,8 +375,9 @@ class TestDeterminismAndWitness:
         assert len(replayed) > len(results) // 2
         for res in replayed:
             assert witness_slack(res.witness) == res.min_slack, res.id
-        keys = {frozenset({"n", "k", "i0", "K", "kappa1"})}
-        assert seen == {"run": keys, "replay": keys}
+        keys = frozenset({"n", "k", "i0", "K", "kappa1"})
+        # a run also carries the tolerance of its eigensolve screen, which moves no minimum or witness
+        assert seen == {"run": {keys | {"screen"}}, "replay": {keys}}
 
 
 K_CHECKS = [c.id for c in registry_list() if c.uses_K]
@@ -542,6 +543,21 @@ class TestRowIndependence:
         whole = check.rows(X, aux, P)
         parts = [check.rows(X[a:b], {key: v[a:b] for key, v in aux.items()}, P) for a, b in ((0, 1), (1, 40), (40, 64))]
         assert np.array_equal(whole.view(np.uint64), np.concatenate(parts, axis=-1).view(np.uint64))
+
+
+class TestScreenedRun:
+    """A run's eigensolve screen moves no tally: `_eval_point` gives the same
+    minimum, witness and row counts on the screened path as on the exact one."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("check_id", [c.id for c in registry_list() if c.psd_scaled])
+    def test_screened_tally_is_exact(self, check_id, n):
+        for seed in (1, 2, 3):
+            for pt in registry._plan(check_id, RunContext(n=n, samples=300, seed=seed)):
+                exact = {key: v for key, v in pt.P.items() if key != "screen"}
+                assert pt.P["screen"] == registry.PSD_EPS
+                screened = registry._eval_point(pt.check, pt.P, make_rng(pt.seed), pt.rows)
+                assert screened == registry._eval_point(pt.check, exact, make_rng(pt.seed), pt.rows), (seed, pt.P)
 
 
 class TestClassifyCase:
