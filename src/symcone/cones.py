@@ -3,7 +3,8 @@
 Gamma_k is the open cone {sigma_1 > 0, ..., sigma_k > 0}.  A draw is kept
 only if the exact sign of each computed sigma_m is positive (no tolerance),
 so a returned sample re-validates with the same sigma DP.  The catalog's
-other hypothesis samplers, the barred cone's among them, are in `hypotheses`.
+other hypothesis samplers are in `hypotheses`, among them `_sampler_bar` of
+the barred cone (level n), the only one that draws boundary rows.
 
 `sample_batch(P, rng, B, cases=...)` draws the conjecture regime with the
 one sampler contract of `hypotheses._SAMPLERS`, for the registry and the
@@ -198,10 +199,9 @@ def _feasible_mask(
     B, n = X.shape
     XT = np.ascontiguousarray(X.T)
     ok = np.isfinite(XT).all(axis=0)
-    live = int(np.count_nonzero(ok))
-    counts["finite"] += B - live
-    with np.errstate(over="ignore", invalid="ignore"):  # a row whose sigmas overflow fails a test below
-        c = batch_coeffs_t(XT if live == B else np.where(ok, XT, 0.0))
+    counts["finite"] += B - int(np.count_nonzero(ok))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or overflowing row fails a test
+        c = batch_coeffs_t(XT)
     m = (c[1 : k + 1] > 0.0).all(axis=0)
     counts["gamma_k"] += int(np.count_nonzero(ok & ~m))
     ok &= m

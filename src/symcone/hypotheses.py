@@ -37,8 +37,8 @@ def _sampler_real(P, rng, B):
     return rng.normal(0.0, 1.0, (B, P["n"])) * 10.0 ** rng.uniform(-1.0, 2.0, (B, 1))
 
 
-def _sampler_gamma(P, rng, B, *, force_neg=0, barred=False):
-    """Gamma_k members (closed cone if `barred`) at generic scales; optionally force trailing negatives."""
+def _sampler_gamma(P, rng, B, *, force_neg=0):
+    """Open-cone Gamma_k members at generic scales; optionally force trailing negatives."""
     n, k = P["n"], P["k"]
     counts = {"membership": 0}
 
@@ -52,10 +52,7 @@ def _sampler_gamma(P, rng, B, *, force_neg=0, barred=False):
             X[:, n - 1] = rng.uniform(-0.5, 1.0, blk) * top
         X = _descending(X)
         c = batch_coeffs_t(np.ascontiguousarray(X.T))
-        if barred:
-            keep = (c[1:k] > 0.0).all(axis=0) & (c[k] >= 0.0)
-        else:
-            keep = (c[1 : k + 1] > 0.0).all(axis=0)
+        keep = (c[1 : k + 1] > 0.0).all(axis=0)
         counts["membership"] += int(blk - keep.sum())
         return X[keep]
 
@@ -183,7 +180,6 @@ _SAMPLERS = {
     "cone_neg1": functools.partial(_sampler_gamma, force_neg=1),
     "cone_neg2": functools.partial(_sampler_gamma, force_neg=2),
     "bar": _sampler_bar,
-    "bark": functools.partial(_sampler_gamma, barred=True),
     "l59": _sampler_l59,
     "main": sample_batch,
     "main_abb2": functools.partial(sample_batch, cases=("A", "B1", "B2")),

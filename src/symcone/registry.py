@@ -88,14 +88,12 @@ __all__ = [
     "run_check",
     "run_checks",
     "witness_slack",
-    "IDENTITY_TOL",
     "INEQUALITY_TOL",
     "PSD_EPS",
     "ASYM_KAPPA1_GRID",
     "ASYM_K_GRID",
 ]
 
-IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-10
 PSD_EPS = 1e-8
 ASYM_KAPPA1_GRID = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
@@ -166,7 +164,7 @@ _CATALOG = (
     LemmaCheck("L2_3_ratio", "INEQUALITY", "kappa_1^s sigma_{k-s} / sigma_k bounded below by binomials", "cone", _rows_l23, _k_range(2, 0), k_strict=True),
     LemmaCheck("L2_4a", "INEQUALITY", "negative entry bounded by (n-k)/k times the top entry", "cone_neg1", _rows_l24a, _k_range(2, -1), k_strict=True),
     LemmaCheck("L2_4b", "INEQUALITY", "pairwise bound for the two most negative entries", "cone_neg2", _rows_l24b, _k_range(2, -2), min_n=4, k_strict=True),
-    LemmaCheck("L2_5_product", "INEQUALITY", "sigma_s dominates the product of the s largest entries", "bark", _rows_l25, _k_range(2, 0), k_strict=True),
+    LemmaCheck("L2_5_product", "INEQUALITY", "sigma_s dominates the product of the s largest entries", "cone", _rows_l25, _k_range(2, 0), k_strict=True),
     LemmaCheck("L2_6_theta", "INEQUALITY", "single exclusion bounded below via theta = 1/(n^{n-k} C(n,k))", "cone", _rows_l26, _k_range(2, 0), k_strict=True),
     LemmaCheck("L5_8_sum", "INEQUALITY", "4 sigma_{n-4}^2 dominates the row sums of squared pair exclusions", "cone", _rows_l58, _k_top, min_n=4, k_strict=True),
     LemmaCheck("L5_9_lower", "INEQUALITY", "scale-free lower bound for sigma_{n-3}(kappa|1)", "l59", _rows_l59, _k_top, min_n=5, k_strict=True),
@@ -325,9 +323,7 @@ class _Tally(NamedTuple):
     def merge(self, other: "_Tally") -> "_Tally":
         """Both tallies in one; on a tie the minimum and witness of `self` stay."""
         best, wit = (other.best, other.witness) if other.best < self.best else (self.best, self.witness)
-        return _Tally(
-            best, wit, self.used + other.used, self.nonfinite + other.nonfinite, self.excluded + other.excluded
-        )
+        return _Tally(best, wit, *(a + b for a, b in zip(self[2:], other[2:])))
 
 
 def _block_tally(check, P, X, aux, slacks) -> _Tally:

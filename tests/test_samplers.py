@@ -8,6 +8,7 @@ row.  The samplers must return the same rows bit for bit (compared as
 uint64) and tally the same rejections.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -179,6 +180,22 @@ def test_catalog_regime_samplers_are_sample_batch():
     P = _params(6, 1e3)
     for name, cases in (("main", ()), ("main_abb2", MAIN_CASES)):
         _same(hypotheses._SAMPLERS[name](P, make_rng(3), 100), sample_batch(P, make_rng(3), 100, cases=cases))
+
+
+BOUND_OPTIONS = [  # catalog samplers with an option bound; `test_case_conditioning` covers the case guard
+    name
+    for name, sampler in hypotheses._SAMPLERS.items()
+    if isinstance(sampler, functools.partial) and name != "main_abb2"
+]
+
+
+@pytest.mark.parametrize("name", BOUND_OPTIONS)
+def test_bound_option_changes_the_draw(name):
+    sampler = hypotheses._SAMPLERS[name]
+    P = _params(6, 1e3)
+    X = sampler(P, make_rng(5), 50)
+    ref = sampler.func(P, make_rng(5), 50)
+    assert not np.array_equal(_bits(X), _bits(ref))
 
 
 def test_sigma_window_noise_margin_both_ways(seen_counts, monkeypatch):
