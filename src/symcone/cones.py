@@ -230,14 +230,16 @@ def _feasible_mask(
     return ok
 
 
-def rejection_sample(draw: Callable[[int], np.ndarray], count: int, budget: int, counts: dict, what: str) -> np.ndarray:
+def rejection_sample(
+    draw: Callable[[int], np.ndarray], count: int, budget: int, counts: dict, what: str, cap: int = _BLOCK
+) -> np.ndarray:
     """Stack the rows that `draw(B)` accepts from B fresh candidates until
     `count` rows are in, and return the first `count` of them.
 
     Each block is sized from the acceptance rate measured so far: the draws
     the missing rows need at that rate, plus 1/8.  The rate is taken as 1
     before the first block, and a block that follows only empty ones is
-    full.  A block is 64 to _BLOCK draws and never more than the budget
+    full.  A block is 64 to `cap` draws and never more than the budget
     left, so once exactly `budget` candidates are spent, SamplingExhaustedError
     reports the per-constraint rejections that `draw` tallied in `counts`.
     """
@@ -253,8 +255,8 @@ def rejection_sample(draw: Callable[[int], np.ndarray], count: int, budget: int,
                 rejection_counts=counts,
             )
         need = count - got
-        B = _BLOCK if attempts and not got else need * (attempts or 1) // (got or 1) * 9 // 8 + 1
-        B = min(max(B, 64), _BLOCK, budget - attempts)
+        B = cap if attempts and not got else need * (attempts or 1) // (got or 1) * 9 // 8 + 1
+        B = min(max(B, 64), cap, budget - attempts)
         attempts += B
         X = draw(B)
         if X.shape[0]:

@@ -9,9 +9,10 @@ A statement that also reads per-row auxiliary draws (a constant K, a
 direction xi or h) names them, and `_AUX` draws each one after the rows, on
 the same stream.  The rejection samplers here share the budget
 `_SAMPLER_BUDGET` and the loop `cones.rejection_sample`, which sizes their
-blocks from the acceptance rate it measures.  A sampler that cannot realize
-its hypothesis within its budget raises `SamplingExhaustedError` with the
-rejection breakdown.
+blocks from the acceptance rate it measures, up to `_TAIL_BLOCK` draws for
+the tail-case sampler and `cones._BLOCK` for the others.  A sampler that
+cannot realize its hypothesis within its budget raises
+`SamplingExhaustedError` with the rejection breakdown.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .cones import SIGMA_K_WINDOW, _REGIME_COUNTS, _descending, _feasible_mask, 
 from .symfun import batch_coeffs_t
 
 _SAMPLER_BUDGET = 400_000
+# The tail-case sampler's block cap: above kappa_1 = 100 it accepts at most
+# about a quarter of its draws, and each block pays some thirty numpy calls
+# whatever its size.
+_TAIL_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +118,20 @@ def _sampler_tail_cases(P, rng, B):
     a 2x2 linear system in (x + y, x y), solved in closed form; x and y are
     then roots of a quadratic.  Draws with a negative discriminant or a
     failed feasibility re-check are rejected.
+
+    A row of B3 or C has at most one negative entry: B has kappa_{n-1} > 0,
+    and in C kappa|i lies in the closure of Gamma_{n-2} in R^{n-1}.  So at
+    most one middle entry is negated, each of the n - 3 choices (none, or
+    which one) with probability 1/(n - 3): independent fair signs
+    conditioned on that event.  A finite draw whose roots still bring it
+    to two negatives is rejected as `negatives` before the sigma DP.
     """
     n = P["n"]
     k = n - 2
     k1 = P["kappa1"]
     i0 = P["i0"]
     d0 = 1.0 / (32.0 * n * (n - 2))
-    counts = dict.fromkeys(_REGIME_COUNTS + ("discriminant",), 0)
+    counts = dict.fromkeys(_REGIME_COUNTS + ("discriminant", "negatives"), 0)
     nm = n - 4
     log_st = tuple(map(math.log, SIGMA_K_WINDOW))
     log_mid = math.log(0.9 * k1)
@@ -129,49 +141,47 @@ def _sampler_tail_cases(P, rng, B):
     def draw(blk):
         # One `rng.random` fill per block, read in draw order: the kappa_1
         # jitter, the kappa_i offset, the sigma_k target, the (draw, entry)
-        # middle magnitudes and then their signs, the sign of T1, its magnitude.
-        u = rng.random((5 + 2 * nm, blk))
+        # middle magnitudes, the negated middle entry, the sign of T1, its magnitude.
+        u = rng.random((6 + nm, blk))
         kap1 = k1 * (1.0 + _uniform(u[0], -0.005, 0.005))
         ki = kap1 - u[1] * np.sqrt(kap1) / n  # uniform(0, 1) is u itself
         st = np.exp(_uniform(u[2], *log_st))  # sigma_k target
+        XT = np.empty((n, blk))  # the draws, one column each; the first n - 3 rows are the reduced prefix
+        pre = XT[: n - 3]
+        pre[0] = kap1
+        XT[n - 1] = ki
         # A draw whose products overflow at a huge kappa_1 fails the discriminant or the finite test.
         with np.errstate(all="ignore"):
             # The discriminant of the root quadratic is only nonnegative when the
             # middle entries are O(sigma_k / kappa_1^2) and (for positive targets)
             # |T1| = O(sigma_k^2 / kappa_1^3); span those windows in log scale.
             lo_m = np.log(st * 1e-4 / (k1 * k1))
-            mids = np.exp(_uniform(u[3 : 3 + nm].reshape(blk, nm), lo_m[:, None], log_mid))
-            mids *= np.where(u[3 + nm : 3 + 2 * nm].reshape(blk, nm) < 0.5, -1.0, 1.0)
-            pre = np.empty((n - 3, blk))  # reduced prefix, one column per draw
-            pre[0] = kap1
-            pre[1:] = mids.T
+            pre[1:] = np.exp(_uniform(u[3 : 3 + nm].reshape(blk, nm), lo_m[:, None], log_mid)).T
+            pick = (u[3 + nm] * (n - 3)).astype(np.intp)  # the middle entry to negate, or nm for none
+            pre[1:] *= np.where(np.arange(nm)[:, None] == pick, -1.0, 1.0)
             cp = batch_coeffs_t(pre)
             s5, s4, s3 = cp[n - 5], cp[n - 4], cp[n - 3]
-            sgn = np.where(u[3 + 2 * nm] < 0.5, 1.0, -1.0)
-            T1 = sgn * st * 10.0 ** _uniform(u[4 + 2 * nm], lo_e, hi_e)
+            sgn = np.where(u[4 + nm] < 0.5, 1.0, -1.0)
+            T1 = sgn * st * 10.0 ** _uniform(u[5 + nm], lo_e, hi_e)
             T2 = (st - T1) / ki
             det = s4 * s4 - s5 * s3
-            safe = np.abs(det) > 0.0
-            det = np.where(safe, det, 1.0)
+            ok = np.abs(det) > 0.0
+            det = np.where(ok, det, 1.0)
             # x + y and x y; sigma_{n-2} of the n-3 prefix entries is zero
             xs = (s4 * (T2 - s3) - s5 * T1) / det
             xp = (s4 * T1 - s3 * (T2 - s3)) / det
             disc = xs * xs - 4.0 * xp
-            safe &= disc >= 0.0
-            rows = np.flatnonzero(safe)
-            counts["discriminant"] += blk - rows.size
-            if not rows.size:
-                return np.empty((0, n))
-            xs, r = xs[rows], np.sqrt(disc[rows])
-            XT = np.empty((n, rows.size))
-            XT[: n - 3] = pre[:, rows]
+            ok &= disc >= 0.0
+            r = np.sqrt(disc)
             XT[n - 3] = (xs + r) / 2.0
             XT[n - 2] = (xs - r) / 2.0
-        XT[n - 1] = ki[rows]
-        X = _descending(np.ascontiguousarray(XT.T))
+        counts["discriminant"] += blk - int(np.count_nonzero(ok))
+        two = ok & (np.count_nonzero(XT < 0.0, axis=0) >= 2) & np.isfinite(XT).all(axis=0)
+        counts["negatives"] += int(np.count_nonzero(two))
+        X = _descending(XT.T[ok & ~two])
         return X[_feasible_mask(X, k, k1, i0 + 1, counts, ("B3", "C"))]
 
-    return rejection_sample(draw, B, _SAMPLER_BUDGET, counts, "tail-case sampler")
+    return rejection_sample(draw, B, _SAMPLER_BUDGET, counts, "tail-case sampler", _TAIL_BLOCK)
 
 
 _SAMPLERS = {

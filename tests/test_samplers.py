@@ -10,6 +10,7 @@ uint64) and tally the same rejections.
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from symcone.cones import (
     sample_batch,
 )
 from symcone.errors import SamplingExhaustedError
-from symcone.registry import ASYM_KAPPA1_GRID
+from symcone.registry import ASYM_KAPPA1_GRID, run_check
 from symcone.symfun import batch_coeffs_t
 
 from oracles import feasible, rowwise_coeffs, sample_rows, sampler_counts
@@ -72,14 +73,17 @@ def _pred(i0, cases):
     return pred
 
 
-def _tail_cases(P, rng, B, budget=400_000):
+def _tail_cases(P, rng, B, budget=400_000, independent=False):
+    """The tail-case draw, row-major.  `independent` is its earlier form:
+    each middle entry negated with probability 1/2, every draw that passes
+    the discriminant on to the accept test, blocks of at most `_BLOCK`."""
     n = P["n"]
     k = n - 2
     k1 = P["kappa1"]
     i0 = P["i0"]
     d0 = 1.0 / (32.0 * n * (n - 2))
     pred = _pred(i0, ("B3", "C"))
-    counts = sampler_counts("discriminant")
+    counts = sampler_counts("discriminant") if independent else sampler_counts("discriminant", "negatives")
 
     def draw(blk):
         kap1 = k1 * (1.0 + rng.uniform(-0.005, 0.005, blk))
@@ -88,7 +92,11 @@ def _tail_cases(P, rng, B, budget=400_000):
         st = np.exp(rng.uniform(*map(math.log, SIGMA_K_WINDOW), blk))
         lo_m = np.log(st * 1e-4 / (k1 * k1))
         mids = np.exp(rng.uniform(lo_m[:, None], math.log(0.9 * k1), (blk, nm)))
-        flip = rng.uniform(size=(blk, nm)) < 0.5
+        if independent:
+            flip = rng.uniform(size=(blk, nm)) < 0.5
+        else:  # none of the middle entries (pick nm) or the one at pick
+            pick = np.floor(rng.uniform(size=blk) * (n - 3))
+            flip = np.arange(nm)[None, :] == pick[:, None]
         mids[flip] *= -1.0
         pre = np.concatenate([kap1[:, None], mids], axis=1)
         cp = rowwise_coeffs(pre)
@@ -110,6 +118,10 @@ def _tail_cases(P, rng, B, budget=400_000):
         X = np.concatenate([pre, ((u + r) / 2.0)[:, None], ((u - r) / 2.0)[:, None], ki[:, None]], axis=1)
         X = -np.sort(-X, axis=1)
         X = X[safe]
+        if not independent:
+            two = ((X < 0.0).sum(axis=1) >= 2) & np.isfinite(X).all(axis=1)
+            counts["negatives"] += int(two.sum())
+            X = X[~two]
         if not X.shape[0]:
             return X
         X = X[feasible(X, k, k1, i0 + 1, SIGMA_K_WINDOW, counts)]
@@ -119,7 +131,8 @@ def _tail_cases(P, rng, B, budget=400_000):
             X = X[keep]
         return X
 
-    return rejection_sample(draw, B, budget, counts, "tail-case sampler"), counts
+    cap = cones._BLOCK if independent else hypotheses._TAIL_BLOCK
+    return rejection_sample(draw, B, budget, counts, "tail-case sampler", cap), counts
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +145,9 @@ def seen_counts(monkeypatch):
     """The rejection tallies each sampler hands to `rejection_sample`."""
     seen = []
 
-    def spy(draw, count, budget, counts, what):
+    def spy(draw, count, budget, counts, what, cap=cones._BLOCK):
         seen.append(counts)
-        return rejection_sample(draw, count, budget, counts, what)
+        return rejection_sample(draw, count, budget, counts, what, cap)
 
     monkeypatch.setattr(cones, "rejection_sample", spy)
     monkeypatch.setattr(hypotheses, "rejection_sample", spy)
@@ -150,8 +163,10 @@ def _params(n, kappa1, k=None, i=2):
     return {"n": n, "k": n - 2 if k is None else k, "i0": i - 1, "kappa1": kappa1}
 
 
-@pytest.mark.parametrize("kappa1", ASYM_KAPPA1_GRID)
-@pytest.mark.parametrize("n", [5, 6, 7])
+TAIL_POINTS = [(n, kappa1) for n in (5, 6, 7) for kappa1 in ASYM_KAPPA1_GRID] + [(n, 1e4) for n in range(8, 13)]
+
+
+@pytest.mark.parametrize("n, kappa1", TAIL_POINTS)
 def test_tail_cases_sampler(n, kappa1, seen_counts):
     P = _params(n, kappa1)
     seed = 1000 * n + int(math.log10(kappa1))
@@ -160,7 +175,49 @@ def test_tail_cases_sampler(n, kappa1, seen_counts):
     _same(X, ref)
     assert isinstance(X, np.ndarray) and X.shape == (300, n)  # the rows and nothing else
     _assert_counts(seen_counts[-1], counts)
-    assert counts["discriminant"] and counts["predicate"]
+    assert counts["discriminant"] and counts["negatives"]
+    # At kappa_1 = 10 the rows the case test rejects have two negative
+    # entries (412 of 412 under the independent signs, n = 5..10), and
+    # such a row now falls under `negatives` first.
+    assert counts["predicate"] or kappa1 == 10.0
+    assert np.all(np.count_nonzero(X < 0.0, axis=1) <= 1)
+    masks = classify_masks(X, P["i0"])
+    assert np.all(masks["B3"] | masks["C"])
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_independent_signs_never_return_two_negatives(n):
+    # The earlier draw negated every middle entry with probability 1/2; of
+    # its draws only those with at most one negative entry were ever kept,
+    # so conditioning the signs on that event keeps the law of the rows.
+    for kappa1 in ASYM_KAPPA1_GRID:
+        X, _ = _tail_cases(_params(n, kappa1), make_rng(3000 * n + int(math.log10(kappa1))), 300, independent=True)
+        assert np.all(np.count_nonzero(X < 0.0, axis=1) <= 1), kappa1
+
+
+@pytest.mark.parametrize("kappa1", [1e4, 1e6])
+@pytest.mark.parametrize("n", [9, 12])
+def test_tail_rows_are_exactly_in_the_regime(n, kappa1):
+    # sigma_1..sigma_k recomputed exactly on the integers kappa * D, D the
+    # largest denominator of a row's entries, as `search._exact_key` builds
+    # them: every row is in Gamma_{n-2} and its sigma_{n-2} in SIGMA_K_WINDOW.
+    k = n - 2
+    lo, hi = map(Fraction, SIGMA_K_WINDOW)
+    X = hypotheses._sampler_tail_cases(_params(n, kappa1), make_rng(4000 * n + int(math.log10(kappa1))), 300)
+    q = [[Fraction(float(v)) for v in row] for row in X]
+    D = [max(f.denominator for f in row) for row in q]
+    ints = np.array([[f.numerator * (d // f.denominator) for f in row] for row, d in zip(q, D)], dtype=object)
+    c = batch_coeffs_t(ints.T, k)
+    for j, d in enumerate(D):
+        assert all(c[1:, j] > 0), X[j]
+        assert lo * d**k <= c[k, j] <= hi * d**k, X[j]
+
+
+def test_case_key_reaches_n12():
+    # The sampler runs dry at no point of the sweep up to n = 12.
+    r11, r12 = (run_check("S7_case_key", n=n, samples=300, seed=42) for n in (11, 12))
+    assert r11.verdict == "THRESHOLD" and r11.kappa1_star == 10.0
+    assert r12.verdict != "ERROR"
 
 
 @pytest.mark.parametrize("cases", [(), MAIN_CASES], ids=["all", "cases"])
@@ -268,6 +325,7 @@ def test_exhausted_tail_cases_counts(monkeypatch):
     with pytest.raises(SamplingExhaustedError) as want:
         _tail_cases(P, make_rng(3), 100_000, budget=3 * 4096)
     _assert_counts(got.value.rejection_counts, want.value.rejection_counts)
+    assert got.value.rejection_counts["negatives"]
     assert str(got.value) == str(want.value)
 
 
@@ -312,19 +370,19 @@ def test_coefficient_major_dp_matches_rows():
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """(budget, [(candidates, rows accepted) per block]) of each sampler call."""
+    """(budget, cap, [(candidates, rows accepted) per block]) of each sampler call."""
     calls = []
 
-    def spy(draw, count, budget, counts, what):
+    def spy(draw, count, budget, counts, what, cap=cones._BLOCK):
         log = []
-        calls.append((budget, log))
+        calls.append((budget, cap, log))
 
         def counted(B):
             X = draw(B)
             log.append((B, X.shape[0]))
             return X
 
-        return rejection_sample(counted, count, budget, counts, what)
+        return rejection_sample(counted, count, budget, counts, what, cap)
 
     monkeypatch.setattr(cones, "rejection_sample", spy)
     monkeypatch.setattr(hypotheses, "rejection_sample", spy)
@@ -359,32 +417,32 @@ def test_block_rule_after_empty_blocks():
     assert log == [64, cones._BLOCK, cones._BLOCK, 5000 - 64 - 2 * cones._BLOCK]
 
 
-REJECTION_SAMPLERS = [  # catalog sampler and its parameters
-    pytest.param("cone", _params(6, 1.0), id="gamma"),
-    pytest.param("l59", _params(6, 1.0), id="scale"),
-    pytest.param("main", _params(6, 1e3), id="regime"),
-    pytest.param("tail_cases", _params(7, 1e6), id="tail"),
+REJECTION_SAMPLERS = [  # catalog sampler, its parameters and its block cap
+    pytest.param("cone", _params(6, 1.0), cones._BLOCK, id="gamma"),
+    pytest.param("l59", _params(6, 1.0), cones._BLOCK, id="scale"),
+    pytest.param("main", _params(6, 1e3), cones._BLOCK, id="regime"),
+    pytest.param("tail_cases", _params(7, 1e6), hypotheses._TAIL_BLOCK, id="tail"),
 ]
 
 
 @pytest.mark.parametrize("count", [1, 30, 1000, 5000])
-@pytest.mark.parametrize("name, P", REJECTION_SAMPLERS)
-def test_blocks_follow_the_acceptance_rate(name, P, count, blocks):
+@pytest.mark.parametrize("name, P, cap", REJECTION_SAMPLERS)
+def test_blocks_follow_the_acceptance_rate(name, P, cap, count, blocks):
     X = hypotheses._SAMPLERS[name](P, make_rng(count), count)
     assert X.shape[0] == count
-    ((budget, log),) = blocks
+    ((budget, used_cap, log),) = blocks
     drawn, accepted = map(sum, zip(*log))
-    assert max(B for B, _ in log) <= cones._BLOCK
+    assert used_cap == cap and max(B for B, _ in log) <= cap
     assert drawn <= budget
     assert accepted - count <= count / 4 + 64  # rows accepted and thrown away
 
 
-@pytest.mark.parametrize("name, P", REJECTION_SAMPLERS)
-def test_exhausted_sampler_spends_exactly_its_budget(name, P, blocks, monkeypatch):
+@pytest.mark.parametrize("name, P, cap", REJECTION_SAMPLERS)
+def test_exhausted_sampler_spends_exactly_its_budget(name, P, cap, blocks, monkeypatch):
     budget = 3001
     monkeypatch.setattr(hypotheses, "_SAMPLER_BUDGET", budget)
     monkeypatch.setattr(cones, "_REGIME_BUDGET", budget)
     with pytest.raises(SamplingExhaustedError, match=f"exhausted after {budget} draws"):
         hypotheses._SAMPLERS[name](P, make_rng(1), budget)  # every sampler rejects some draws
-    ((_, log),) = blocks
+    ((_, _, log),) = blocks
     assert sum(B for B, _ in log) == budget
